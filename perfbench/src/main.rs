@@ -6,12 +6,13 @@
 //! ```
 //!
 //! Runs one workload in this process on one thread, as a closed loop
-//! with a single client: set up, then whole passes over the workload's
-//! fixed op list for `--seconds`, checking every report. The last line
-//! of standard output is one JSON object with `correct`, `attempted`,
-//! `failed` and `metrics`: the end-to-end metrics, or with `--trace 1`
-//! the per-layer metrics of a traced run. Diagnostics go to standard
-//! error; the traced run's spans go to `perfbench/out/`.
+//! with a single client: cycles of a set-up and then whole passes over
+//! the workload's fixed op list fill `--seconds`, and every report is
+//! checked. The timings are read from each op's fastest samples. The
+//! last line of standard output is one JSON object with `correct`,
+//! `attempted`, `failed` and `metrics`: the end-to-end metrics, or with
+//! `--trace 1` the per-layer metrics of a traced run. Diagnostics go to
+//! standard error; the traced run's spans go to `perfbench/out/`.
 //! See `perfbench/README.md`.
 
 mod measure;
@@ -27,12 +28,14 @@ use distributed_hisq::scenario::ScenarioFile;
 use distributed_hisq::stats::percentile_nearest_rank;
 use distributed_hisq::testing::fnv1a64;
 
-use measure::{median, peak_rss_mb, ranked_above_p90, run_window, PassStats, Window};
+use measure::{median, peak_rss_mb, ranked_above_p90, PassStats, Window};
 use ops::{Inputs, LayerCounts, Workload, DEFAULT_SEED};
 use trace::{totals_by_name, Tracer};
 
-/// Set-ups per untraced run; `setup_s` is their median.
-const SETUP_REPEATS: usize = 5;
+/// Set-ups per untraced run; `setup_s` is their median. The run is cut
+/// into this many cycles of one set-up and then timed passes, so that
+/// the set-ups sample the host across the whole run.
+const SETUP_REPEATS: u32 = 9;
 
 /// Share of a traced run's time spent on its untraced baseline.
 const TRACE_BASELINE_SHARE: f64 = 1.0 / 3.0;
@@ -134,9 +137,8 @@ fn setup(args: &Args, expected: &[ops::Expected]) -> Result<(Inputs, Duration, P
 }
 
 /// Grid-point ids of one pass, in op order.
-fn pass_ids(inputs: &Inputs) -> Vec<String> {
-    inputs
-        .sources
+fn pass_ids(sources: &[ops::Source]) -> Vec<String> {
+    sources
         .iter()
         .filter_map(|s| ScenarioFile::parse(&s.text).ok())
         .flat_map(|f| f.expand(None))
@@ -147,26 +149,26 @@ fn pass_ids(inputs: &Inputs) -> Vec<String> {
 /// Reports where a percentile lands among the op classes (one class per
 /// grid point): which class, how far into its samples, and the gap to
 /// the neighbouring classes' medians.
-fn class_position(latencies: &[u64], ids: &[String], p: f64) -> String {
+fn class_position(fast: &[Vec<u64>], ids: &[String], p: f64) -> String {
     let per_pass = ids.len();
-    if per_pass == 0 || latencies.len() % per_pass != 0 {
+    if per_pass == 0 || fast.len() != per_pass {
         return "n/a".into();
     }
-    let mut classes: Vec<(f64, usize)> = (0..per_pass)
-        .map(|c| {
-            let samples: Vec<f64> = latencies
-                .iter()
-                .skip(c)
-                .step_by(per_pass)
-                .map(|&v| v as f64)
-                .collect();
+    let mut classes: Vec<(f64, usize)> = fast
+        .iter()
+        .enumerate()
+        .map(|(c, samples)| {
+            let samples: Vec<f64> = samples.iter().map(|&v| v as f64).collect();
             (median(&samples), c)
         })
         .collect();
     classes.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let rank = (p / 100.0 * per_pass as f64).max(f64::MIN_POSITIVE);
-    let index = (rank.ceil() as usize).clamp(1, per_pass) - 1;
-    let into = rank - index as f64;
+    // Every class holds the same number of fast samples; 1.00 into a
+    // class is its slowest fast sample.
+    let k = fast[0].len().max(1);
+    let rank = ((p / 100.0 * (k * per_pass) as f64).ceil() as usize).clamp(1, k * per_pass);
+    let index = (rank - 1) / k;
+    let into = (rank - k * index) as f64 / k as f64;
     let (med, class) = classes[index];
     let gap = |other: Option<&(f64, usize)>| other.map_or(0.0, |o| 100.0 * (o.0 / med - 1.0));
     format!(
@@ -179,25 +181,24 @@ fn class_position(latencies: &[u64], ids: &[String], p: f64) -> String {
     )
 }
 
-/// Nearest-rank p50 and p90 (ms) of the op latencies of the fast passes.
+/// Nearest-rank p50 and p90 (ms) of the pooled fast samples.
 fn latency_metrics(window: &Window, ids: &[String]) -> (f64, f64) {
-    let fast = window.fast_latencies();
-    let mut sorted = fast.clone();
-    sorted.sort_unstable();
+    let fast = window.fast_classes();
+    let sorted = window.fast_latencies();
     let p50 = percentile_nearest_rank(&sorted, 50.0).unwrap_or(0);
     let p90 = percentile_nearest_rank(&sorted, 90.0).unwrap_or(0);
     eprintln!(
-        "[perfbench] {} passes ({} ops each), {} fast; {} op samples, {} ranked above p90 ({} greater)",
+        "[perfbench] {} passes ({} ops each), {} fast samples per op; {} op samples, {} ranked above p90 ({} greater)",
         window.passes,
         ids.len(),
-        window.fast_passes().len(),
+        fast.first().map_or(0, Vec::len),
         sorted.len(),
         ranked_above_p90(sorted.len()),
         sorted.iter().filter(|&&v| v > p90).count()
     );
     let pass_ms: Vec<f64> = window.pass_ns.iter().map(|&ns| ns as f64 / 1e6).collect();
     eprintln!(
-        "[perfbench] pass wall: median {:.2} ms, max {:.2} ms; whole-window {:.3} ops/s",
+        "[perfbench] pass wall: median {:.2} ms, max {:.2} ms; over every pass {:.3} ops/s",
         median(&pass_ms),
         pass_ms.iter().copied().fold(0.0, f64::max),
         window.ops_per_s()
@@ -207,22 +208,24 @@ fn latency_metrics(window: &Window, ids: &[String]) -> (f64, f64) {
     (p50 as f64 / 1e6, p90 as f64 / 1e6)
 }
 
+/// The end-to-end run: `SETUP_REPEATS` cycles of a set-up followed by
+/// timed passes, each cycle ending at its share of `--seconds`. Each
+/// cycle's inputs are dropped before the next set-up.
 fn untraced(args: &Args, expected: &[ops::Expected]) -> Result<String, String> {
-    let mut setups = Vec::with_capacity(SETUP_REPEATS);
+    let ids = pass_ids(&ops::sources(args.workload, args.seed)?);
+    let budget = Duration::from_secs_f64(args.seconds);
+    let start = Instant::now();
+    let mut setups = Vec::new();
     let mut setup_stats = PassStats::default();
-    let mut inputs = None;
-    for _ in 0..SETUP_REPEATS {
-        let (ready, elapsed, stats) = setup(args, expected)?;
+    let mut window = Window::default();
+    for cycle in 1..=SETUP_REPEATS {
+        let (inputs, elapsed, stats) = setup(args, expected)?;
         setups.push(elapsed.as_secs_f64());
         setup_stats.points += stats.points;
         setup_stats.failed += stats.failed;
-        inputs = Some(ready);
+        let deadline = start + budget * cycle / SETUP_REPEATS;
+        window.run_until(deadline, |latencies| ops::run_pass(&inputs, latencies));
     }
-    let inputs = inputs.expect("at least one set-up");
-    let ids = pass_ids(&inputs);
-    let window = run_window(Duration::from_secs_f64(args.seconds), |latencies| {
-        ops::run_pass(&inputs, latencies)
-    });
     let (p50, p90) = latency_metrics(&window, &ids);
     eprintln!("[perfbench] set-ups (s): {setups:?}");
     let metrics = [
@@ -242,12 +245,15 @@ fn untraced(args: &Args, expected: &[ops::Expected]) -> Result<String, String> {
 fn traced(args: &Args, expected: &[ops::Expected]) -> Result<String, String> {
     let (inputs, _, setup_stats) = setup(args, expected)?;
     let budget = Duration::from_secs_f64(args.seconds);
-    let baseline = run_window(budget.mul_f64(TRACE_BASELINE_SHARE), |latencies| {
+    let start = Instant::now();
+    let mut baseline = Window::default();
+    baseline.run_until(start + budget.mul_f64(TRACE_BASELINE_SHARE), |latencies| {
         ops::run_pass(&inputs, latencies)
     });
     let mut tracer = Tracer::new();
     let mut counts = LayerCounts::default();
-    let traced = run_window(budget.mul_f64(1.0 - TRACE_BASELINE_SHARE), |latencies| {
+    let mut traced = Window::default();
+    traced.run_until(start + budget, |latencies| {
         ops::run_traced_pass(&inputs, &mut tracer, &mut counts, latencies)
     });
     let totals = totals_by_name(tracer.spans());

@@ -164,6 +164,12 @@ impl CompiledSystem {
         self.stats.instructions
     }
 
+    /// The assembly listing of controller `addr`'s program, or `None`
+    /// if the system has no such controller.
+    pub fn listing(&self, addr: NodeAddr) -> Option<String> {
+        self.sources.get(&addr).cloned()
+    }
+
     /// FNV-1a fingerprint of the compiled *machine code*: the scheme
     /// tag plus, per controller in address order, the address and the
     /// encoded program words. Two compilations fingerprinting equal

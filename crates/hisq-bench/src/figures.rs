@@ -246,7 +246,7 @@ pub fn fig06_listing() -> (String, String) {
     circuit.h(0);
     circuit.cz(0, 1);
     let compiled = compile_bisp(&circuit, &topo, &BispOptions::default()).unwrap();
-    (compiled.sources[&0].clone(), compiled.sources[&1].clone())
+    (compiled.listing(0).unwrap(), compiled.listing(1).unwrap())
 }
 
 /// Figures 12/13: the paper's electronics-level synchronization

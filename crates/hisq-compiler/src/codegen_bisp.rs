@@ -19,11 +19,12 @@
 use std::collections::BTreeMap;
 
 use hisq_core::NodeAddr;
+use hisq_isa::{AluOp, Reg};
 use hisq_net::Topology;
-use hisq_quantum::{Circuit, Operation};
+use hisq_quantum::{Circuit, Condition, Operation};
 
 use crate::codewords::{CodewordTable, PORT_GATE, PORT_READOUT};
-use crate::emit::StreamBuilder;
+use crate::emit::{Label, StreamBuilder};
 use crate::{CompileError, CompileStats, CompiledSystem, CycleDurations, Scheme};
 
 /// Address of the local measurement FIFO (`hisq_core::MEAS_FIFO_ADDR`).
@@ -104,9 +105,8 @@ fn wire(circuit: &Circuit) -> Result<Wiring, CompileError> {
 /// # Errors
 ///
 /// Returns [`CompileError`] when the circuit does not fit the topology,
-/// a two-qubit gate spans non-adjacent controllers, a condition guards a
-/// multi-qubit operation, or generated assembly fails to assemble (a
-/// code-generation bug).
+/// a two-qubit gate spans non-adjacent controllers, or a condition
+/// guards a multi-qubit operation.
 pub fn compile_bisp(
     circuit: &Circuit,
     topology: &Topology,
@@ -149,18 +149,18 @@ pub fn compile_bisp(
     }
 
     let mut programs = BTreeMap::new();
-    let mut sources = BTreeMap::new();
+    let mut listings = BTreeMap::new();
     for (addr, builder) in builders {
-        let (source, program) = builder.finish().map_err(CompileError::Asm)?;
+        let (program, listing) = builder.finish();
         stats.instructions += program.len() as u64;
-        sources.insert(addr, source);
         programs.insert(addr, program);
+        listings.insert(addr, listing);
     }
 
     Ok(CompiledSystem {
         scheme: Scheme::Bisp,
         programs,
-        sources,
+        listings,
         bindings: table.into_bindings(),
         num_qubits: n,
         hub: None,
@@ -235,34 +235,12 @@ fn emit_body(
                     return Err(CompileError::UnsupportedConditional { index: idx });
                 }
                 let addr = qubits[0] as NodeAddr;
-                let producers = wiring.producers.get(&idx).expect("wired").clone();
-                let value = match condition {
-                    hisq_quantum::Condition::Bit { value, .. } => *value,
-                    hisq_quantum::Condition::Parity { value, .. } => *value,
-                };
                 let cw = table.gate(addr, *gate, qubits);
                 let builder = builders.get_mut(&addr).expect("controller exists");
-                for (i, producer) in producers.iter().enumerate() {
-                    builder.recv("t2", *producer);
-                    if i == 0 {
-                        builder.raw("mv t1, t2");
-                    } else {
-                        builder.raw("xor t1, t1, t2");
-                    }
-                    stats.recvs += 1;
-                }
-                let skip = builder.fresh_label("skip");
-                // Skip the body when the parity does not match `value`.
-                if value {
-                    builder.raw(format!("beqz t1, {skip}"));
-                } else {
-                    builder.raw(format!("bnez t1, {skip}"));
-                }
+                let skip = open_feedback(builder, &wiring.producers[&idx], condition, stats);
                 builder.cw(PORT_GATE, cw);
                 builder.wait(d.gate_cycles(*gate));
-                builder.label(&skip);
-                builder.mark_blocker();
-                stats.feedbacks += 1;
+                close_feedback(builder, skip, stats);
             }
             (Operation::Measure { qubit, clbit: _ }, None) => {
                 let addr = *qubit as NodeAddr;
@@ -270,11 +248,11 @@ fn emit_body(
                 let builder = builders.get_mut(&addr).expect("controller exists");
                 builder.cw(PORT_READOUT, cw);
                 builder.wait(d.measurement);
-                builder.recv("t0", MEAS_FIFO);
+                builder.recv(Reg::T0, MEAS_FIFO);
                 builder.mark_blocker();
                 if let Some(consumers) = wiring.consumers.get(&idx) {
                     for &consumer in consumers {
-                        builder.send(consumer, "t0");
+                        builder.send(consumer, Reg::T0);
                         stats.sends += 1;
                     }
                 }
@@ -301,31 +279,10 @@ fn emit_body(
                 // A conditioned idle (e.g. the multi-round logical-S
                 // sub-circuit duration in the QEC benchmarks).
                 let addr = *qubit as NodeAddr;
-                let producers = wiring.producers.get(&idx).expect("wired").clone();
-                let value = match condition {
-                    hisq_quantum::Condition::Bit { value, .. } => *value,
-                    hisq_quantum::Condition::Parity { value, .. } => *value,
-                };
                 let builder = builders.get_mut(&addr).expect("controller exists");
-                for (i, producer) in producers.iter().enumerate() {
-                    builder.recv("t2", *producer);
-                    if i == 0 {
-                        builder.raw("mv t1, t2");
-                    } else {
-                        builder.raw("xor t1, t1, t2");
-                    }
-                    stats.recvs += 1;
-                }
-                let skip = builder.fresh_label("skip");
-                if value {
-                    builder.raw(format!("beqz t1, {skip}"));
-                } else {
-                    builder.raw(format!("bnez t1, {skip}"));
-                }
+                let skip = open_feedback(builder, &wiring.producers[&idx], condition, stats);
                 builder.wait(duration_ns.div_ceil(hisq_isa::CYCLE_NS));
-                builder.label(&skip);
-                builder.mark_blocker();
-                stats.feedbacks += 1;
+                close_feedback(builder, skip, stats);
             }
             (_, Some(_)) => {
                 return Err(CompileError::UnsupportedConditional { index: idx });
@@ -335,11 +292,47 @@ fn emit_body(
     Ok(())
 }
 
+/// Opens a feedback operation: receives every condition bit from its
+/// producer, folds them into the parity in `t1`, and branches to the
+/// returned label (placed by [`close_feedback`]) when the parity does
+/// not match the condition's value.
+fn open_feedback(
+    builder: &mut StreamBuilder,
+    producers: &[NodeAddr],
+    condition: &Condition,
+    stats: &mut CompileStats,
+) -> Label {
+    for (i, &producer) in producers.iter().enumerate() {
+        builder.recv(Reg::T2, producer);
+        if i == 0 {
+            builder.mv(Reg::T1, Reg::T2);
+        } else {
+            builder.alu(AluOp::Xor, Reg::T1, Reg::T1, Reg::T2);
+        }
+        stats.recvs += 1;
+    }
+    let skip = builder.fresh_label("skip");
+    let (Condition::Bit { value, .. } | Condition::Parity { value, .. }) = condition;
+    if *value {
+        builder.beqz(Reg::T1, skip);
+    } else {
+        builder.bnez(Reg::T1, skip);
+    }
+    skip
+}
+
+/// Closes a feedback operation opened by [`open_feedback`]: places the
+/// skip label and restarts the deterministic timeline after it.
+fn close_feedback(builder: &mut StreamBuilder, skip: Label, stats: &mut CompileStats) {
+    builder.label(skip);
+    builder.mark_blocker();
+    stats.feedbacks += 1;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use hisq_net::TopologyBuilder;
-    use hisq_quantum::Condition;
 
     fn linear_topology(n: usize) -> Topology {
         TopologyBuilder::linear(n)
@@ -373,8 +366,8 @@ mod tests {
         circuit.cz(0, 1);
         let compiled = compile_bisp(&circuit, &topo, &BispOptions::default()).unwrap();
         assert_eq!(compiled.stats.nearby_syncs, 2);
-        let src0 = &compiled.sources[&0];
-        let src1 = &compiled.sources[&1];
+        let src0 = compiled.listing(0).unwrap();
+        let src1 = compiled.listing(1).unwrap();
         assert!(src0.contains("sync 1"), "{src0}");
         assert!(src1.contains("sync 0"), "{src1}");
         // The H's 5-cycle duration on controller 0 is deterministic work
@@ -401,7 +394,7 @@ mod tests {
             ..BispOptions::default()
         };
         let compiled = compile_bisp(&circuit, &topo, &options).unwrap();
-        let src0 = &compiled.sources[&0];
+        let src0 = compiled.listing(0).unwrap();
         let sync_pos = src0.find("sync 1").unwrap();
         let h_pos = src0.find("cw.i.i").unwrap();
         assert!(
@@ -420,10 +413,10 @@ mod tests {
         assert_eq!(compiled.stats.sends, 1);
         assert_eq!(compiled.stats.recvs, 1);
         assert_eq!(compiled.stats.feedbacks, 1);
-        assert!(compiled.sources[&0].contains("recv t0, 4095"));
-        assert!(compiled.sources[&0].contains("send 1, t0"));
-        assert!(compiled.sources[&1].contains("recv t2, 0"));
-        assert!(compiled.sources[&1].contains("beqz t1"));
+        assert!(compiled.listing(0).unwrap().contains("recv t0, 4095"));
+        assert!(compiled.listing(0).unwrap().contains("send 1, t0"));
+        assert!(compiled.listing(1).unwrap().contains("recv t2, 0"));
+        assert!(compiled.listing(1).unwrap().contains("beqz t1"));
     }
 
     #[test]
@@ -434,7 +427,7 @@ mod tests {
         circuit.measure(1, 1);
         circuit.x_if(2, Condition::parity(vec![0, 1], false));
         let compiled = compile_bisp(&circuit, &topo, &BispOptions::default()).unwrap();
-        let src2 = &compiled.sources[&2];
+        let src2 = compiled.listing(2).unwrap();
         assert!(src2.contains("recv t2, 0"));
         assert!(src2.contains("recv t2, 1"));
         assert!(src2.contains("xor t1, t1, t2"));
@@ -464,7 +457,7 @@ mod tests {
         };
         let compiled = compile_bisp(&circuit, &topo, &options).unwrap();
         let root = topo.root_router().unwrap();
-        let src = &compiled.sources[&0];
+        let src = compiled.listing(0).unwrap();
         assert_eq!(src.matches(&format!("sync {root}")).count(), 3);
         assert_eq!(compiled.stats.region_syncs, 6); // 2 controllers × 3
     }
@@ -478,8 +471,11 @@ mod tests {
         circuit.reset(0);
         circuit.delay(2, 1000);
         let compiled = compile_bisp(&circuit, &topo, &BispOptions::default()).unwrap();
-        for (addr, program) in &compiled.programs {
+        for (&addr, program) in &compiled.programs {
             assert!(!program.is_empty(), "controller {addr} has a program");
+            let listing = compiled.listing(addr).unwrap();
+            let assembled = hisq_isa::Assembler::new().assemble(&listing).unwrap();
+            assert_eq!(&assembled, program, "controller {addr}:\n{listing}");
         }
         assert!(compiled.stats.instructions > 0);
     }

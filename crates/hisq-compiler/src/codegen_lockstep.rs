@@ -21,6 +21,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use hisq_core::NodeAddr;
+use hisq_isa::{AluOp, Inst, LoadOp, Reg, StoreOp};
 use hisq_quantum::{Circuit, Condition, Gate, Instruction, Operation};
 
 use crate::codewords::{CodewordTable, PORT_GATE, PORT_READOUT};
@@ -104,8 +105,8 @@ impl Item {
 ///
 /// # Errors
 ///
-/// Returns [`CompileError`] for conditions on multi-qubit operations,
-/// conditions referencing unwritten clbits, or assembler failures.
+/// Returns [`CompileError`] for conditions on multi-qubit operations or
+/// conditions referencing unwritten clbits.
 pub fn compile_lockstep(
     circuit: &Circuit,
     options: &LockstepOptions,
@@ -331,7 +332,7 @@ pub fn compile_lockstep(
 
     // ---- Pass 2: per-controller emission -----------------------------
     let mut programs = BTreeMap::new();
-    let mut sources = BTreeMap::new();
+    let mut listings = BTreeMap::new();
     for (addr, mut node_items) in items {
         // Stable sort by time preserves schedule order for ties.
         node_items.sort_by_key(Item::time);
@@ -354,21 +355,26 @@ pub fn compile_lockstep(
                     cursor = cursor.max(time) + d.measurement;
                     builder.cw(PORT_READOUT, cw);
                     builder.wait(d.measurement);
-                    builder.recv("t0", 0xFFF);
-                    builder.raw(format!("li t5, {}", (meas_index as u32) << 1));
-                    builder.raw("add t5, t5, t0");
-                    builder.send(hub_addr, "t5");
+                    builder.recv(Reg::T0, 0xFFF);
+                    builder.li(Reg::T5, (meas_index as u32) << 1);
+                    builder.alu(AluOp::Add, Reg::T5, Reg::T5, Reg::T0);
+                    builder.send(hub_addr, Reg::T5);
                     builder.mark_blocker();
                 }
                 Item::Broadcast { .. } => {
                     // Pipeline-only work: receive, decode the tag, store
                     // the bit into its ring slot.
-                    builder.recv("t2", hub_addr);
-                    builder.raw("andi t4, t2, 1");
-                    builder.raw("srli t3, t2, 1");
-                    builder.raw(format!("andi t3, t3, {}", RING_SLOTS - 1));
-                    builder.raw("slli t3, t3, 2");
-                    builder.raw("sw t4, 0(t3)");
+                    builder.recv(Reg::T2, hub_addr);
+                    builder.alu_imm(AluOp::And, Reg::T4, Reg::T2, 1);
+                    builder.alu_imm(AluOp::Srl, Reg::T3, Reg::T2, 1);
+                    builder.alu_imm(AluOp::And, Reg::T3, Reg::T3, RING_SLOTS as i32 - 1);
+                    builder.alu_imm(AluOp::Sll, Reg::T3, Reg::T3, 2);
+                    builder.inst(Inst::Store {
+                        op: StoreOp::Word,
+                        rs1: Reg::T3,
+                        rs2: Reg::T4,
+                        offset: 0,
+                    });
                     builder.mark_blocker();
                 }
                 Item::Window {
@@ -382,20 +388,25 @@ pub fn compile_lockstep(
                     cursor = w1;
                     for (i, meas_index) in bits.iter().enumerate() {
                         let slot = ((*meas_index as u32) % RING_SLOTS) * 4;
-                        builder.raw(format!("li t3, {slot}"));
-                        builder.raw("lw t2, 0(t3)");
+                        builder.li(Reg::T3, slot);
+                        builder.inst(Inst::Load {
+                            op: LoadOp::Word,
+                            rd: Reg::T2,
+                            rs1: Reg::T3,
+                            offset: 0,
+                        });
                         if i == 0 {
-                            builder.raw("mv t1, t2");
+                            builder.mv(Reg::T1, Reg::T2);
                         } else {
-                            builder.raw("xor t1, t1, t2");
+                            builder.alu(AluOp::Xor, Reg::T1, Reg::T1, Reg::T2);
                         }
                     }
                     let skip = builder.fresh_label("skip");
                     let end = builder.fresh_label("end");
                     if value {
-                        builder.raw(format!("beqz t1, {skip}"));
+                        builder.beqz(Reg::T1, skip);
                     } else {
-                        builder.raw(format!("bnez t1, {skip}"));
+                        builder.bnez(Reg::T1, skip);
                     }
                     let mut local = w0;
                     for (start, port, cw, dur) in body {
@@ -405,25 +416,25 @@ pub fn compile_lockstep(
                         local = start + dur;
                     }
                     builder.wait(w1.saturating_sub(local));
-                    builder.raw(format!("j {end}"));
-                    builder.label(&skip);
+                    builder.j(end);
+                    builder.label(skip);
                     // The untaken path idles for the same window.
                     builder.wait(w1 - w0);
-                    builder.label(&end);
+                    builder.label(end);
                     builder.mark_blocker();
                 }
             }
         }
-        let (source, program) = builder.finish().map_err(CompileError::Asm)?;
+        let (program, listing) = builder.finish();
         stats.instructions += program.len() as u64;
-        sources.insert(addr, source);
         programs.insert(addr, program);
+        listings.insert(addr, listing);
     }
 
     Ok(CompiledSystem {
         scheme: Scheme::Lockstep,
         programs,
-        sources,
+        listings,
         bindings: table.into_bindings(),
         num_qubits: n,
         hub: Some(HubSpec {
@@ -459,8 +470,8 @@ mod tests {
         let compiled = compile_lockstep(&circuit, &LockstepOptions::default()).unwrap();
         assert_eq!(compiled.stats.nearby_syncs, 0);
         assert_eq!(compiled.stats.region_syncs, 0);
-        for source in compiled.sources.values() {
-            assert!(!source.contains("sync"));
+        for &addr in compiled.programs.keys() {
+            assert!(!compiled.listing(addr).unwrap().contains("sync"));
         }
         assert!(compiled.hub.is_some());
     }
@@ -474,15 +485,15 @@ mod tests {
         // Only controller 2 consumes the bit.
         assert_eq!(compiled.stats.recvs, 1);
         assert!(
-            compiled.sources[&2].contains("recv t2, 3"),
+            compiled.listing(2).unwrap().contains("recv t2, 3"),
             "consumer latches"
         );
         assert!(
-            !compiled.sources[&1].contains("recv t2, 3"),
+            !compiled.listing(1).unwrap().contains("recv t2, 3"),
             "bystander skips"
         );
         // The producer publishes an index-tagged value through the hub.
-        assert!(compiled.sources[&0].contains("send 3, t5"));
+        assert!(compiled.listing(0).unwrap().contains("send 3, t5"));
     }
 
     #[test]
@@ -491,7 +502,7 @@ mod tests {
         circuit.measure(0, 0);
         circuit.x_if(1, Condition::bit(0, true));
         let compiled = compile_lockstep(&circuit, &LockstepOptions::default()).unwrap();
-        let src1 = &compiled.sources[&1];
+        let src1 = compiled.listing(1).unwrap();
         assert!(src1.contains("lw t2, 0(t3)"));
         assert!(src1.contains("beqz t1"));
         // Both paths exist: a body and the idle arm.
@@ -506,8 +517,8 @@ mod tests {
         circuit.z_if(2, Condition::bit(0, true));
         let compiled = compile_lockstep(&circuit, &LockstepOptions::default()).unwrap();
         // One window spans both ops: each participant branches once.
-        assert_eq!(compiled.sources[&1].matches("beqz t1").count(), 1);
-        assert_eq!(compiled.sources[&2].matches("beqz t1").count(), 1);
+        assert_eq!(compiled.listing(1).unwrap().matches("beqz t1").count(), 1);
+        assert_eq!(compiled.listing(2).unwrap().matches("beqz t1").count(), 1);
     }
 
     #[test]
@@ -518,7 +529,7 @@ mod tests {
         circuit.x_if(2, Condition::bit(0, true));
         circuit.x_if(2, Condition::bit(1, true));
         let compiled = compile_lockstep(&circuit, &LockstepOptions::default()).unwrap();
-        assert_eq!(compiled.sources[&2].matches("beqz t1").count(), 2);
+        assert_eq!(compiled.listing(2).unwrap().matches("beqz t1").count(), 2);
         assert_eq!(compiled.stats.feedbacks, 2);
     }
 
@@ -538,6 +549,11 @@ mod tests {
         assert_eq!(hub.addr, 2);
         assert_eq!(hub.up_latency, 30);
         assert_eq!(hub.down_latency, 40);
-        assert!(compiled.programs.values().all(|p| !p.is_empty()));
+        for (&addr, program) in &compiled.programs {
+            assert!(!program.is_empty(), "controller {addr} has a program");
+            let listing = compiled.listing(addr).unwrap();
+            let assembled = hisq_isa::Assembler::new().assemble(&listing).unwrap();
+            assert_eq!(&assembled, program, "controller {addr}:\n{listing}");
+        }
     }
 }

@@ -17,6 +17,19 @@
 //! circuits onto the interleaved data/ancilla layout, substituting
 //! long-range CNOTs with the constant-depth dynamic gadget of Figure 14.
 //!
+//! # Code generation
+//!
+//! Both backends append typed lines to one [`StreamBuilder`] per
+//! controller — instructions, the `li`/`mv` pseudo-instructions, and
+//! branches and jumps to [`Label`] handles — and
+//! [`StreamBuilder::finish`] resolves the labels straight into a
+//! [`Program`]. Compiling formats and parses no assembly text.
+//! [`CompiledSystem::listing`] renders a controller's assembly listing
+//! from the same lines on request; assembling it with
+//! [`hisq_isa::Assembler`] returns the emitted program, which the
+//! workspace's `compiled_program_pins` test checks for every compiled
+//! shape it pins.
+//!
 //! # Example
 //!
 //! ```
@@ -50,13 +63,13 @@ use std::error::Error;
 use std::fmt;
 
 use hisq_core::NodeAddr;
-use hisq_isa::{AsmError, Program, CYCLE_NS};
+use hisq_isa::{Program, CYCLE_NS};
 use hisq_quantum::GateDurations;
 
 pub use codegen_bisp::{compile_bisp, BispOptions};
 pub use codegen_lockstep::{compile_lockstep, LockstepOptions};
 pub use codewords::{Binding, BindingAction, CodewordTable, PORT_GATE, PORT_READOUT};
-pub use emit::StreamBuilder;
+pub use emit::{Label, Listing, StreamBuilder};
 pub use fabric::{apply_placement, plan_placement, FabricCosts};
 pub use longrange::{map_to_physical, LongRangeConfig, LongRangeStats, PhysicalCircuit};
 
@@ -142,10 +155,11 @@ pub struct CompileStats {
 pub struct CompiledSystem {
     /// The scheme this system was compiled for.
     pub scheme: Scheme,
-    /// Assembled programs per controller.
+    /// Machine code per controller.
     pub programs: BTreeMap<NodeAddr, Program>,
-    /// Generated assembly text per controller (human-readable artifact).
-    pub sources: BTreeMap<NodeAddr, String>,
+    /// Typed emission lines per controller, rendered on request by
+    /// [`CompiledSystem::listing`].
+    listings: BTreeMap<NodeAddr, Listing>,
     /// Codeword → quantum action bindings.
     pub bindings: Vec<Binding>,
     /// Number of circuit qubits (= participating controllers).
@@ -165,9 +179,11 @@ impl CompiledSystem {
     }
 
     /// The assembly listing of controller `addr`'s program, or `None`
-    /// if the system has no such controller.
+    /// if the system has no such controller. Rendered from the typed
+    /// lines the program was emitted from; assembling it with
+    /// [`hisq_isa::Assembler`] yields `programs[&addr]` again.
     pub fn listing(&self, addr: NodeAddr) -> Option<String> {
-        self.sources.get(&addr).cloned()
+        self.listings.get(&addr).map(Listing::to_string)
     }
 
     /// FNV-1a fingerprint of the compiled *machine code*: the scheme
@@ -241,8 +257,6 @@ pub enum CompileError {
     },
     /// The topology has no router to coordinate region synchronization.
     NoRootRouter,
-    /// Generated assembly failed to assemble (a code-generation bug).
-    Asm(AsmError),
 }
 
 impl fmt::Display for CompileError {
@@ -271,25 +285,11 @@ impl fmt::Display for CompileError {
             CompileError::NoRootRouter => {
                 write!(f, "topology has no router for region synchronization")
             }
-            CompileError::Asm(e) => write!(f, "generated assembly failed to assemble: {e}"),
         }
     }
 }
 
-impl Error for CompileError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            CompileError::Asm(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<AsmError> for CompileError {
-    fn from(e: AsmError) -> CompileError {
-        CompileError::Asm(e)
-    }
-}
+impl Error for CompileError {}
 
 #[cfg(test)]
 mod tests {

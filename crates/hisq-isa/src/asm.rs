@@ -229,12 +229,41 @@ fn parse_stmt(text: &str, line: usize) -> Result<Stmt, AsmError> {
     })
 }
 
-/// Splits a `li` immediate into (hi20, lo12) such that
-/// `(hi20 << 12) + sign_extend(lo12) == imm` in wrapping 32-bit arithmetic.
-fn split_li(imm: i32) -> (u32, i32) {
-    let hi = ((imm as u32).wrapping_add(0x800)) >> 12;
-    let lo = imm.wrapping_sub((hi << 12) as i32);
-    (hi & 0xfffff, lo)
+/// The machine instructions of the `li rd, imm` pseudo-instruction:
+/// `addi rd, x0, imm` when `imm` fits a 12-bit signed immediate,
+/// otherwise `lui rd, hi20` then `addi rd, rd, lo12`, where
+/// `(hi20 << 12) + lo12 == imm` in wrapping 32-bit arithmetic.
+///
+/// # Example
+///
+/// ```
+/// use hisq_isa::asm::expand_li;
+/// use hisq_isa::Reg;
+///
+/// assert_eq!(expand_li(Reg::T0, 100).count(), 1);
+/// assert_eq!(expand_li(Reg::T0, 1_000_000).count(), 2);
+/// ```
+pub fn expand_li(rd: Reg, imm: i32) -> impl DoubleEndedIterator<Item = Inst> {
+    let (lui, lo) = if fits_i12(i64::from(imm)) {
+        (None, imm)
+    } else {
+        let hi = ((imm as u32).wrapping_add(0x800)) >> 12;
+        let lo = imm.wrapping_sub((hi << 12) as i32);
+        (
+            Some(Inst::Lui {
+                rd,
+                imm20: hi & 0xfffff,
+            }),
+            lo,
+        )
+    };
+    let rs1 = if lui.is_some() { rd } else { Reg::X0 };
+    lui.into_iter().chain(std::iter::once(Inst::OpImm {
+        op: AluOp::Add,
+        rd,
+        rs1,
+        imm: lo,
+    }))
 }
 
 /// `true` if `imm` fits a 12-bit signed immediate.
@@ -246,10 +275,9 @@ impl Stmt {
     /// Number of concrete instructions this statement expands to.
     fn expanded_len(&self) -> usize {
         if self.mnemonic == "li" {
-            if let [Operand::Reg(_), Operand::Imm(imm)] = self.operands.as_slice() {
-                if !fits_i12(*imm) {
-                    return 2;
-                }
+            if let [Operand::Reg(rd), Operand::Imm(imm)] = self.operands.as_slice() {
+                // Out-of-range immediates are rejected in pass 2.
+                return expand_li(*rd, *imm as i32).count();
             }
         }
         1
@@ -482,7 +510,7 @@ impl Stmt {
             }
             "jal" => match self.operands.len() {
                 1 => Inst::Jal {
-                    rd: Reg::parse("ra").expect("ra exists"),
+                    rd: Reg::RA,
                     offset: self.target_at(0, labels, current_index)?,
                 },
                 2 => Inst::Jal {
@@ -493,7 +521,7 @@ impl Stmt {
             },
             "jalr" => match self.operands.len() {
                 1 => Inst::Jalr {
-                    rd: Reg::parse("ra").expect("ra exists"),
+                    rd: Reg::RA,
                     rs1: self.reg_at(0)?,
                     offset: 0,
                 },
@@ -571,24 +599,8 @@ impl Stmt {
                 if !(i64::from(i32::MIN)..=i64::from(u32::MAX)).contains(&imm) {
                     return Err(self.err(format!("`li` immediate {imm} out of 32-bit range")));
                 }
-                let imm = imm as i32;
-                if fits_i12(i64::from(imm)) {
-                    Inst::OpImm {
-                        op: AluOp::Add,
-                        rd,
-                        rs1: Reg::X0,
-                        imm,
-                    }
-                } else {
-                    let (hi, lo) = split_li(imm);
-                    out.push(Inst::Lui { rd, imm20: hi });
-                    Inst::OpImm {
-                        op: AluOp::Add,
-                        rd,
-                        rs1: rd,
-                        imm: lo,
-                    }
-                }
+                out.extend(expand_li(rd, imm as i32));
+                return Ok(());
             }
             "waiti" => {
                 self.expect_len(1)?;
@@ -837,6 +849,16 @@ mod tests {
                 offset: 0
             }
         );
+    }
+
+    #[test]
+    fn li_of_a_wrapped_small_value_takes_one_slot() {
+        // 0xFFFFFFFF is -1 as a 32-bit value: one `addi`, so the label
+        // after it sits at instruction 1.
+        let p = asm("li t0, 0xFFFFFFFF\nafter: j after");
+        assert_eq!(p.len(), 2);
+        assert_eq!(p.symbol("after"), Some(1));
+        assert!(matches!(p.insts()[0], Inst::OpImm { imm: -1, .. }));
     }
 
     #[test]

@@ -38,6 +38,22 @@ const ABI_NAMES: [&str; 32] = [
 impl Reg {
     /// The hard-wired zero register `x0`.
     pub const X0: Reg = Reg(0);
+    /// The return-address register `ra` (`x1`).
+    pub const RA: Reg = Reg(1);
+    /// Temporary register `t0` (`x5`).
+    pub const T0: Reg = Reg(5);
+    /// Temporary register `t1` (`x6`).
+    pub const T1: Reg = Reg(6);
+    /// Temporary register `t2` (`x7`).
+    pub const T2: Reg = Reg(7);
+    /// Temporary register `t3` (`x28`).
+    pub const T3: Reg = Reg(28);
+    /// Temporary register `t4` (`x29`).
+    pub const T4: Reg = Reg(29);
+    /// Temporary register `t5` (`x30`).
+    pub const T5: Reg = Reg(30);
+    /// Temporary register `t6` (`x31`).
+    pub const T6: Reg = Reg(31);
 
     /// Creates a register from its index, returning `None` if out of range.
     pub fn new(index: u8) -> Option<Reg> {
@@ -148,6 +164,24 @@ mod tests {
         for i in 0..32u8 {
             let r = Reg::new(i).unwrap();
             assert_eq!(Reg::parse(r.abi_name()), Some(r));
+        }
+    }
+
+    #[test]
+    fn named_constants_match_their_abi_names() {
+        let named = [
+            (Reg::X0, "zero"),
+            (Reg::RA, "ra"),
+            (Reg::T0, "t0"),
+            (Reg::T1, "t1"),
+            (Reg::T2, "t2"),
+            (Reg::T3, "t3"),
+            (Reg::T4, "t4"),
+            (Reg::T5, "t5"),
+            (Reg::T6, "t6"),
+        ];
+        for (reg, name) in named {
+            assert_eq!(reg.abi_name(), name);
         }
     }
 

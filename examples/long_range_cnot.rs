@@ -71,6 +71,6 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Peek at one generated controller program.
     println!("\ngenerated HISQ program for the control qubit's controller:");
-    println!("{}", bisp.sources[&0]);
+    println!("{}", bisp.listing(0).expect("controller 0 exists"));
     Ok(())
 }

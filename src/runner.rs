@@ -257,11 +257,7 @@ pub fn system_spec(
             spec
         }
     };
-    apply_bindings(
-        &mut spec,
-        &compiled.bindings,
-        compiled.durations.measurement,
-    );
+    apply_bindings(&mut spec, &compiled.bindings);
     Ok(spec)
 }
 
@@ -282,7 +278,7 @@ pub fn build_system(
 }
 
 /// Installs codeword bindings into a system description.
-fn apply_bindings(spec: &mut SystemSpec, bindings: &[Binding], meas_latency: u64) {
+fn apply_bindings(spec: &mut SystemSpec, bindings: &[Binding]) {
     for binding in bindings {
         match &binding.action {
             BindingAction::Gate { gate, qubits } => {
@@ -298,7 +294,6 @@ fn apply_bindings(spec: &mut SystemSpec, bindings: &[Binding], meas_latency: u64
             }
             BindingAction::Measure { qubit } => {
                 debug_assert_eq!(binding.port, PORT_READOUT);
-                let _ = meas_latency; // result latency comes from SimConfig durations
                 spec.bind(
                     binding.node,
                     binding.port,

@@ -539,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn labels_are_unique_and_resolve() {
+    fn labels_are_unique_and_assemble() {
         let mut b = StreamBuilder::new(3);
         let l1 = b.fresh_label("skip");
         let l2 = b.fresh_label("skip");

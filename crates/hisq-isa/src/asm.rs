@@ -243,21 +243,17 @@ fn parse_stmt(text: &str, line: usize) -> Result<Stmt, AsmError> {
 /// assert_eq!(expand_li(Reg::T0, 100).count(), 1);
 /// assert_eq!(expand_li(Reg::T0, 1_000_000).count(), 2);
 /// ```
-pub fn expand_li(rd: Reg, imm: i32) -> impl DoubleEndedIterator<Item = Inst> {
-    let (lui, lo) = if fits_i12(i64::from(imm)) {
-        (None, imm)
+pub fn expand_li(rd: Reg, imm: i32) -> impl Iterator<Item = Inst> {
+    let (lui, rs1, lo) = if fits_i12(i64::from(imm)) {
+        (None, Reg::X0, imm)
     } else {
         let hi = ((imm as u32).wrapping_add(0x800)) >> 12;
-        let lo = imm.wrapping_sub((hi << 12) as i32);
-        (
-            Some(Inst::Lui {
-                rd,
-                imm20: hi & 0xfffff,
-            }),
-            lo,
-        )
+        let lui = Inst::Lui {
+            rd,
+            imm20: hi & 0xfffff,
+        };
+        (Some(lui), rd, imm.wrapping_sub((hi << 12) as i32))
     };
-    let rs1 = if lui.is_some() { rd } else { Reg::X0 };
     lui.into_iter().chain(std::iter::once(Inst::OpImm {
         op: AluOp::Add,
         rd,

@@ -265,12 +265,14 @@ impl StreamBuilder {
         self.push(Line::Inst(inst));
     }
 
-    /// Appends the register-register ALU operation `op rd, rs1, rs2`.
+    /// Appends the register-register ALU operation `rd = rs1 op rs2`
+    /// (`add`, `xor`, …).
     pub fn alu(&mut self, op: AluOp, rd: Reg, rs1: Reg, rs2: Reg) {
         self.inst(Inst::Op { op, rd, rs1, rs2 });
     }
 
-    /// Appends the register-immediate ALU operation `opi rd, rs1, imm`.
+    /// Appends the register-immediate ALU operation `rd = rs1 op imm`
+    /// (`addi`, `andi`, `slli`, …).
     pub fn alu_imm(&mut self, op: AluOp, rd: Reg, rs1: Reg, imm: i32) {
         self.inst(Inst::OpImm { op, rd, rs1, imm });
     }

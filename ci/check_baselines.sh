@@ -1,14 +1,18 @@
 #!/usr/bin/env bash
 # Committed-baseline gate for the paper-figure binaries.
 #
-# Each figure binary that commits its quick report to the repo root
-# (BENCH_<bin>.json) is regenerated with the shared
-# `--quick --threads 2 --json` flags and byte-compared, so a baseline
-# can never drift silently. Regenerated copies of mismatching reports
-# are left under $DIFF_DIR (default target/baseline-diff/) for CI to
-# upload as an artifact.
+# The one figure whose systems are hand-assembled rather than built
+# from scenario files, fig_scale, commits its quick report to the repo
+# root (BENCH_fig_scale.json); it is regenerated with the shared
+# `--quick --threads 2 --json` flags and byte-compared, so the baseline
+# can never drift silently. The scenario-driven figures (fig15, fig16,
+# fig_contention, fig_hetero, fig_load, fig_noise) keep their quick
+# grids in the golden corpus instead: ci/check_scenarios.sh and
+# `cargo test` compare them against scenarios/reports/. Regenerated
+# copies of mismatching reports are left under $DIFF_DIR (default
+# target/baseline-diff/) for CI to upload as an artifact.
 #
-# After the figure baselines, the wall-clock regression gates run:
+# After the figure baseline, the wall-clock regression gates run:
 # `event_engine --gate` re-measures the simulator hot loop and fails if
 # any row of the committed BENCH_event_engine.json regressed by more
 # than 15% ns/event, and `fig_sweep_throughput --gate` re-times the
@@ -16,7 +20,7 @@
 # scenarios/sec fell more than 15% below the committed
 # BENCH_sweep_throughput.json. Both reports carry wall time, so they
 # are gated — never byte-compared like the deterministic figure
-# baselines above.
+# baseline above.
 #
 # Usage: ci/check_baselines.sh           (uses cargo run --release)
 set -euo pipefail
@@ -25,7 +29,7 @@ cd "$(dirname "$0")/.."
 
 DIFF_DIR="${DIFF_DIR:-target/baseline-diff}"
 
-BASELINED_BINS=(fig_contention fig_hetero fig_load fig_noise fig_scale)
+BASELINED_BINS=(fig_scale)
 
 rm -rf "$DIFF_DIR"
 mkdir -p "$DIFF_DIR"

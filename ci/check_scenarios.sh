@@ -5,7 +5,13 @@
 # byte-compares the output against the committed report in
 # scenarios/reports/ — once on 1 thread and once on 4, so the gate
 # also proves the parallel sweep engine is deterministic on the whole
-# corpus. One file additionally runs with `--repetitions` to pin the
+# corpus. The corpus includes the --quick grids of the scenario-driven
+# figure binaries (fig15, fig16, fig_contention, fig_hetero, fig_load,
+# fig_noise), so their reports are pinned here too; their full grids
+# live in scenarios/full/, which the scenarios/*.json glob does not
+# match. `cargo test` runs the same single-thread comparison
+# (tests/compile_cache_equivalence.rs). One file additionally runs
+# with `--repetitions` to pin the
 # seed++ expansion semantics, and the load_saturation report is
 # grepped for the job-engine metric surface (latency percentiles) so
 # the multi-tenant path can't silently degrade to a plain replay.

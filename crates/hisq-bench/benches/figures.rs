@@ -4,11 +4,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
+use distributed_hisq::runner::run_sweep;
 use hisq_bench::figures::{
-    fig05_nearby, fig05_remote, fig07_overhead, fig13_waveforms, fig15_row, fig16_sweep,
+    fig05_nearby, fig05_remote, fig07_overhead, fig13_waveforms, fig15_rows, fig16_points,
 };
+use hisq_bench::grids::{FIG15, FIG16};
 use hisq_bench::resources::{board_resources, CONTROL_BOARD_CHANNELS, READOUT_BOARD_CHANNELS};
-use hisq_workloads::{fig15_suite, SuiteScale};
 
 fn bench_table1(c: &mut Criterion) {
     c.bench_function("table1/resource_model", |b| {
@@ -57,21 +58,26 @@ fn bench_fig13(c: &mut Criterion) {
 }
 
 fn bench_fig15(c: &mut Criterion) {
-    let suite = fig15_suite(SuiteScale::Quick);
     let mut group = c.benchmark_group("fig15");
     group.sample_size(10);
-    for bench in &suite {
-        group.bench_function(&bench.name, |b| b.iter(|| fig15_row(&bench.name, 7)));
+    // The quick grid pairs each benchmark's bisp/lockstep twins.
+    for pair in FIG15.scenarios(true).chunks(2) {
+        let name = pair[0].workload.label();
+        group.bench_function(&name, |b| {
+            b.iter(|| fig15_rows(&run_sweep(pair, 1).expect("suite scenarios run")))
+        });
     }
     group.finish();
 }
 
 fn bench_fig16(c: &mut Criterion) {
+    let scenarios = FIG16.scenarios(true);
     let mut group = c.benchmark_group("fig16");
     group.sample_size(10);
     group.bench_function("infidelity_sweep", |b| {
         b.iter(|| {
-            let points = fig16_sweep(&[30.0, 300.0]);
+            let report = run_sweep(&scenarios, 1).expect("figure scenarios run");
+            let points = fig16_points(&scenarios, &report);
             assert!(points[0].reduction_ratio > 1.0);
             points
         })

@@ -1,31 +1,17 @@
 //! Regenerates Figure 15: normalized end-to-end runtime of
 //! Distributed-HISQ vs the lock-step baseline across the benchmark
-//! suite — a (workload × scheme) sweep. Pass `--quick` for the
-//! scaled-down twin suite, `--threads N` to parallelize, `--json` for
+//! suite — a (workload × scheme) sweep over `scenarios/full/fig15.json`.
+//! Pass `--quick` for the scaled-down twin suite
+//! (`scenarios/fig15.json`), `--threads N` to parallelize, `--json` for
 //! the raw sweep report.
 
-use distributed_hisq::runner::run_sweep;
 use hisq_bench::cli::FigArgs;
-use hisq_bench::figures::{fig15_rows, fig15_scenarios};
-use hisq_workloads::SuiteScale;
+use hisq_bench::figures::fig15_rows;
+use hisq_bench::grids::FIG15;
 
 fn main() {
     let args = FigArgs::parse();
-    let scale = if args.quick {
-        SuiteScale::Quick
-    } else {
-        SuiteScale::Paper
-    };
-    let scenarios = fig15_scenarios(scale, 15);
-    eprintln!(
-        "[fig15] running {} scenarios on {} thread(s)...",
-        scenarios.len(),
-        args.threads
-    );
-    let report = run_sweep(&scenarios, args.threads).unwrap_or_else(|e| {
-        eprintln!("fig15: {e}");
-        std::process::exit(1);
-    });
+    let (_, report) = FIG15.run(&args);
     if args.json {
         println!("{}", report.to_json());
         return;

@@ -1,25 +1,16 @@
 //! Regenerates Figure 16: circuit infidelity vs qubit relaxation time
 //! for the simultaneous long-range CNOT circuit, under both schemes —
-//! a (T1 × scheme) sweep. `--quick` trims the T1 axis, `--threads N`
+//! a (T1 × scheme) sweep over `scenarios/full/fig16.json`. `--quick`
+//! trims the T1 axis (`scenarios/fig16.json`), `--threads N`
 //! parallelizes, `--json` emits the raw sweep report.
 
-use distributed_hisq::runner::run_sweep;
 use hisq_bench::cli::FigArgs;
-use hisq_bench::figures::{fig16_points, fig16_scenarios};
+use hisq_bench::figures::fig16_points;
+use hisq_bench::grids::FIG16;
 
 fn main() {
     let args = FigArgs::parse();
-    let steps = if args.quick {
-        [3, 6, 10].as_slice()
-    } else {
-        &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-    };
-    let t_points: Vec<f64> = steps.iter().map(|&i| 30.0 * i as f64).collect();
-    let scenarios = fig16_scenarios(&t_points);
-    let report = run_sweep(&scenarios, args.threads).unwrap_or_else(|e| {
-        eprintln!("fig16: {e}");
-        std::process::exit(1);
-    });
+    let (scenarios, report) = FIG16.run(&args);
     if args.json {
         println!("{}", report.to_json());
         return;

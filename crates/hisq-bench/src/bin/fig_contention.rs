@@ -15,25 +15,17 @@
 //!
 //! Honors the shared CLI contract: `--quick` trims both sweep axes,
 //! `--threads N` parallelizes, `--json` emits the raw sweep report
-//! (byte-identical across thread counts; CI pins the quick report
-//! against the committed `BENCH_fig_contention.json` baseline).
+//! (byte-identical across thread counts). The grids are
+//! `scenarios/fig_contention.json` (`--quick`, a golden-corpus entry
+//! whose report is pinned) and `scenarios/full/fig_contention.json`.
 
-use distributed_hisq::runner::run_sweep;
 use hisq_bench::cli::FigArgs;
-use hisq_bench::figures::{fig_contention_rows, fig_contention_scenarios};
+use hisq_bench::figures::fig_contention_rows;
+use hisq_bench::grids::FIG_CONTENTION;
 
 fn main() {
     let args = FigArgs::parse();
-    let scenarios = fig_contention_scenarios(args.quick);
-    eprintln!(
-        "[fig_contention] running {} scenarios on {} thread(s)...",
-        scenarios.len(),
-        args.threads
-    );
-    let report = run_sweep(&scenarios, args.threads).unwrap_or_else(|e| {
-        eprintln!("fig_contention: {e}");
-        std::process::exit(1);
-    });
+    let (scenarios, report) = FIG_CONTENTION.run(&args);
     if args.json {
         println!("{}", report.to_json());
         return;

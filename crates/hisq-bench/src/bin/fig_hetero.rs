@@ -16,31 +16,24 @@
 //!
 //! Honors the shared CLI contract: `--quick` keeps one grid of each
 //! kind, `--threads N` parallelizes, `--json` emits the raw sweep
-//! report (byte-identical across thread counts; CI pins the quick
-//! report against the committed `BENCH_fig_hetero.json` baseline).
+//! report (byte-identical across thread counts). The grids are
+//! `scenarios/fig_hetero.json` (`--quick`, a golden-corpus entry whose
+//! report is pinned) and `scenarios/full/fig_hetero.json`, one base
+//! scenario per heated grid.
 
-use distributed_hisq::runner::run_sweep;
 use hisq_bench::cli::FigArgs;
-use hisq_bench::figures::{fig_hetero_grids, fig_hetero_points, fig_hetero_scenarios};
+use hisq_bench::figures::fig_hetero_points;
+use hisq_bench::grids::FIG_HETERO;
 
 fn main() {
     let args = FigArgs::parse();
-    let scenarios = fig_hetero_scenarios(args.quick);
-    eprintln!(
-        "[fig_hetero] running {} scenarios on {} thread(s)...",
-        scenarios.len(),
-        args.threads
-    );
-    let report = run_sweep(&scenarios, args.threads).unwrap_or_else(|e| {
-        eprintln!("fig_hetero: {e}");
-        std::process::exit(1);
-    });
+    let (scenarios, report) = FIG_HETERO.run(&args);
     if args.json {
         println!("{}", report.to_json());
         return;
     }
 
-    let points = fig_hetero_points(&fig_hetero_grids(args.quick), &report);
+    let points = fig_hetero_points(&scenarios, &report);
     println!("Heterogeneous fabric: fabric-aware vs oblivious compilation");
     println!("(one heated element per grid; improvement = oblivious / aware)");
     println!("{:-<78}", "");

@@ -11,31 +11,23 @@
 //!
 //! Honors the shared CLI contract: `--quick` keeps the 2×4 core grid,
 //! `--threads N` parallelizes, `--json` emits the raw sweep report
-//! (byte-identical across thread counts; CI pins the quick report
-//! against the committed `BENCH_fig_load.json` baseline).
+//! (byte-identical across thread counts). The grids are
+//! `scenarios/fig_load.json` (`--quick`, a golden-corpus entry whose
+//! report is pinned) and `scenarios/full/fig_load.json`.
 
-use distributed_hisq::runner::run_sweep;
 use hisq_bench::cli::FigArgs;
-use hisq_bench::load::{fig_load_points, fig_load_scenarios};
+use hisq_bench::grids::FIG_LOAD;
+use hisq_bench::load::fig_load_points;
 
 fn main() {
     let args = FigArgs::parse();
-    let scenarios = fig_load_scenarios(args.quick);
-    eprintln!(
-        "[fig_load] running {} load points on {} thread(s)...",
-        scenarios.len(),
-        args.threads
-    );
-    let report = run_sweep(&scenarios, args.threads).unwrap_or_else(|e| {
-        eprintln!("fig_load: {e}");
-        std::process::exit(1);
-    });
+    let (scenarios, report) = FIG_LOAD.run(&args);
     if args.json {
         println!("{}", report.to_json());
         return;
     }
 
-    let points = fig_load_points(args.quick, &report);
+    let points = fig_load_points(&scenarios, &report);
     println!("Multi-tenant job engine: offered load vs latency and throughput");
     println!("(rho = offered load / partition capacity; latency in microseconds)");
     println!("{:-<78}", "");

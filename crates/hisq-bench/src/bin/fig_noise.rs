@@ -17,25 +17,17 @@
 //!
 //! Honors the shared CLI contract: `--quick` trims the error-rate
 //! axis, `--threads N` parallelizes, `--json` emits the raw sweep
-//! report (byte-identical across thread counts; CI pins the quick
-//! report against the committed `BENCH_fig_noise.json` baseline).
+//! report (byte-identical across thread counts). The grids are
+//! `scenarios/fig_noise.json` (`--quick`, a golden-corpus entry whose
+//! report is pinned) and `scenarios/full/fig_noise.json`.
 
-use distributed_hisq::runner::run_sweep;
 use hisq_bench::cli::FigArgs;
-use hisq_bench::figures::{fig_noise_points, fig_noise_scenarios};
+use hisq_bench::figures::fig_noise_points;
+use hisq_bench::grids::FIG_NOISE;
 
 fn main() {
     let args = FigArgs::parse();
-    let scenarios = fig_noise_scenarios(args.quick);
-    eprintln!(
-        "[fig_noise] running {} scenarios on {} thread(s)...",
-        scenarios.len(),
-        args.threads
-    );
-    let report = run_sweep(&scenarios, args.threads).unwrap_or_else(|e| {
-        eprintln!("fig_noise: {e}");
-        std::process::exit(1);
-    });
+    let (scenarios, report) = FIG_NOISE.run(&args);
     if args.json {
         println!("{}", report.to_json());
         return;

@@ -16,7 +16,7 @@
 //! cached scenarios/sec fell more than 15% below the committed value.
 //! Gate mode never overwrites the committed baseline. Wall-clock
 //! varies machine to machine, so this report is gated — never
-//! byte-compared like the deterministic `BENCH_fig_*.json` baselines.
+//! byte-compared like the deterministic figure reports.
 
 use std::fmt::Write as _;
 

@@ -1,20 +1,19 @@
 //! Data producers for every figure of the paper's evaluation. The
 //! `src/bin/` harnesses print these; the criterion benches measure
-//! them. The scenario-driven figures (15, 16, and the contention
-//! extension) ride the sweep engine: they expand a [`SweepGrid`] of
-//! [`Scenario`]s and distill the aggregated records back into figure
-//! rows/points.
+//! them. The scenario-driven figures (15, 16, and the contention,
+//! noise and heterogeneous-fabric extensions) read their grids from
+//! committed scenario files (see [`crate::grids`]); the functions here
+//! distill the aggregated sweep records back into figure rows/points,
+//! reading grid coordinates from the expanded [`Scenario`]s.
 
 use distributed_hisq::compiler::{compile_bisp, BispOptions, Scheme};
 use distributed_hisq::quantum::Circuit;
-use distributed_hisq::runner::{run_sweep, LinkOverride, NoiseOverride, Scenario, SystemParams};
-use distributed_hisq::workloads::{SuiteScale, WorkloadSpec};
+use distributed_hisq::runner::Scenario;
+use distributed_hisq::workloads::WorkloadSpec;
 use hisq_core::NodeConfig;
 use hisq_isa::Assembler;
 use hisq_net::TopologyBuilder;
-use hisq_sim::{
-    LinkModel, NoiseModel, SweepGrid, SweepRecord, SweepReport, SweepRunner, SystemSpec, Telf,
-};
+use hisq_sim::{SweepRecord, SweepReport, SweepRunner, SystemSpec, Telf};
 
 /// Figure 5(a): nearby BISP synchronization timing.
 #[derive(Debug, Clone, Copy)]
@@ -364,28 +363,16 @@ pub struct Fig15Row {
     pub lockstep_instructions: u64,
 }
 
-/// Expands the Figure 15 scenario grid: every suite instance of the
-/// scale under both schemes (scheme varies fastest, so records pair up
-/// as consecutive bisp/lockstep twins).
-pub fn fig15_scenarios(scale: SuiteScale, seed: u64) -> Vec<Scenario> {
-    SweepGrid::new(Scenario::new(WorkloadSpec::suite(""), Scheme::Bisp).with_seed(seed))
-        .axis(WorkloadSpec::suite_specs(scale), |s, workload| {
-            s.workload = workload.clone()
-        })
-        .axis([Scheme::Bisp, Scheme::Lockstep], |s, &scheme| {
-            s.scheme = scheme
-        })
-        .into_points()
-}
-
 /// Distills an executed Figure 15 sweep back into figure rows, pairing
 /// each benchmark's scheme twins.
 ///
 /// # Panics
 ///
-/// Panics if the report does not hold [`fig15_scenarios`]-shaped
-/// records (bisp/lockstep pairs with the standard metrics) or a run
-/// did not halt.
+/// Panics if the report does not hold [`FIG15`]-shaped records
+/// (bisp/lockstep pairs with the standard metrics) or a run did not
+/// halt.
+///
+/// [`FIG15`]: crate::grids::FIG15
 pub fn fig15_rows(report: &SweepReport) -> Vec<Fig15Row> {
     report
         .records()
@@ -417,21 +404,6 @@ pub fn fig15_rows(report: &SweepReport) -> Vec<Fig15Row> {
         .collect()
 }
 
-/// Compiles and simulates one named suite instance (see
-/// [`hisq_workloads::suite_names`]) under both schemes.
-pub fn fig15_row(workload: &str, seed: u64) -> Fig15Row {
-    let base = Scenario::new(WorkloadSpec::suite(workload), Scheme::Bisp).with_seed(seed);
-    let scenarios = [
-        base.clone(),
-        Scenario {
-            scheme: Scheme::Lockstep,
-            ..base
-        },
-    ];
-    let report = run_sweep(&scenarios, 1).expect("suite scenarios are well-formed");
-    fig15_rows(&report).remove(0)
-}
-
 /// One point of the Figure 16 sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig16Point {
@@ -445,51 +417,14 @@ pub struct Fig16Point {
     pub reduction_ratio: f64,
 }
 
-/// Expands the Figure 16 scenario grid: the simultaneous long-range
-/// CNOT workload under both schemes at every coherence point (scheme
-/// varies fastest, so records pair up per T1 point).
-///
-/// The long-range CNOT serves the cross-chip scenario of §2.1.1; the
-/// baseline's central controller sits a chassis hop away (250 ns per
-/// leg) in that setting, unlike the on-backplane 100 ns of Figure 15 —
-/// hence the 63/62-cycle star legs. Data qubits carry the circuit's
-/// quantum output, so the harness scores their exposure over the whole
-/// schedule (the workload's `data_sites`); ancillas decohere only over
-/// their own prepare→measure windows.
-///
-/// Each (T1, scheme) point re-simulates even though T1 only affects the
-/// post-run scoring — a deliberate trade: every point is an independent
-/// scenario under the uniform sweep contract (so the grid parallelizes
-/// and the JSON stays per-point), and the circuit simulates in
-/// milliseconds.
-pub fn fig16_scenarios(t_us_points: &[f64]) -> Vec<Scenario> {
-    let params = SystemParams {
-        star_up_latency: 63,
-        star_down_latency: 62,
-        ..SystemParams::default()
-    };
-    let workload = WorkloadSpec::LongRangeCnots {
-        parallel: 4,
-        span: 7,
-    };
-    SweepGrid::new(
-        Scenario::new(workload, Scheme::Bisp)
-            .with_seed(16)
-            .with_params(params),
-    )
-    .axis(t_us_points.iter().copied(), |s, &t_us| s.t1_us = t_us)
-    .axis([Scheme::Bisp, Scheme::Lockstep], |s, &scheme| {
-        s.scheme = scheme
-    })
-    .into_points()
-}
-
 /// Distills an executed Figure 16 sweep back into figure points.
 ///
 /// # Panics
 ///
-/// Panics if the report does not hold [`fig16_scenarios`]-shaped
-/// records or a run did not halt.
+/// Panics if the report does not hold [`FIG16`]-shaped records
+/// (bisp/lockstep twins per T1 point) or a run did not halt.
+///
+/// [`FIG16`]: crate::grids::FIG16
 pub fn fig16_points(scenarios: &[Scenario], report: &SweepReport) -> Vec<Fig16Point> {
     scenarios
         .chunks(2)
@@ -518,70 +453,6 @@ pub fn fig16_points(scenarios: &[Scenario], report: &SweepReport) -> Vec<Fig16Po
         .collect()
 }
 
-/// Runs the Figure 16 experiment on one thread: simulate both schemes
-/// at every coherence point and score the output data qubits.
-pub fn fig16_sweep(t_us_points: &[f64]) -> Vec<Fig16Point> {
-    let scenarios = fig16_scenarios(t_us_points);
-    let report = run_sweep(&scenarios, 1).expect("figure scenarios are well-formed");
-    fig16_points(&scenarios, &report)
-}
-
-/// The backend seed of the contention sweep (any fixed value works;
-/// the figure compares makespans, not outcomes).
-const FIG_CONTENTION_SEED: u64 = 21;
-
-/// The logical control→target span of each contention-sweep gadget
-/// (`parallel` gadgets of span 7 occupy `16·parallel − 1` physical
-/// controllers: 15/31/63/127 for parallel = 1/2/4/8).
-const FIG_CONTENTION_SPAN: usize = 7;
-
-/// Expands the contention sweep grid: the simultaneous long-range CNOT
-/// workload at several controller counts (≈8–128) under both schemes,
-/// across a link-serialization axis — `link_model` as a first-class
-/// [`SweepGrid`] axis. The serialization axis varies fastest, then the
-/// scheme, then the size, so records group naturally per (size, scheme)
-/// block.
-///
-/// Both schemes carry the same per-message feedback traffic, so the
-/// sweep isolates *where* contention bites: the lock-step hub fans
-/// every measurement broadcast out through its single shared egress
-/// port (the `(hub, hub)` queue), serializing one copy per subscriber
-/// back to back — so each broadcast costs `N · serialization` of hub
-/// egress time and the queue deepens with both system size and the
-/// number of simultaneous results — while BISP's corrections ride
-/// dedicated point-to-point mesh links that never carry more than one
-/// gadget's traffic.
-pub fn fig_contention_scenarios(quick: bool) -> Vec<Scenario> {
-    let parallel: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let serialization_ns: &[u64] = if quick {
-        &[0, 16, 64]
-    } else {
-        &[0, 8, 16, 32, 64]
-    };
-    let base = Scenario::new(
-        WorkloadSpec::LongRangeCnots {
-            parallel: 1,
-            span: FIG_CONTENTION_SPAN,
-        },
-        Scheme::Bisp,
-    )
-    .with_seed(FIG_CONTENTION_SEED);
-    SweepGrid::new(base)
-        .axis(parallel.iter().copied(), |s, &p| {
-            s.workload = WorkloadSpec::LongRangeCnots {
-                parallel: p,
-                span: FIG_CONTENTION_SPAN,
-            }
-        })
-        .axis([Scheme::Bisp, Scheme::Lockstep], |s, &scheme| {
-            s.scheme = scheme
-        })
-        .axis(serialization_ns.iter().copied(), |s, &ns| {
-            s.params.link_model = LinkModel::serialized(ns)
-        })
-        .into_points()
-}
-
 /// One row of the contention figure: a (controller count, scheme,
 /// serialization) point with its makespan and its slowdown relative to
 /// the same point at zero serialization.
@@ -607,8 +478,11 @@ pub struct ContentionRow {
 ///
 /// # Panics
 ///
-/// Panics if the report does not hold
-/// [`fig_contention_scenarios`]-shaped records or a run did not halt.
+/// Panics if the report does not hold [`FIG_CONTENTION`]-shaped
+/// records (long-range CNOT points, zero serialization leading each
+/// size/scheme block) or a run did not halt.
+///
+/// [`FIG_CONTENTION`]: crate::grids::FIG_CONTENTION
 pub fn fig_contention_rows(scenarios: &[Scenario], report: &SweepReport) -> Vec<ContentionRow> {
     let mut baselines: std::collections::BTreeMap<(usize, &'static str), u64> =
         std::collections::BTreeMap::new();
@@ -646,77 +520,12 @@ pub fn fig_contention_rows(scenarios: &[Scenario], report: &SweepReport) -> Vec<
     rows
 }
 
-/// The backend seed of the noise sweep (fig16's, so the noiseless limit
-/// of this sweep is exactly the Figure 16 workload).
-const FIG_NOISE_SEED: u64 = 16;
-
-/// The fixed per-nanosecond idle error rate of the noise sweep: ≈ the
-/// exposure decay of a 1 ms-coherence device, so the idle (schedule-
-/// length) term stays visible at the low end of the gate-error axis.
-pub const FIG_NOISE_P_IDLE_PER_NS: f64 = 1e-6;
-
-/// The noise-sweep error-rate family at single-qubit gate error `p`:
-/// two-qubit gates and readout 10× worse (the usual hardware
-/// hierarchy), leakage at `p`, idle fixed at
-/// [`FIG_NOISE_P_IDLE_PER_NS`].
-pub fn fig_noise_model(p_gate_1q: f64) -> NoiseModel {
-    NoiseModel::default()
-        .with_gate_errors(p_gate_1q, 10.0 * p_gate_1q)
-        .with_meas_error(10.0 * p_gate_1q)
-        .with_idle_error(FIG_NOISE_P_IDLE_PER_NS)
-        .with_leak(p_gate_1q)
-}
-
-/// Expands the noise sweep grid: fig16's simultaneous long-range CNOT
-/// workload (4 gadgets of span 7, the cross-chip star latencies) under
-/// both schemes across a gate-error axis — `SystemParams::noise` as a
-/// first-class [`SweepGrid`] axis. The scheme varies fastest, so
-/// records pair up as bisp/lockstep twins per error-rate point.
-///
-/// Where Figure 16 sweeps *coherence* (decoherence-dominated devices),
-/// this sweep holds idle error fixed and sweeps the per-gate error
-/// rate: both schemes commit the same circuit, so the gate-error term
-/// is (nearly) scheme-independent and the BISP advantage — earlier
-/// completion, shorter exposure — lives entirely in the idle term.
-/// As gate error grows it swamps the idle term and the
-/// baseline/BISP infidelity ratio compresses toward 1: the
-/// gate-error-dominated regime where scheduling no longer buys
-/// fidelity.
-pub fn fig_noise_scenarios(quick: bool) -> Vec<Scenario> {
-    let p_axis: &[f64] = if quick {
-        &[1e-5, 3e-4, 1e-2]
-    } else {
-        &[1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2]
-    };
-    let params = SystemParams {
-        star_up_latency: 63,
-        star_down_latency: 62,
-        ..SystemParams::default()
-    };
-    let workload = WorkloadSpec::LongRangeCnots {
-        parallel: 4,
-        span: 7,
-    };
-    SweepGrid::new(
-        Scenario::new(workload, Scheme::Bisp)
-            .with_seed(FIG_NOISE_SEED)
-            .with_params(params),
-    )
-    .axis(p_axis.iter().copied(), |s, &p| {
-        s.params.noise = fig_noise_model(p)
-    })
-    .axis([Scheme::Bisp, Scheme::Lockstep], |s, &scheme| {
-        s.scheme = scheme
-    })
-    .into_points()
-}
-
 /// One point of the noise sweep: a gate-error rate with both schemes'
 /// analytic infidelities and their ratio.
 #[derive(Debug, Clone, Copy)]
 pub struct FigNoisePoint {
     /// Single-qubit gate error probability (two-qubit and readout are
-    /// 10×, leakage 1× — see [`fig_noise_model`]).
+    /// 10×, leakage 1×).
     pub p_gate_1q: f64,
     /// Distributed-HISQ expected circuit infidelity
     /// (`noise_infidelity`).
@@ -735,9 +544,11 @@ pub struct FigNoisePoint {
 ///
 /// # Panics
 ///
-/// Panics if the report does not hold [`fig_noise_scenarios`]-shaped
-/// records (bisp/lockstep twins carrying `noise_infidelity`) or a run
-/// did not halt.
+/// Panics if the report does not hold [`FIG_NOISE`]-shaped records
+/// (bisp/lockstep twins carrying `noise_infidelity`) or a run did not
+/// halt.
+///
+/// [`FIG_NOISE`]: crate::grids::FIG_NOISE
 pub fn fig_noise_points(scenarios: &[Scenario], report: &SweepReport) -> Vec<FigNoisePoint> {
     scenarios
         .chunks(2)
@@ -767,160 +578,14 @@ pub fn fig_noise_points(scenarios: &[Scenario], report: &SweepReport) -> Vec<Fig
         .collect()
 }
 
-/// The backend seed of the heterogeneous-fabric comparison.
-const FIG_HETERO_SEED: u64 = 23;
-
-/// The heated mesh edge of the hot-edge grids (as a low-site pair;
-/// both directions of the cable are heated): the adder's ripple-carry
-/// traffic crosses physical edge 4–5 more than three times as often as
-/// its mirror image, so the line reversal is a strict win for an
-/// aware placement.
-pub const FIG_HETERO_HOT_EDGE: (u16, u16) = (4, 5);
-
-/// The heated device site of the hot-qubit grids: the adder's physical
-/// site 5 absorbs 80 operations where its mirror site 19 absorbs 25,
-/// so the reversal moves most of the error-prone work onto a healthy
-/// site.
-pub const FIG_HETERO_HOT_QUBIT: usize = 5;
-
-/// The link model of a heated edge: 128× the base serialization plus a
-/// 30 % drop rate, so oblivious placements pay both queueing delay and
-/// retransmission round trips on every crossing. (Ten attempts keep
-/// the permanent-drop probability below 1e-5 per message, so heated
-/// runs still halt.)
-pub fn fig_hetero_hot_link() -> LinkModel {
-    LinkModel::serialized(512).with_drop(hisq_sim::DropPolicy {
-        loss_ppm: 300_000,
-        seed: 7,
-        max_attempts: 10,
-    })
-}
-
-/// One grid of the heterogeneous-fabric comparison: a workload with
-/// exactly one heated element (edge or qubit), run oblivious and
-/// fabric-aware, scored on one metric.
-#[derive(Debug, Clone)]
-pub struct FigHeteroGrid {
-    /// Display label (names the workload and the heated element).
-    pub name: &'static str,
-    /// `"edge"` or `"qubit"` — which fabric element is heated.
-    pub kind: &'static str,
-    /// The scored record metric (`makespan_ns` for hot-edge grids,
-    /// `noise_infidelity` for hot-qubit grids).
-    pub metric: &'static str,
-    /// The oblivious scenario; the aware twin differs only in
-    /// `params.fabric_aware`.
-    pub base: Scenario,
-}
-
-/// The heterogeneous-fabric grids: hot-edge grids scored on makespan
-/// (routing traffic off the heated link saves serialization and
-/// retransmissions) and hot-qubit grids scored on expected infidelity
-/// (moving work off the heated device site saves error budget).
-/// `--quick` keeps one grid of each kind.
-pub fn fig_hetero_grids(quick: bool) -> Vec<FigHeteroGrid> {
-    let (hot_a, hot_b) = FIG_HETERO_HOT_EDGE;
-    let hot_edge = |s: &mut Scenario| {
-        s.params.link_model = LinkModel::serialized(4);
-        s.params.link_overrides = vec![
-            LinkOverride {
-                from: hot_a,
-                to: hot_b,
-                link_model: fig_hetero_hot_link(),
-            },
-            LinkOverride {
-                from: hot_b,
-                to: hot_a,
-                link_model: fig_hetero_hot_link(),
-            },
-        ];
-    };
-    let hot_qubit = |s: &mut Scenario, qubit: usize| {
-        s.params.noise = fig_noise_model(1e-5);
-        s.params.noise_overrides = vec![NoiseOverride {
-            qubit,
-            noise: fig_noise_model(3e-3),
-        }];
-    };
-    let mut grids = Vec::new();
-    let mut base =
-        Scenario::new(WorkloadSpec::suite("adder_n13"), Scheme::Bisp).with_seed(FIG_HETERO_SEED);
-    hot_edge(&mut base);
-    grids.push(FigHeteroGrid {
-        name: "adder_n13 / heated link 4-5",
-        kind: "edge",
-        metric: "makespan_ns",
-        base,
-    });
-    let mut base =
-        Scenario::new(WorkloadSpec::suite("adder_n13"), Scheme::Bisp).with_seed(FIG_HETERO_SEED);
-    hot_qubit(&mut base, FIG_HETERO_HOT_QUBIT);
-    grids.push(FigHeteroGrid {
-        name: "adder_n13 / heated qubit 5",
-        kind: "qubit",
-        metric: "noise_infidelity",
-        base,
-    });
-    if !quick {
-        // The span-7 long-range gadget's heated ancilla is a
-        // *declined* swap: site 12 hosts more operations than its
-        // mirror, but they are cheap 1q corrections — the mirror's
-        // measure would cost more on the heated site, so the aware
-        // planner keeps the identity and the gain is exactly 1.
-        let mut base = Scenario::new(
-            WorkloadSpec::LongRangeCnots {
-                parallel: 1,
-                span: 7,
-            },
-            Scheme::Bisp,
-        )
-        .with_seed(FIG_HETERO_SEED);
-        hot_qubit(&mut base, 12);
-        grids.push(FigHeteroGrid {
-            name: "longrange p1 s7 / heated qubit 12",
-            kind: "qubit",
-            metric: "noise_infidelity",
-            base,
-        });
-        // Compound heat: the same reversal dodges the heated link
-        // *and* the heated site at once, scored on the error budget.
-        let mut base = Scenario::new(WorkloadSpec::suite("adder_n13"), Scheme::Bisp)
-            .with_seed(FIG_HETERO_SEED);
-        hot_edge(&mut base);
-        hot_qubit(&mut base, FIG_HETERO_HOT_QUBIT);
-        grids.push(FigHeteroGrid {
-            name: "adder_n13 / heated link + qubit",
-            kind: "qubit",
-            metric: "noise_infidelity",
-            base,
-        });
-    }
-    grids
-}
-
-/// Expands the heterogeneous-fabric grids into sweep scenarios: each
-/// grid contributes an oblivious/aware twin (aware varies fastest, so
-/// records pair up per grid exactly like the other paired sweeps).
-pub fn fig_hetero_scenarios(quick: bool) -> Vec<Scenario> {
-    fig_hetero_grids(quick)
-        .into_iter()
-        .flat_map(|grid| {
-            [false, true].into_iter().map(move |aware| {
-                let mut s = grid.base.clone();
-                s.params.fabric_aware = aware;
-                s
-            })
-        })
-        .collect()
-}
-
 /// One row of the heterogeneous-fabric comparison: a grid's metric
 /// under oblivious and fabric-aware compilation.
 #[derive(Debug, Clone)]
 pub struct FigHeteroPoint {
-    /// Grid label.
-    pub name: &'static str,
-    /// `"edge"` or `"qubit"`.
+    /// Grid label: the workload and its heated elements.
+    pub name: String,
+    /// `"edge"` (a heated link alone, scored on makespan) or `"qubit"`
+    /// (a heated site, alone or with a link, scored on infidelity).
     pub kind: &'static str,
     /// The scored metric name.
     pub metric: &'static str,
@@ -933,25 +598,38 @@ pub struct FigHeteroPoint {
 }
 
 /// Distills an executed heterogeneous-fabric sweep back into
-/// comparison rows.
+/// comparison rows, one per oblivious/aware scenario pair. Each row's
+/// label, kind and metric come from the pair's heated elements: a
+/// heated link alone is scored on `makespan_ns` (routing traffic off
+/// it saves serialization and retransmissions), anything with a
+/// heated site on `noise_infidelity` (moving work off it saves error
+/// budget).
 ///
 /// # Panics
 ///
-/// Panics if the report does not hold [`fig_hetero_scenarios`]-shaped
-/// records (oblivious/aware twins per grid) or a run did not halt.
-pub fn fig_hetero_points(grids: &[FigHeteroGrid], report: &SweepReport) -> Vec<FigHeteroPoint> {
+/// Panics if the report does not hold [`FIG_HETERO`]-shaped records
+/// (oblivious/aware twins per grid, each grid heating a link or a
+/// site) or a run did not halt.
+///
+/// [`FIG_HETERO`]: crate::grids::FIG_HETERO
+pub fn fig_hetero_points(scenarios: &[Scenario], report: &SweepReport) -> Vec<FigHeteroPoint> {
     assert_eq!(
         report.records().len(),
-        2 * grids.len(),
-        "one oblivious/aware record pair per grid"
+        scenarios.len(),
+        "one record per scenario"
     );
-    grids
-        .iter()
+    scenarios
+        .chunks(2)
         .zip(report.records().chunks(2))
-        .map(|(grid, records)| {
+        .map(|(pair, records)| {
             let [oblivious, aware] = records else {
                 panic!("records must pair up per grid");
             };
+            assert!(
+                !pair[0].params.fabric_aware && pair[1].params.fabric_aware,
+                "{}: grids pair oblivious then aware",
+                oblivious.id
+            );
             for record in records {
                 assert_eq!(
                     record.value("all_halted"),
@@ -960,15 +638,30 @@ pub fn fig_hetero_points(grids: &[FigHeteroGrid], report: &SweepReport) -> Vec<F
                     record.id
                 );
             }
-            let fetch = |record: &SweepRecord| match grid.metric {
+            let params = &pair[0].params;
+            let link = params
+                .link_overrides
+                .first()
+                .map(|o| format!("link {}-{}", o.from.min(o.to), o.from.max(o.to)));
+            let qubit = params
+                .noise_overrides
+                .first()
+                .map(|o| format!("qubit {}", o.qubit));
+            let (heat, kind, metric) = match (link, qubit) {
+                (Some(link), None) => (link, "edge", "makespan_ns"),
+                (None, Some(qubit)) => (qubit, "qubit", "noise_infidelity"),
+                (Some(_), Some(_)) => ("link + qubit".to_string(), "qubit", "noise_infidelity"),
+                (None, None) => panic!("{}: a grid heats a link or a site", oblivious.id),
+            };
+            let fetch = |record: &SweepRecord| match metric {
                 "makespan_ns" => record.counter("makespan_ns").expect("standard metrics") as f64,
                 metric => record.value(metric).expect("noise metrics"),
             };
             let (oblivious, aware) = (fetch(oblivious), fetch(aware));
             FigHeteroPoint {
-                name: grid.name,
-                kind: grid.kind,
-                metric: grid.metric,
+                name: format!("{} / heated {heat}", pair[0].workload.label()),
+                kind,
+                metric,
                 oblivious,
                 aware,
                 improvement: oblivious / aware,
@@ -980,12 +673,14 @@ pub fn fig_hetero_points(grids: &[FigHeteroGrid], report: &SweepReport) -> Vec<F
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grids::{FIG15, FIG16, FIG_HETERO, FIG_NOISE};
+    use distributed_hisq::runner::run_sweep;
 
     #[test]
     fn fig_hetero_quick_aware_beats_oblivious_on_both_grids() {
-        let scenarios = fig_hetero_scenarios(true);
+        let scenarios = FIG_HETERO.scenarios(true);
         let report = run_sweep(&scenarios, 2).expect("hetero sweep runs");
-        let points = fig_hetero_points(&fig_hetero_grids(true), &report);
+        let points = fig_hetero_points(&scenarios, &report);
         let edge = points
             .iter()
             .find(|p| p.kind == "edge")
@@ -1047,7 +742,13 @@ mod tests {
 
     #[test]
     fn fig15_quick_rows_favor_bisp_on_feedback_workloads() {
-        let row = fig15_row("logical_t_d3x2", 1);
+        let pair: Vec<Scenario> = FIG15
+            .scenarios(true)
+            .into_iter()
+            .filter(|s| s.workload == WorkloadSpec::suite("logical_t_d3x2"))
+            .collect();
+        let report = run_sweep(&pair, 1).expect("suite scenarios are well-formed");
+        let row = fig15_rows(&report).remove(0);
         assert!(
             row.normalized < 1.0,
             "parallel logical-T must favour BISP: {row:?}"
@@ -1058,7 +759,7 @@ mod tests {
 
     #[test]
     fn fig_noise_ratio_compresses_as_gate_error_dominates() {
-        let scenarios = fig_noise_scenarios(true);
+        let scenarios = FIG_NOISE.scenarios(true);
         let report = run_sweep(&scenarios, 1).expect("noise scenarios are well-formed");
         let points = fig_noise_points(&scenarios, &report);
         assert_eq!(points.len(), 3, "quick axis has three error rates");
@@ -1090,7 +791,9 @@ mod tests {
 
     #[test]
     fn fig16_ratio_above_one_and_stable() {
-        let points = fig16_sweep(&[30.0, 150.0, 300.0]);
+        let scenarios = FIG16.scenarios(true);
+        let report = run_sweep(&scenarios, 1).expect("figure scenarios are well-formed");
+        let points = fig16_points(&scenarios, &report);
         for p in &points {
             assert!(p.reduction_ratio > 1.5, "baseline must be worse: {p:?}");
         }

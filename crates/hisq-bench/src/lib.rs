@@ -12,10 +12,19 @@
 //! | Figure 7 (non-zero overhead) | [`figures::fig07_overhead`] | `fig07` |
 //! | Figure 11 (calibration) | `hisq_analog::experiments` | `fig11` |
 //! | Figures 12/13 (electronics sync) | [`figures::fig13_waveforms`] | `fig13` |
-//! | Figure 15 (runtime vs baseline) | [`figures::fig15_scenarios`] | `fig15` |
-//! | Figure 16 (infidelity vs T1) | [`figures::fig16_scenarios`] | `fig16` |
+//! | Figure 15 (runtime vs baseline) | [`grids::FIG15`], [`figures::fig15_rows`] | `fig15` |
+//! | Figure 16 (infidelity vs T1) | [`grids::FIG16`], [`figures::fig16_points`] | `fig16` |
+//! | Link contention (beyond the paper) | [`grids::FIG_CONTENTION`], [`figures::fig_contention_rows`] | `fig_contention` |
+//! | Gate noise (beyond the paper) | [`grids::FIG_NOISE`], [`figures::fig_noise_points`] | `fig_noise` |
+//! | Heterogeneous fabric (beyond the paper) | [`grids::FIG_HETERO`], [`figures::fig_hetero_points`] | `fig_hetero` |
+//! | Multi-tenant saturation (beyond the paper) | [`grids::FIG_LOAD`], [`load::fig_load_points`] | `fig_load` |
+//! | Scaling (beyond the paper) | [`scale::scale_points`] | `fig_scale` |
 //! | Sweep throughput (beyond the paper) | [`sweep_throughput::throughput_scenarios`] | `fig_sweep_throughput` |
-//! | Multi-tenant saturation (beyond the paper) | [`load::fig_load_scenarios`] | `fig_load` |
+//!
+//! The six scenario-driven figures read their grids from committed
+//! scenario files (`scenarios/<fig>.json` for `--quick`,
+//! `scenarios/full/<fig>.json` otherwise), embedded by [`grids`]; the
+//! functions above turn a sweep report back into table rows.
 //!
 //! Every binary shares the [`cli::FigArgs`] flag surface
 //! (`--threads N`, `--json`, `--quick`); the scenario-driven harnesses
@@ -26,6 +35,7 @@
 
 pub mod cli;
 pub mod figures;
+pub mod grids;
 pub mod load;
 pub mod resources;
 pub mod scale;

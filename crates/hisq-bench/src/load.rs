@@ -15,103 +15,38 @@
 //! fills and p99 diverges; past it (ρ > 1) throughput plateaus at the
 //! partition capacity and the admission bound starts rejecting.
 //!
-//! The report carries only simulation-deterministic metrics, so its
-//! JSON is byte-identical across thread counts and is committed as
-//! `BENCH_fig_load.json`, gated by `ci/check_baselines.sh` like every
-//! other figure baseline.
+//! The grid lives in the committed scenario files (see
+//! [`crate::grids::FIG_LOAD`]); the quick report carries only
+//! simulation-deterministic metrics and is pinned as
+//! `scenarios/reports/fig_load.json`.
 
-use distributed_hisq::compiler::Scheme;
-use distributed_hisq::load::{ArrivalStream, LoadSpec};
+use distributed_hisq::load::{ArrivalProcess, LoadSpec};
 use distributed_hisq::runner::Scenario;
 use hisq_sim::{SweepRecord, SweepReport};
-use hisq_workloads::WorkloadSpec;
 
-/// The job type every load point schedules instances of.
-pub const FIG_LOAD_WORKLOAD: &str = "w_state_n12";
-
-/// Calibrated single-run makespan of [`FIG_LOAD_WORKLOAD`] under BISP
-/// (ns) — the service-time estimate the offered-load → arrival-rate
-/// conversion uses. The `service_calibration_holds` test keeps it
-/// within 20% of the engine's actual makespan, so ρ stays an honest
-/// utilization estimate.
+/// Calibrated single-run makespan of the `fig_load` workload under
+/// BISP (ns): the service-time estimate the grid's offered-load →
+/// arrival-rate conversion used, and the one the table inverts to
+/// recover ρ. The `service_calibration_holds` test keeps it within 20%
+/// of the engine's actual makespan, so ρ stays an honest utilization
+/// estimate.
 pub const FIG_LOAD_SERVICE_NS: u64 = 25_200;
 
-/// Admission-queue bound of every load point: deep enough that the
-/// knee shows as latency before it shows as loss, shallow enough that
-/// past-capacity points visibly reject.
-pub const FIG_LOAD_QUEUE_CAPACITY: usize = 16;
-
-/// Base seed of the sweep (per-job seeds are `seed + job index`).
-pub const FIG_LOAD_SEED: u64 = 11;
-
-/// The offered-load axis (target utilization ρ): below the knee, at
-/// it, and past it. `--quick` keeps the four-point core; the full
-/// sweep refines the knee region.
-#[must_use]
-pub fn fig_load_rhos(quick: bool) -> Vec<f64> {
-    if quick {
-        vec![0.3, 0.6, 0.9, 1.2]
-    } else {
-        vec![0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.2, 1.5]
-    }
-}
-
-/// The partition-count axis.
-#[must_use]
-pub fn fig_load_partitions(quick: bool) -> Vec<u32> {
-    if quick {
-        vec![2, 4]
-    } else {
-        vec![1, 2, 4, 8]
-    }
-}
-
-/// Jobs per sweep point (across both tenant streams).
-#[must_use]
-pub fn fig_load_jobs(quick: bool) -> u64 {
-    if quick {
-        120
-    } else {
-        480
-    }
-}
-
-/// The load block of one sweep point: interactive (priority 0) and
-/// batch (priority 1) Poisson streams splitting a combined arrival
-/// rate of `rho · partitions / service` one-third / two-thirds.
-#[must_use]
-pub fn fig_load_spec(rho: f64, partitions: u32, jobs: u64) -> LoadSpec {
-    let total_rate = rho * f64::from(partitions) * 1e6 / FIG_LOAD_SERVICE_NS as f64;
-    // Round the per-stream rates to 3 decimals so the scenario ids
-    // render compactly; the rounding error is ≪ the Poisson noise.
-    let round = |rate: f64| (rate * 1000.0).round() / 1000.0;
-    let interactive_jobs = jobs / 3;
-    let batch_jobs = jobs - interactive_jobs;
-    LoadSpec::new(
-        vec![
-            ArrivalStream::poisson(round(total_rate / 3.0), interactive_jobs),
-            ArrivalStream::poisson(round(total_rate * 2.0 / 3.0), batch_jobs).with_priority(1),
-        ],
-        partitions,
-    )
-    .with_queue_capacity(FIG_LOAD_QUEUE_CAPACITY)
-}
-
-/// The sweep grid: partitions × offered load, in axis order (rho
-/// varies fastest — [`fig_load_points`] relies on this order).
-#[must_use]
-pub fn fig_load_scenarios(quick: bool) -> Vec<Scenario> {
-    let jobs = fig_load_jobs(quick);
-    fig_load_partitions(quick)
-        .into_iter()
-        .flat_map(|partitions| {
-            fig_load_rhos(quick).into_iter().map(move |rho| {
-                Scenario::new(WorkloadSpec::suite(FIG_LOAD_WORKLOAD), Scheme::Bisp)
-                    .with_seed(FIG_LOAD_SEED)
-                    .with_load(fig_load_spec(rho, partitions, jobs))
-            })
+/// The offered load ρ of a load block: its combined Poisson arrival
+/// rate over the partition capacity `partitions / FIG_LOAD_SERVICE_NS`.
+/// The grid's per-stream rates are rounded to 3 decimals, so ρ is
+/// recovered to the grid's 2-decimal resolution.
+fn offered_load(load: &LoadSpec) -> f64 {
+    let rate_per_ms: f64 = load
+        .streams
+        .iter()
+        .map(|stream| match stream.process {
+            ArrivalProcess::Poisson { rate_per_ms, .. } => rate_per_ms,
+            ArrivalProcess::Trace { .. } => 0.0,
         })
-        .collect()
+        .sum();
+    let rho = rate_per_ms * FIG_LOAD_SERVICE_NS as f64 / (f64::from(load.partitions) * 1e6);
+    (rho * 100.0).round() / 100.0
 }
 
 /// One row of the human-readable figure table.
@@ -133,23 +68,29 @@ pub struct FigLoadPoint {
     pub rejected: u64,
 }
 
-/// Pairs the report's records (in [`fig_load_scenarios`] grid order)
-/// with their grid coordinates into figure rows.
+/// Pairs the report's records with their scenarios' load blocks into
+/// figure rows.
 ///
 /// # Panics
 ///
-/// Panics if the report does not match the grid (missing records or
-/// metrics) — a committed baseline must never hide a failed point.
+/// Panics if the report does not match the grid (missing records,
+/// load blocks or metrics) — a committed baseline must never hide a
+/// failed point.
 #[must_use]
-pub fn fig_load_points(quick: bool, report: &SweepReport) -> Vec<FigLoadPoint> {
-    let grid: Vec<(u32, f64)> = fig_load_partitions(quick)
-        .into_iter()
-        .flat_map(|p| fig_load_rhos(quick).into_iter().map(move |rho| (p, rho)))
-        .collect();
-    assert_eq!(report.records().len(), grid.len(), "report matches grid");
-    grid.iter()
+pub fn fig_load_points(scenarios: &[Scenario], report: &SweepReport) -> Vec<FigLoadPoint> {
+    assert_eq!(
+        report.records().len(),
+        scenarios.len(),
+        "report matches grid"
+    );
+    scenarios
+        .iter()
         .zip(report.records())
-        .map(|(&(partitions, rho), record)| {
+        .map(|(scenario, record)| {
+            let load = scenario
+                .load
+                .as_ref()
+                .unwrap_or_else(|| panic!("{}: a load point carries a load block", record.id));
             let counter = |r: &SweepRecord, key: &str| {
                 r.counter(key)
                     .unwrap_or_else(|| panic!("{}: missing metric {key}", r.id))
@@ -159,8 +100,8 @@ pub fn fig_load_points(quick: bool, report: &SweepReport) -> Vec<FigLoadPoint> {
                     .unwrap_or_else(|| panic!("{}: missing metric {key}", r.id))
             };
             FigLoadPoint {
-                partitions,
-                rho,
+                partitions: load.partitions,
+                rho: offered_load(load),
                 throughput_jobs_per_s: value(record, "throughput_jobs_per_s"),
                 utilization: value(record, "utilization"),
                 latency_p50_ns: counter(record, "latency_p50_ns"),
@@ -174,15 +115,16 @@ pub fn fig_load_points(quick: bool, report: &SweepReport) -> Vec<FigLoadPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grids::FIG_LOAD;
     use distributed_hisq::runner::{run_scenario, run_sweep};
 
     /// The calibration constant tracks the engine: a single run of the
-    /// fig workload lands within 20% of [`FIG_LOAD_SERVICE_NS`], so
+    /// grid's workload lands within 20% of [`FIG_LOAD_SERVICE_NS`], so
     /// the ρ axis stays an honest utilization estimate.
     #[test]
     fn service_calibration_holds() {
-        let scenario = Scenario::new(WorkloadSpec::suite(FIG_LOAD_WORKLOAD), Scheme::Bisp)
-            .with_seed(FIG_LOAD_SEED);
+        let mut scenario = FIG_LOAD.scenarios(true).remove(0);
+        scenario.load = None;
         let makespan = run_scenario(&scenario)
             .expect("fig workload runs")
             .counter("makespan_ns")
@@ -195,40 +137,31 @@ mod tests {
         );
     }
 
-    #[test]
-    fn load_scenario_ids_are_unique() {
-        for quick in [true, false] {
-            let scenarios = fig_load_scenarios(quick);
-            let mut ids: Vec<String> = scenarios.iter().map(|s| s.id()).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            assert_eq!(ids.len(), scenarios.len(), "load axes must keep ids unique");
-        }
-    }
-
     /// The figure's headline claim on the quick grid (the committed
     /// baseline): approaching capacity, tail latency diverges while
     /// throughput plateaus — and past it, the admission bound rejects.
     #[test]
     fn quick_sweep_shows_the_saturation_knee() {
-        let quick = true;
-        let scenarios = fig_load_scenarios(quick);
+        let scenarios = FIG_LOAD.scenarios(true);
         let report = run_sweep(&scenarios, 2).expect("load grid runs");
-        let points = fig_load_points(quick, &report);
-        for partitions in fig_load_partitions(quick) {
-            let at = |rho: f64| {
-                points
-                    .iter()
-                    .find(|p| p.partitions == partitions && (p.rho - rho).abs() < 1e-9)
-                    .expect("grid covers every (partitions, rho) point")
-            };
-            let (low, past) = (at(0.3), at(1.2));
+        let points = fig_load_points(&scenarios, &report);
+        let mut partition_counts: Vec<u32> = points.iter().map(|p| p.partitions).collect();
+        partition_counts.dedup();
+        for partitions in partition_counts {
+            // The lowest and highest offered load of this partition
+            // count: below the knee and past it.
+            let mut rows = points.iter().filter(|p| p.partitions == partitions);
+            let low = rows.next().expect("grid covers every partition count");
+            let past = rows.next_back().expect("each partition count sweeps rho");
+            assert!(low.rho < 1.0 && past.rho > 1.0, "{low:?} / {past:?}");
             assert!(
                 past.latency_p99_ns > 2 * low.latency_p99_ns,
                 "{partitions} partitions: p99 must diverge toward saturation \
-                 ({} ns at rho 0.3 vs {} ns at rho 1.2)",
+                 ({} ns at rho {} vs {} ns at rho {})",
                 low.latency_p99_ns,
-                past.latency_p99_ns
+                low.rho,
+                past.latency_p99_ns,
+                past.rho
             );
             // Past capacity the machine is pinned: throughput sits at
             // the partition capacity (not the offered 1.2×), which is

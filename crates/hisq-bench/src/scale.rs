@@ -15,8 +15,8 @@
 //! The report carries only simulation-deterministic metrics (event
 //! counts, makespans, instruction counts — never wall time), so its
 //! JSON is byte-identical across thread counts and machines and can be
-//! committed as `BENCH_fig_scale.json` and gated by
-//! `ci/check_baselines.sh` like every other figure baseline.
+//! committed as `BENCH_fig_scale.json` and byte-compared by
+//! `ci/check_baselines.sh`.
 
 use std::collections::BTreeMap;
 

@@ -375,17 +375,6 @@ impl Topology {
         self.router_latency
     }
 
-    /// The *uniform default* contention model of this topology's
-    /// fabric.
-    ///
-    /// Kept as a compatibility shim from the single-model era: per-edge
-    /// overrides are invisible through this accessor. New callers
-    /// should read the full per-edge map via [`Topology::fabric`]
-    /// (resolution order: default → per-edge override).
-    pub fn link_model(&self) -> LinkModel {
-        self.fabric.default_model()
-    }
-
     /// The per-directed-edge fabric map this topology's links carry
     /// (uniform and transparent unless set via
     /// [`TopologyBuilder::link_model`] /
@@ -812,8 +801,8 @@ mod tests {
             .link_model(LinkModel::serialized(4))
             .link_model_for(1, 2, LinkModel::serialized(32))
             .build();
-        // The shim accessor reports the uniform default...
-        assert_eq!(topo.link_model(), LinkModel::serialized(4));
+        // The fabric's uniform default stays the builder-wide model...
+        assert_eq!(topo.fabric().default_model(), LinkModel::serialized(4));
         // ...while the fabric map carries the per-edge override.
         assert_eq!(topo.fabric().resolve(1, 2), LinkModel::serialized(32));
         assert_eq!(topo.fabric().resolve(2, 1), LinkModel::serialized(4));

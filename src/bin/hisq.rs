@@ -28,7 +28,8 @@ commands:
   validate <scenario.json>  parse and expand a scenario file, print its grid
 
 options (run):
-  --repetitions N   override the file's repetition count (default: the file's)
+  --repetitions N   override the file's repetition count (default: the file's;
+                    the expanded grid may not exceed 100000 scenarios)
   --threads T       worker threads (default 1; output is identical for any T)
   --json            print the raw sweep report as JSON
   --quick           smoke pass: one repetition, single-shot scenarios,
@@ -128,6 +129,14 @@ fn cmd_run(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Some(repetitions) = args.repetitions {
+        if let Err(message) = file.check_scenario_count(Some(repetitions)) {
+            return fail(&format!(
+                "--repetitions {repetitions}: {}: {message}",
+                args.file
+            ));
+        }
+    }
     let scenarios = if args.quick {
         file.expand_quick()
     } else {

@@ -16,8 +16,8 @@
 //!    into a deterministic [`SweepReport`] — the substrate behind every
 //!    `fig*`/`table1` binary's `--threads N --json` path.
 //!
-//! The lower-level pieces ([`build_system`], [`run_compiled`]) stay
-//! public for callers that bring their own compiled programs.
+//! The lower-level [`build_system`] stays public for callers that
+//! bring their own compiled programs.
 //!
 //! # Example
 //!
@@ -55,14 +55,13 @@ use hisq_compiler::{
     LockstepOptions, Scheme, PORT_READOUT,
 };
 use hisq_core::{NodeAddr, NodeConfig};
-use hisq_isa::CYCLE_NS;
 use hisq_json::{Json, JsonError, ObjReader};
 use hisq_net::json::{edge_override_from_json, edge_override_to_json};
 use hisq_net::{FabricMap, LinkModel, Topology, TopologyBuilder};
 use hisq_quantum::{CoherenceParams, ExposureLedger, NoiseMap, NoiseModel};
 use hisq_sim::{
-    BackendSpec, Hub, QuantumAction, QuantumBackend, SimError, SimReport, SweepRecord, SweepReport,
-    SweepRunner, System, SystemSpec,
+    BackendSpec, Hub, QuantumAction, SimError, SweepRecord, SweepReport, SweepRunner, System,
+    SystemSpec,
 };
 use hisq_workloads::WorkloadSpec;
 
@@ -103,7 +102,7 @@ pub enum RunnerError {
     },
     /// Building or running the simulator failed (the scenario id is
     /// empty when the error came from the lower-level
-    /// [`build_system`]/[`run_compiled`] entry points).
+    /// [`build_system`] entry point).
     Sim {
         /// Scenario id, or `""` outside a scenario context.
         id: String,
@@ -312,42 +311,6 @@ fn apply_bindings(spec: &mut SystemSpec, bindings: &[Binding]) {
             BindingAction::Pulse => {}
         }
     }
-}
-
-/// The outcome of one compiled-and-simulated run: the simulator report
-/// plus the paper's derived metrics.
-#[derive(Debug, Clone)]
-pub struct RunMetrics {
-    /// Engine report (makespan, stalls, instruction counts, …).
-    pub report: SimReport,
-    /// End-to-end program runtime in nanoseconds.
-    pub runtime_ns: u64,
-    /// Circuit infidelity under the given coherence parameters
-    /// (Figure 16's metric).
-    pub infidelity: f64,
-}
-
-/// Compiles-in-place convenience: builds, runs, and summarizes a system.
-///
-/// # Errors
-///
-/// Propagates [`RunnerError`] from system construction or the run.
-pub fn run_compiled(
-    compiled: &CompiledSystem,
-    topology: Option<&Topology>,
-    backend: impl QuantumBackend + 'static,
-    coherence: CoherenceParams,
-) -> Result<RunMetrics, RunnerError> {
-    let mut system = build_system(compiled, topology)?;
-    system.set_backend(backend);
-    let report = system.run().map_err(RunnerError::sim)?;
-    let runtime_ns = report.makespan_cycles * CYCLE_NS;
-    let infidelity = system.exposure().infidelity(coherence);
-    Ok(RunMetrics {
-        report,
-        runtime_ns,
-        infidelity,
-    })
 }
 
 /// A spec-surgery transform: a declarative edit applied to a scenario

@@ -1,12 +1,13 @@
 //! Versioned scenario files: the product surface of the reproduction.
 //!
 //! A scenario file is a JSON document describing a whole experiment —
-//! a base [`Scenario`], sweep axes expanded into the cartesian grid
-//! (exactly what the in-process [`SweepGrid`](hisq_sim::SweepGrid)
-//! builders do), and a repetition count — that the `hisq run` binary
-//! executes through the deterministic sweep engine. Committed scenario
-//! files plus their committed reports form the golden replay corpus in
-//! `scenarios/`, compared byte-for-byte in CI.
+//! one or more base [`Scenario`]s, sweep axes expanded into the
+//! cartesian grid (exactly what the in-process
+//! [`SweepGrid`](hisq_sim::SweepGrid) builders do), and a repetition
+//! count — that the `hisq run` binary executes through the
+//! deterministic sweep engine. Committed scenario files plus their
+//! committed reports form the golden replay corpus in `scenarios/`,
+//! compared byte-for-byte by `cargo test` and in CI.
 //!
 //! # Format
 //!
@@ -30,6 +31,10 @@
 //! - Unknown fields are rejected everywhere, with dotted-path errors
 //!   (`base.params.noise: unknown field ...`) — a typo in a
 //!   hand-edited file is a parse error, not a silently ignored knob.
+//! - `base` is one scenario object or a non-empty array of them. Each
+//!   base is crossed with every axis, and the grids are concatenated
+//!   in base order — for comparisons whose points differ in several
+//!   fields at once.
 //! - `axes` (optional) expand in file order into the cartesian
 //!   product, later axes varying fastest. Axis values overwrite the
 //!   corresponding base field, including whole `surgery` op lists — a
@@ -37,6 +42,9 @@
 //! - `repetitions` (optional, default 1) runs every grid point `N`
 //!   times with consecutive seeds (`seed`, `seed+1`, …), golem-des
 //!   style; `hisq run --repetitions N` overrides it.
+//! - The expanded size (bases × axis lengths × repetitions) may not
+//!   exceed [`MAX_SCENARIOS`]; a larger file is rejected at parse
+//!   time, before anything is allocated for it.
 
 use hisq_compiler::Scheme;
 use hisq_json::{Json, JsonError, ObjReader};
@@ -53,6 +61,12 @@ use crate::runner::{LinkOverride, NoiseOverride, Scenario, SurgeryOp};
 /// file with any other version fails with an error naming both
 /// versions.
 pub const SCHEMA_VERSION: u64 = 1;
+
+/// The most scenarios one file may expand to (bases × axis lengths ×
+/// repetitions): about 260× the largest grid in the repository, so a
+/// legitimate sweep never meets it, while a hostile or mistyped file
+/// fails at parse time instead of running until killed.
+pub const MAX_SCENARIOS: u64 = 100_000;
 
 /// One sweep axis of a scenario file: which base field varies, and the
 /// values it takes. Axes expand in file order into the cartesian
@@ -347,7 +361,7 @@ impl Axis {
     }
 }
 
-/// A parsed scenario file: name, base scenario, sweep axes, and the
+/// A parsed scenario file: name, base scenarios, sweep axes, and the
 /// repetition count. See the [module docs](self) for the grammar.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioFile {
@@ -357,8 +371,9 @@ pub struct ScenarioFile {
     pub description: String,
     /// Times each grid point runs, with consecutive seeds. Must be ≥ 1.
     pub repetitions: u64,
-    /// The base scenario every grid point starts from.
-    pub base: Scenario,
+    /// The base scenarios, never empty. Each is crossed with every
+    /// axis; the grids concatenate in base order.
+    pub bases: Vec<Scenario>,
     /// Sweep axes, expanded in order (later axes vary fastest).
     pub axes: Vec<Axis>,
 }
@@ -370,7 +385,7 @@ impl ScenarioFile {
             name: name.into(),
             description: String::new(),
             repetitions: 1,
-            base,
+            bases: vec![base],
             axes: Vec::new(),
         }
     }
@@ -381,7 +396,8 @@ impl ScenarioFile {
     ///
     /// Returns a [`JsonError`] with line/column information for
     /// malformed JSON, or a dotted-path error for schema violations
-    /// (wrong `schema_version`, unknown fields, empty axes, …).
+    /// (wrong `schema_version`, unknown fields, empty axes, an
+    /// expansion over [`MAX_SCENARIOS`], …).
     pub fn parse(text: &str) -> Result<ScenarioFile, JsonError> {
         ScenarioFile::from_json(&Json::parse(text)?, "scenario")
     }
@@ -428,7 +444,18 @@ impl ScenarioFile {
             }
             None => 1,
         };
-        let base = Scenario::from_json(obj.required("base")?, &obj.field_path("base"))?;
+        let base_path = obj.field_path("base");
+        let bases = match obj.required("base")? {
+            Json::Array(items) if items.is_empty() => {
+                return Err(JsonError::decode(base_path, "base array is empty"));
+            }
+            Json::Array(items) => items
+                .iter()
+                .enumerate()
+                .map(|(i, item)| Scenario::from_json(item, &format!("{base_path}[{i}]")))
+                .collect::<Result<_, _>>()?,
+            single => vec![Scenario::from_json(single, &base_path)?],
+        };
         let mut axes = Vec::new();
         if let Some(v) = obj.optional("axes") {
             let axes_path = obj.field_path("axes");
@@ -437,17 +464,21 @@ impl ScenarioFile {
             }
         }
         obj.reject_unknown()?;
-        Ok(ScenarioFile {
+        let file = ScenarioFile {
             name,
             description,
             repetitions,
-            base,
+            bases,
             axes,
-        })
+        };
+        file.check_scenario_count(None)
+            .map_err(|message| JsonError::decode(path, message))?;
+        Ok(file)
     }
 
     /// Serializes the file (omitting an empty description, a
-    /// repetition count of 1, and an empty axis list).
+    /// repetition count of 1, and an empty axis list; a single base is
+    /// written as an object, several as an array).
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("schema_version".into(), SCHEMA_VERSION.into()),
@@ -459,7 +490,11 @@ impl ScenarioFile {
         if self.repetitions != 1 {
             fields.push(("repetitions".into(), self.repetitions.into()));
         }
-        fields.push(("base".into(), self.base.to_json()));
+        let base = match self.bases.as_slice() {
+            [single] => single.to_json(),
+            bases => Json::Array(bases.iter().map(Scenario::to_json).collect()),
+        };
+        fields.push(("base".into(), base));
         if !self.axes.is_empty() {
             fields.push((
                 "axes".into(),
@@ -469,20 +504,53 @@ impl ScenarioFile {
         Json::Object(fields)
     }
 
-    /// Number of grid points (before repetitions).
+    /// Number of grid points (bases × axis lengths, before
+    /// repetitions).
     pub fn grid_len(&self) -> usize {
-        self.axes.iter().map(Axis::len).product()
+        self.bases.len() * self.axes.iter().map(Axis::len).product::<usize>()
+    }
+
+    /// Checks the number of scenarios [`ScenarioFile::expand`] returns
+    /// for `repetitions_override` (bases × axis lengths × repetitions,
+    /// in overflow-checked arithmetic) against [`MAX_SCENARIOS`].
+    /// Parsing applies this check to the file's own repetition count;
+    /// callers passing an override to `expand` apply it to theirs.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the count and the limit when the
+    /// expansion would exceed it.
+    pub fn check_scenario_count(&self, repetitions_override: Option<u64>) -> Result<(), String> {
+        let repetitions = repetitions_override.unwrap_or(self.repetitions).max(1);
+        let count = self
+            .axes
+            .iter()
+            .try_fold(self.bases.len() as u64, |n, axis| {
+                n.checked_mul(axis.len() as u64)
+            })
+            .and_then(|n| n.checked_mul(repetitions));
+        match count {
+            Some(count) if count <= MAX_SCENARIOS => Ok(()),
+            Some(count) => Err(format!(
+                "expands to {count} scenarios, over the limit of {MAX_SCENARIOS}"
+            )),
+            None => Err(format!(
+                "expands to more than {} scenarios, over the limit of {MAX_SCENARIOS}",
+                u64::MAX
+            )),
+        }
     }
 
     /// Expands the file into the concrete scenario list the sweep
-    /// engine runs: the cartesian product of the axes over the base
-    /// scenario (later axes varying fastest), each point repeated
-    /// `repetitions` times with consecutive seeds (`seed`, `seed+1`,
-    /// …). Pass `repetitions_override` to replace the file's count
-    /// (the `--repetitions` flag).
+    /// engine runs: for each base in order, the cartesian product of
+    /// the axes over that base (later axes varying fastest), each point
+    /// repeated `repetitions` times with consecutive seeds (`seed`,
+    /// `seed+1`, …). Pass `repetitions_override` to replace the file's
+    /// count (the `--repetitions` flag); check it with
+    /// [`ScenarioFile::check_scenario_count`] first.
     pub fn expand(&self, repetitions_override: Option<u64>) -> Vec<Scenario> {
         let repetitions = repetitions_override.unwrap_or(self.repetitions).max(1);
-        let mut points = vec![self.base.clone()];
+        let mut points = self.bases.clone();
         for axis in &self.axes {
             let mut next = Vec::with_capacity(points.len() * axis.len());
             for point in &points {

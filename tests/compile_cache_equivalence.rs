@@ -7,7 +7,10 @@
 //! The scenario inputs are the committed golden corpus
 //! (`scenarios/*.json`), so the cache is exercised against exactly the
 //! grids the byte-replay CI gate runs: scheme twins, seed repetitions,
-//! link-model axes, noise axes, and surgery axes.
+//! link-model axes, noise axes, surgery axes, and the figure grids. The
+//! fresh-compile reference is also the golden check: it must equal the
+//! committed `scenarios/reports/<stem>.json` byte for byte, exactly as
+//! `hisq run <file> --json` prints it.
 
 use proptest::prelude::*;
 
@@ -22,10 +25,10 @@ use hisq_compiler::Scheme;
 /// Workspace-root path of the committed scenario corpus.
 const CORPUS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
 
-/// Every committed golden-corpus scenario file, expanded.
-fn corpus_grids() -> Vec<(String, Vec<Scenario>)> {
-    let mut names: Vec<String> = std::fs::read_dir(CORPUS_DIR)
-        .expect("scenarios/ exists")
+/// Every committed scenario file in `dir` (sorted by name), expanded.
+fn grids_in(dir: &str) -> Vec<(String, Vec<Scenario>)> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{dir}: {e}"))
         .filter_map(|entry| {
             let name = entry.expect("corpus entry").file_name();
             let name = name.to_string_lossy().into_owned();
@@ -33,13 +36,13 @@ fn corpus_grids() -> Vec<(String, Vec<Scenario>)> {
         })
         .collect();
     names.sort();
-    assert!(!names.is_empty(), "golden corpus is populated");
+    assert!(!names.is_empty(), "{dir} is populated");
     names
         .into_iter()
         .map(|name| {
-            let text =
-                std::fs::read_to_string(format!("{CORPUS_DIR}/{name}")).expect("corpus file reads");
-            let file = ScenarioFile::parse(&text).expect("corpus file parses");
+            let text = std::fs::read_to_string(format!("{dir}/{name}")).expect("file reads");
+            let file =
+                ScenarioFile::parse(&text).unwrap_or_else(|e| panic!("{dir}/{name} parses: {e}"));
             (name, file.expand(None))
         })
         .collect()
@@ -47,10 +50,18 @@ fn corpus_grids() -> Vec<(String, Vec<Scenario>)> {
 
 #[test]
 fn cached_sweeps_are_byte_identical_to_uncached_on_1_and_4_threads() {
-    for (name, scenarios) in corpus_grids() {
+    for (name, scenarios) in grids_in(CORPUS_DIR) {
         let reference = run_sweep_uncached(&scenarios, 1)
             .unwrap_or_else(|e| panic!("{name}: uncached sweep: {e}"))
             .to_json();
+        let golden = std::fs::read_to_string(format!("{CORPUS_DIR}/reports/{name}"))
+            .unwrap_or_else(|e| panic!("{name}: committed report: {e}"));
+        assert!(
+            format!("{reference}\n") == golden,
+            "{name}: report drifted from scenarios/reports/{name}; regenerate with \
+             `hisq run scenarios/{name} --json > scenarios/reports/{name}` if the change \
+             is intended"
+        );
         for threads in [1usize, 4] {
             let cache = CompileCache::new();
             let cached = run_sweep_cached(&scenarios, threads, &cache)
@@ -69,6 +80,20 @@ fn cached_sweeps_are_byte_identical_to_uncached_on_1_and_4_threads() {
                 cache.misses() <= scenarios.len() as u64,
                 "{name}: at most one compile per grid point"
             );
+        }
+    }
+}
+
+/// Report records are keyed by scenario id, so every committed file —
+/// the corpus and the full figure grids — must expand to unique ids.
+#[test]
+fn every_committed_scenario_file_expands_to_unique_ids() {
+    for dir in [CORPUS_DIR.to_string(), format!("{CORPUS_DIR}/full")] {
+        for (name, scenarios) in grids_in(&dir) {
+            let mut ids: Vec<String> = scenarios.iter().map(Scenario::id).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), scenarios.len(), "{dir}/{name}: duplicate ids");
         }
     }
 }

@@ -77,9 +77,11 @@ fn golden_corpus_scenarios_stay_on_uniform_maps() {
         for scenario in file.expand(None) {
             let (fabric, noise) = effective_maps(&scenario);
             let id = scenario.id();
-            // hetero_fabric.json is the corpus file that *does* heat
-            // elements; every other file must stay uniform.
-            if path.file_stem().and_then(|s| s.to_str()) == Some("hetero_fabric") {
+            // hetero_fabric.json and fig_hetero.json are the corpus
+            // files that *do* heat elements; every other file must stay
+            // uniform.
+            let stem = path.file_stem().and_then(|s| s.to_str());
+            if matches!(stem, Some("hetero_fabric" | "fig_hetero")) {
                 continue;
             }
             assert!(fabric.is_uniform(), "{id}: non-uniform fabric map");

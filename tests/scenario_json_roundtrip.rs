@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use distributed_hisq::runner::{Scenario, SurgeryOp, SystemParams};
-use distributed_hisq::scenario::ScenarioFile;
+use distributed_hisq::scenario::{ScenarioFile, MAX_SCENARIOS};
 use hisq_compiler::Scheme;
 use hisq_json::Json;
 use hisq_net::{DropPolicy, LinkModel, TopologyBuilder};
@@ -123,26 +123,44 @@ proptest! {
         }
     }
 
-    /// A whole scenario *file* (base + axes + repetitions) survives the
-    /// same round trip, and the re-read file expands to the identical
-    /// scenario list — ids and all.
+    /// A whole scenario *file* (one to three bases + axes +
+    /// repetitions) survives the same round trip, and the re-read file
+    /// expands to the identical scenario list — ids and all — with each
+    /// base's grid in base order.
     #[test]
     fn scenario_file_round_trips_and_expands_identically(
         scheme_bisp in any::<bool>(),
         seeds in proptest::collection::vec(any::<u64>(), 1..4),
         repetitions in 1u64..4,
         surgery_kind in 0u8..=255,
+        base_count in 1u8..4,
     ) {
-        let base = scenario_from_draws(scheme_bisp, 0, 1, 300, 0, 0, 0, surgery_kind);
-        let mut file = ScenarioFile::new("prop", base);
+        let bases: Vec<Scenario> = (0..base_count)
+            .map(|i| {
+                scenario_from_draws(
+                    scheme_bisp ^ (i == 1), i, 1, 300, 0, i, i, surgery_kind.wrapping_add(i),
+                )
+            })
+            .collect();
+        let mut file = ScenarioFile::new("prop", bases[0].clone());
+        file.bases = bases.clone();
         file.repetitions = repetitions;
-        file.axes.push(distributed_hisq::scenario::Axis::Seed(seeds));
+        file.axes.push(distributed_hisq::scenario::Axis::Seed(seeds.clone()));
         let text = file.to_json().to_string_pretty();
         let back = ScenarioFile::parse(&text).expect("file round-trips");
         prop_assert_eq!(&back, &file, "{}", text);
-        let ids: Vec<String> = file.expand(None).iter().map(Scenario::id).collect();
+        let expanded = file.expand(None);
+        let ids: Vec<String> = expanded.iter().map(Scenario::id).collect();
         let back_ids: Vec<String> = back.expand(None).iter().map(Scenario::id).collect();
         prop_assert_eq!(ids, back_ids);
+        let per_base = seeds.len() * repetitions as usize;
+        prop_assert_eq!(expanded.len(), bases.len() * per_base);
+        for (base, grid) in bases.iter().zip(expanded.chunks(per_base)) {
+            prop_assert!(
+                grid.iter().all(|s| s.workload == base.workload && s.scheme == base.scheme),
+                "each base's grid follows the previous one"
+            );
+        }
     }
 
     /// `SystemSpec::from_json(SystemSpec::to_json(x)) == x` for specs
@@ -256,6 +274,18 @@ fn malformed_scenario_files_fail_readably() {
                 "axes": [{"axis": "shots", "values": [2, 0]}]}"#,
             "scenario.axes[0].values[1]: shots must be at least 1",
         ),
+        // A base array must name at least one base, and each entry
+        // carries its index in the path.
+        (
+            r#"{"schema_version": 1, "name": "x", "base": []}"#,
+            "scenario.base: base array is empty",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x",
+                "base": [{"workload": {"suite": "a"}, "scheme": "bisp"},
+                         {"workload": {"suite": "a"}, "scheme": "turbo"}]}"#,
+            "scenario.base[1].scheme",
+        ),
     ];
     for (text, needle) in cases {
         let err = ScenarioFile::parse(text).expect_err(text);
@@ -294,4 +324,69 @@ fn grid_point_ids_stay_unique_across_axes() {
     let unique: std::collections::BTreeSet<&String> = ids.iter().collect();
     assert_eq!(ids.len(), 24);
     assert_eq!(unique.len(), ids.len(), "{ids:#?}");
+}
+
+/// The expansion limit sits exactly at [`MAX_SCENARIOS`]: a file that
+/// expands to the limit parses, one a step past it fails at its root
+/// path with a message naming the count and the limit.
+#[test]
+fn expansion_limit_is_inclusive_and_named_in_the_error() {
+    // 2 bases × 5 seeds × `repetitions`.
+    let file = |repetitions: u64| {
+        format!(
+            r#"{{"schema_version": 1, "name": "x", "repetitions": {repetitions},
+                "base": [{{"workload": {{"suite": "a"}}, "scheme": "bisp"}},
+                         {{"workload": {{"suite": "a"}}, "scheme": "lockstep"}}],
+                "axes": [{{"axis": "seed", "values": [1, 2, 3, 4, 5]}}]}}"#
+        )
+    };
+    let at_limit = MAX_SCENARIOS / 10;
+    let parsed = ScenarioFile::parse(&file(at_limit)).expect("a file at the limit parses");
+
+    let err = ScenarioFile::parse(&file(at_limit + 1)).expect_err("one step past the limit");
+    assert_eq!(
+        err.to_string(),
+        format!(
+            "scenario: expands to {} scenarios, over the limit of {MAX_SCENARIOS}",
+            MAX_SCENARIOS + 10
+        )
+    );
+    // A repetitions override is held to the same limit.
+    assert!(parsed.check_scenario_count(Some(at_limit)).is_ok());
+    assert!(parsed.check_scenario_count(Some(u64::MAX)).is_err());
+}
+
+/// Every committed scenario file (the corpus and the full figure
+/// grids) survives `parse → to_json → parse` unchanged, and a file
+/// with one base writes it back as an object, exactly as before base
+/// arrays existed.
+#[test]
+fn committed_scenario_files_round_trip() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
+    let mut checked = 0;
+    for dir in [root.to_string(), format!("{root}/full")] {
+        for entry in std::fs::read_dir(&dir).expect("scenario dir exists") {
+            let path = entry.expect("readable dir entry").path();
+            if path.extension().and_then(|e| e.to_str()) != Some("json") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("readable scenario file");
+            let file = ScenarioFile::parse(&text).expect("committed file parses");
+            let json = file.to_json();
+            let back = ScenarioFile::parse(&json.to_string_pretty()).expect("re-parses");
+            assert_eq!(back, file, "{}", path.display());
+            let Json::Object(fields) = &json else {
+                panic!("a file serializes as an object");
+            };
+            let base = &fields.iter().find(|(k, _)| k == "base").expect("base").1;
+            assert_eq!(
+                matches!(base, Json::Object(_)),
+                file.bases.len() == 1,
+                "{}: one base is an object, several an array",
+                path.display()
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked >= 20, "corpus unexpectedly small: {checked}");
 }

@@ -27,10 +27,7 @@ use std::fmt;
 
 use hisq_core::NodeAddr;
 use hisq_isa::asm::expand_li;
-use hisq_isa::{AluOp, BranchOp, CwOperand, Inst, Program, Reg};
-
-/// Maximum immediate of a single `waiti` (22-bit field).
-const MAX_WAITI: u64 = (1 << 22) - 1;
+use hisq_isa::{AluOp, BranchOp, CwOperand, Inst, Program, Reg, MAX_WAITI_CYCLES};
 
 /// A branch target issued by [`StreamBuilder::fresh_label`] and placed
 /// with [`StreamBuilder::label`].
@@ -322,12 +319,12 @@ impl StreamBuilder {
         self.push(Line::Label(label));
     }
 
-    /// Advances the timing grid by `cycles` (splitting waits that exceed
-    /// the 22-bit `waiti` field). Zero-cycle waits emit nothing.
+    /// Advances the timing grid by `cycles` (splitting waits longer than
+    /// [`MAX_WAITI_CYCLES`]). Zero-cycle waits emit nothing.
     pub fn wait(&mut self, mut cycles: u64) {
         self.det_cycles += cycles;
         while cycles > 0 {
-            let chunk = cycles.min(MAX_WAITI);
+            let chunk = cycles.min(u64::from(MAX_WAITI_CYCLES));
             self.inst(waiti(chunk));
             cycles -= chunk;
         }
@@ -435,7 +432,7 @@ impl StreamBuilder {
     }
 }
 
-/// `waiti cycles`; callers keep `cycles` within the 22-bit field.
+/// `waiti cycles`; callers keep `cycles` within [`MAX_WAITI_CYCLES`].
 fn waiti(cycles: u64) -> Inst {
     Inst::WaitI {
         cycles: cycles as u32,
@@ -458,8 +455,9 @@ mod tests {
     #[test]
     fn waits_are_split_and_merged_into_det_cycles() {
         let mut b = StreamBuilder::new(0);
-        b.wait(MAX_WAITI + 10);
-        assert_eq!(b.det_cycles(), MAX_WAITI + 10);
+        let longest = u64::from(MAX_WAITI_CYCLES);
+        b.wait(longest + 10);
+        assert_eq!(b.det_cycles(), longest + 10);
         b.wait(0); // no instruction
         let (source, program) = finish(b);
         assert_eq!(source.matches("waiti").count(), 2);

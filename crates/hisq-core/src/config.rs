@@ -54,7 +54,9 @@ pub struct NodeConfig {
     pub addr: NodeAddr,
     /// Calibrated links, keyed by remote address.
     pub links: BTreeMap<NodeAddr, Link>,
-    /// Data-memory size in bytes.
+    /// Data-memory size in bytes: the address bound of loads and
+    /// stores. Bytes are allocated on first store, and only up to the
+    /// highest byte stored (see [`crate::Memory`]).
     pub mem_bytes: usize,
     /// TCU queue decoupling margin in cycles: on start and after every
     /// non-deterministic rebase the timing grid is re-armed this far
@@ -66,7 +68,9 @@ pub struct NodeConfig {
 
 impl NodeConfig {
     /// Default data-memory size (64 KiB, matching the reference boards'
-    /// block-RAM budget order of magnitude).
+    /// block-RAM budget order of magnitude). It bounds addresses; it is
+    /// not allocated up front: a controller that never stores allocates
+    /// no data memory.
     pub const DEFAULT_MEM_BYTES: usize = 64 * 1024;
 
     /// Creates a configuration with no links and default memory.
@@ -91,7 +95,7 @@ impl NodeConfig {
         self
     }
 
-    /// Sets the data-memory size (builder style).
+    /// Sets the data-memory address bound (builder style).
     pub fn with_mem_bytes(mut self, bytes: usize) -> NodeConfig {
         self.mem_bytes = bytes;
         self

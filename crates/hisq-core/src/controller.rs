@@ -288,6 +288,21 @@ impl Controller {
         self.pipe_cycle.max(self.timeline.effective(self.grid_raw))
     }
 
+    /// Calibrated one-way latency of this controller's link to
+    /// `remote`, if one exists.
+    pub fn link_latency(&self, remote: NodeAddr) -> Option<u64> {
+        self.link(remote).map(|link| link.latency)
+    }
+
+    /// The calibrated link to `remote` (binary search of the sorted
+    /// table).
+    fn link(&self, remote: NodeAddr) -> Option<Link> {
+        self.link_table
+            .binary_search_by_key(&remote, |&(addr, _)| addr)
+            .ok()
+            .map(|i| self.link_table[i].1)
+    }
+
     /// Total timer stall inserted by synchronizations, in cycles.
     pub fn total_stall(&self) -> u64 {
         self.timeline.total_stall()
@@ -613,10 +628,8 @@ impl Controller {
                 self.stats.syncs += 1;
                 self.rebase_grid();
                 let link = self
-                    .link_table
-                    .binary_search_by_key(&target, |&(addr, _)| addr)
-                    .map(|i| self.link_table[i].1)
-                    .map_err(|_| format!("sync target {target} has no calibrated link"))?;
+                    .link(target)
+                    .ok_or_else(|| format!("sync target {target} has no calibrated link"))?;
                 let b_raw = self.grid_raw;
                 let b_eff = self.timeline.effective(b_raw);
                 match link.kind {
@@ -998,6 +1011,29 @@ mod tests {
         );
         let mut outbox = Vec::new();
         assert_eq!(ctrl.step(&mut outbox), StepOutcome::Faulted);
+    }
+
+    #[test]
+    fn data_memory_is_allocated_on_first_store() {
+        // Loads, even of the last word, read zero without allocating.
+        let ctrl = run_to_halt("li t0, 65532\nlw t1, 0(t0)\nstop");
+        assert_eq!(ctrl.reg(Reg::T1), 0);
+        assert_eq!(ctrl.cold.mem.allocated(), 0);
+        // The top word of an 8 KiB result ring allocates the ring only.
+        let ctrl = run_to_halt("li t0, 8188\nli t1, 7\nsw t1, 0(t0)\nlw t2, 0(t0)\nstop");
+        assert_eq!(ctrl.reg(Reg::T2), 7);
+        assert!(ctrl.cold.mem.allocated() <= 8192);
+    }
+
+    #[test]
+    fn link_latency_reads_the_calibrated_table() {
+        let ctrl = Controller::new(
+            NodeConfig::new(1).with_neighbor(2, 5).with_router(100, 12),
+            assemble("stop"),
+        );
+        assert_eq!(ctrl.link_latency(2), Some(5));
+        assert_eq!(ctrl.link_latency(100), Some(12));
+        assert_eq!(ctrl.link_latency(3), None);
     }
 
     #[test]

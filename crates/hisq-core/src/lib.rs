@@ -59,6 +59,10 @@ pub use msg::{CommitRecord, NodeAddr, OutboundMessage};
 pub use pipeline::{Memory, RegFile};
 pub use timeline::Timeline;
 
+/// The ISA's cycle length and longest single wait, re-exported for the
+/// crates that bound times in cycles without depending on the ISA.
+pub use hisq_isa::{CYCLE_NS, MAX_WAITI_CYCLES};
+
 /// Reserved node address for the local measurement-result FIFO: `recv`
 /// from this address reads the discrimination output of the local
 /// readout chain (delivered by the analog front-end model).

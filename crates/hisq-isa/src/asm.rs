@@ -30,6 +30,7 @@ use crate::error::AsmError;
 use crate::inst::{AluOp, BranchOp, CwOperand, Inst, LoadOp, StoreOp};
 use crate::program::Program;
 use crate::reg::Reg;
+use crate::MAX_WAITI_CYCLES;
 
 /// The HISQ two-pass assembler.
 ///
@@ -603,7 +604,7 @@ impl Stmt {
                 let v = self.imm_at(0)?;
                 let cycles = u32::try_from(v)
                     .ok()
-                    .filter(|v| *v < (1 << 22))
+                    .filter(|v| *v <= MAX_WAITI_CYCLES)
                     .ok_or_else(|| self.err(format!("`waiti` count {v} does not fit 22 bits")))?;
                 Inst::WaitI { cycles }
             }

@@ -377,7 +377,7 @@ mod tests {
     #[test]
     fn round_trips_hisq_extension() {
         round_trip(Inst::WaitI {
-            cycles: (1 << 22) - 1,
+            cycles: crate::MAX_WAITI_CYCLES,
         });
         round_trip(Inst::WaitI { cycles: 2 });
         round_trip(Inst::WaitR { rs1: reg(1) });

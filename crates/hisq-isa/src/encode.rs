@@ -24,6 +24,7 @@
 use crate::error::EncodeError;
 use crate::inst::{AluOp, BranchOp, CwOperand, Inst, LoadOp, StoreOp};
 use crate::reg::Reg;
+use crate::MAX_WAITI_CYCLES;
 
 /// Major opcode of the RV32I `lui` instruction.
 pub const OPC_LUI: u32 = 0b011_0111;
@@ -271,7 +272,7 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
         }
 
         Inst::WaitI { cycles } => {
-            imm_range("waiti", i64::from(cycles), 0, (1 << 22) - 1)?;
+            imm_range("waiti", i64::from(cycles), 0, i64::from(MAX_WAITI_CYCLES))?;
             Ok(OPC_HISQ | funct3(0b000) | ((cycles & 0x1f) << 7) | ((cycles >> 5) << 15))
         }
         Inst::WaitR { rs1: src } => Ok(OPC_HISQ | funct3(0b001) | rs1(src)),
@@ -399,7 +400,10 @@ mod tests {
             imm: 2048,
         })
         .is_err());
-        assert!(encode(&Inst::WaitI { cycles: 1 << 22 }).is_err());
+        assert!(encode(&Inst::WaitI {
+            cycles: MAX_WAITI_CYCLES + 1
+        })
+        .is_err());
         assert!(encode(&Inst::Cw {
             port: CwOperand::Imm(32),
             codeword: CwOperand::Imm(0),

@@ -278,7 +278,7 @@ pub enum Inst {
 
     // ---- HISQ quantum-control extension ------------------------------
     /// `waiti cycles`: advance the TCU timing grid by an immediate number
-    /// of cycles (22-bit unsigned, i.e. up to ~16.8 ms at 4 ns/cycle).
+    /// of cycles (22-bit unsigned, at most [`crate::MAX_WAITI_CYCLES`]).
     WaitI {
         /// Number of TCU cycles to advance.
         cycles: u32,

@@ -80,6 +80,11 @@ pub const TCU_CLOCK_HZ: u64 = 250_000_000;
 /// Duration of one TCU cycle in nanoseconds (4 ns at 250 MHz).
 pub const CYCLE_NS: u64 = 1_000_000_000 / TCU_CLOCK_HZ;
 
+/// The longest single `waiti`, in cycles: the 22-bit immediate's
+/// maximum, 4 194 303 cycles (about 16.8 ms at 4 ns/cycle). Longer
+/// waits are emitted as several `waiti`s.
+pub const MAX_WAITI_CYCLES: u32 = (1 << 22) - 1;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,5 +93,11 @@ mod tests {
     fn cycle_time_matches_paper() {
         // §6.1: "the TCU operates at 250 MHz, enabling a 4 ns resolution grid".
         assert_eq!(CYCLE_NS, 4);
+    }
+
+    #[test]
+    fn longest_waiti_is_about_16_8_ms() {
+        assert_eq!(MAX_WAITI_CYCLES, 4_194_303);
+        assert_eq!(u64::from(MAX_WAITI_CYCLES) * CYCLE_NS, 16_777_212);
     }
 }

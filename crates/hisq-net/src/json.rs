@@ -85,12 +85,24 @@ impl LinkModel {
     /// # Errors
     ///
     /// Returns a [`JsonError`] at `path` for unknown fields, wrong
-    /// types, or `capacity == 0`.
+    /// types, `capacity == 0`, or a `serialization_ns` over
+    /// [`LinkModel::MAX_SERIALIZATION_NS`].
     pub fn from_json(value: &Json, path: &str) -> Result<LinkModel, JsonError> {
         let mut obj = ObjReader::new(value, path)?;
         let mut model = LinkModel::default();
         if let Some(v) = obj.optional("serialization_ns") {
-            model.serialization_ns = v.as_u64(&obj.field_path("serialization_ns"))?;
+            let field = obj.field_path("serialization_ns");
+            model.serialization_ns = v.as_u64(&field)?;
+            if model.serialization_ns > LinkModel::MAX_SERIALIZATION_NS {
+                return Err(JsonError::decode(
+                    field,
+                    format!(
+                        "serialization time {} ns is over the limit of {} ns (one waiti)",
+                        model.serialization_ns,
+                        LinkModel::MAX_SERIALIZATION_NS
+                    ),
+                ));
+            }
         }
         if let Some(v) = obj.optional("capacity") {
             model.capacity = v.as_u32(&obj.field_path("capacity"))?;

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use hisq_core::{NodeAddr, NodeConfig};
+use hisq_core::{NodeAddr, NodeConfig, CYCLE_NS, MAX_WAITI_CYCLES};
 
 /// Loss model of a contended classical link: each transmission attempt
 /// of a packetized classical message is dropped with a fixed
@@ -62,6 +62,7 @@ impl Default for DropPolicy {
 pub struct LinkModel {
     /// Time one packetized message occupies a serialization slot, in
     /// nanoseconds (0 = no serialization, the pure-latency model).
+    /// Parsed models hold at most [`LinkModel::MAX_SERIALIZATION_NS`].
     pub serialization_ns: u64,
     /// Parallel serialization slots (lanes) per directed link. Must be
     /// ≥ 1; ignored while the model is transparent.
@@ -82,6 +83,12 @@ impl Default for LinkModel {
 }
 
 impl LinkModel {
+    /// The longest serialization time [`LinkModel::from_json`] accepts:
+    /// one [`MAX_WAITI_CYCLES`] wait, 16 777 212 ns. The engine holds a
+    /// slot for the time rounded up to whole cycles and adds it to cycle
+    /// counts unchecked.
+    pub const MAX_SERIALIZATION_NS: u64 = MAX_WAITI_CYCLES as u64 * CYCLE_NS;
+
     /// A lossless model that serializes messages for
     /// `serialization_ns` through a single slot.
     pub fn serialized(serialization_ns: u64) -> LinkModel {

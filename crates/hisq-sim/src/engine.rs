@@ -389,7 +389,7 @@ impl System {
     fn link_latency(&mut self, from: NodeId, to: NodeAddr) -> u64 {
         match &self.nodes[from as usize] {
             SimNode::Controller(node) => {
-                if let Some(latency) = node.link_latency(to) {
+                if let Some(latency) = node.ctrl.link_latency(to) {
                     return latency;
                 }
             }

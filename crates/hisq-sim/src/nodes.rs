@@ -66,16 +66,14 @@ pub struct Hub {
     pub down_latency: u64,
 }
 
-/// A controller in the arena: the core model plus everything the
-/// engine attributes to this node — calibrated links, the commit
-/// harvest watermark, and the quantum bindings its codewords trigger.
+/// A controller in the arena: the core model (which also holds the
+/// calibrated links) plus everything the engine attributes to this
+/// node — the commit harvest watermark and the quantum bindings its
+/// codewords trigger.
 #[derive(Debug)]
 pub(crate) struct ControllerNode {
     /// The single-node microarchitecture model.
     pub ctrl: Controller,
-    /// Calibrated links, sorted by remote address for binary search
-    /// (flattened from [`NodeConfig::links`] at build time).
-    pub links: Vec<(NodeAddr, u64)>,
     /// Commits harvested so far (index into `ctrl.commits()`).
     pub watermark: usize,
     /// `(port, codeword)` → quantum action.
@@ -88,30 +86,12 @@ impl ControllerNode {
     /// Wraps a configured controller; bindings are attached by the
     /// builder afterwards.
     pub fn new(config: NodeConfig, program: Vec<hisq_isa::Inst>) -> ControllerNode {
-        let links: Vec<(NodeAddr, u64)> = config
-            .links
-            .iter()
-            .map(|(&addr, link)| (addr, link.latency))
-            .collect();
-        // BTreeMap iteration is already sorted; keep the invariant
-        // explicit for the binary search below.
-        debug_assert!(links.windows(2).all(|w| w[0].0 < w[1].0));
         ControllerNode {
             ctrl: Controller::new(config, program),
-            links,
             watermark: 0,
             bindings: BTreeMap::new(),
             meas_ports: BTreeMap::new(),
         }
-    }
-
-    /// Calibrated one-way latency of this controller's link to
-    /// `remote`, if one exists.
-    pub fn link_latency(&self, remote: NodeAddr) -> Option<u64> {
-        self.links
-            .binary_search_by_key(&remote, |&(addr, _)| addr)
-            .ok()
-            .map(|i| self.links[i].1)
     }
 }
 

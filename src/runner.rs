@@ -55,6 +55,7 @@ use hisq_compiler::{
     LockstepOptions, Scheme, PORT_READOUT,
 };
 use hisq_core::{NodeAddr, NodeConfig};
+use hisq_isa::MAX_WAITI_CYCLES;
 use hisq_json::{Json, JsonError, ObjReader};
 use hisq_net::json::{edge_override_from_json, edge_override_to_json};
 use hisq_net::{FabricMap, LinkModel, Topology, TopologyBuilder};
@@ -733,15 +734,16 @@ impl SystemParams {
     /// # Errors
     ///
     /// Returns a [`JsonError`] at `path` for unknown fields, wrong
-    /// types, or `router_arity < 2` (the topology builder would panic).
+    /// types, `router_arity < 2` (the topology builder would panic), or
+    /// a latency over [`MAX_WAITI_CYCLES`].
     pub fn from_json(value: &Json, path: &str) -> Result<SystemParams, JsonError> {
         let mut obj = ObjReader::new(value, path)?;
         let mut params = SystemParams::default();
         if let Some(v) = obj.optional("neighbor_latency") {
-            params.neighbor_latency = v.as_u64(&obj.field_path("neighbor_latency"))?;
+            params.neighbor_latency = latency_from_json(v, &obj.field_path("neighbor_latency"))?;
         }
         if let Some(v) = obj.optional("router_latency") {
-            params.router_latency = v.as_u64(&obj.field_path("router_latency"))?;
+            params.router_latency = latency_from_json(v, &obj.field_path("router_latency"))?;
         }
         if let Some(v) = obj.optional("router_arity") {
             params.router_arity = v.as_usize(&obj.field_path("router_arity"))?;
@@ -753,10 +755,10 @@ impl SystemParams {
             }
         }
         if let Some(v) = obj.optional("star_up_latency") {
-            params.star_up_latency = v.as_u64(&obj.field_path("star_up_latency"))?;
+            params.star_up_latency = latency_from_json(v, &obj.field_path("star_up_latency"))?;
         }
         if let Some(v) = obj.optional("star_down_latency") {
-            params.star_down_latency = v.as_u64(&obj.field_path("star_down_latency"))?;
+            params.star_down_latency = latency_from_json(v, &obj.field_path("star_down_latency"))?;
         }
         if let Some(v) = obj.optional("link_model") {
             params.link_model = LinkModel::from_json(v, &obj.field_path("link_model"))?;
@@ -800,6 +802,22 @@ impl SystemParams {
         obj.reject_unknown()?;
         Ok(params)
     }
+}
+
+/// Parses a link latency in cycles. The compilers emit each wait of a
+/// latency as `waiti`s of at most [`MAX_WAITI_CYCLES`], and the engine
+/// adds latencies to cycle counts unchecked, so a latency is bounded by
+/// one `waiti`.
+fn latency_from_json(value: &Json, path: &str) -> Result<u64, JsonError> {
+    let cycles = value.as_u64(path)?;
+    let limit = u64::from(MAX_WAITI_CYCLES);
+    if cycles > limit {
+        return Err(JsonError::decode(
+            path,
+            format!("latency {cycles} cycles is over the limit of {limit} cycles (one waiti)"),
+        ));
+    }
+    Ok(cycles)
 }
 
 /// One experiment point of a sweep: workload × scheme × system

@@ -2,8 +2,9 @@
 //! the real executable (`CARGO_BIN_EXE_hisq`): unknown flags and flag
 //! conflicts must exit 2 with a usage message — never run a sweep with
 //! a silently ignored option — `--quick` must execute the reduced
-//! grid successfully, and grids past the expansion limit must fail
-//! fast with a message instead of hanging or panicking.
+//! grid successfully, and grids past the expansion limit or time-valued
+//! parameters past one `waiti` must fail fast with a message instead of
+//! hanging, aborting or panicking.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -80,12 +81,23 @@ fn hisq_bounded(args: &[&str]) -> std::process::Output {
     child.wait_with_output().expect("hisq output")
 }
 
-fn assert_rejected_over_limit(out: &std::process::Output, code: i32) {
+fn assert_rejected(out: &std::process::Output, code: i32, message: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(code), "{stderr}");
-    assert!(stderr.contains("over the limit of 100000"), "{stderr}");
+    assert!(stderr.contains(message), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(out.stdout.is_empty(), "nothing runs");
+}
+
+fn assert_rejected_over_limit(out: &std::process::Output, code: i32) {
+    assert_rejected(out, code, "over the limit of 100000");
+}
+
+/// Writes `text` to a scenario file in the test's temp directory.
+fn temp_scenario(name: &str, text: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, text).expect("temp file writes");
+    path.to_str().expect("UTF-8 temp path").to_owned()
 }
 
 #[test]
@@ -97,12 +109,65 @@ fn oversized_grid_file_fails_fast() {
             "base": {{"workload": {{"suite": "w_state_n12"}}, "scheme": "bisp"}},
             "axes": [{axes}]}}"#
     );
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("hisq_cli_bomb.json");
-    std::fs::write(&path, text).expect("temp file writes");
-    let path = path.to_str().expect("UTF-8 temp path");
+    let path = temp_scenario("hisq_cli_bomb.json", &text);
     for command in ["validate", "run"] {
-        let out = hisq_bounded(&[command, path]);
+        let out = hisq_bounded(&[command, &path]);
         assert_rejected_over_limit(&out, 1);
+    }
+}
+
+#[test]
+fn huge_time_valued_params_fail_fast() {
+    // Unbounded, the first would emit ~4.4e12 `waiti`s and abort
+    // allocating them; the others overflow the engine's cycle sums.
+    let max = u64::MAX;
+    let over = |field: &str, noun: &str, unit: &str, limit: u64| {
+        format!(
+            "scenario.base.params.{field}: {noun} {max} {unit} is over the limit of {limit} {unit}"
+        )
+    };
+    let cycles = |field: &str| over(field, "latency", "cycles", 4_194_303);
+    for (scheme, params, message) in [
+        (
+            "bisp",
+            format!(r#"{{"neighbor_latency": {max}}}"#),
+            cycles("neighbor_latency"),
+        ),
+        (
+            "bisp",
+            format!(r#"{{"router_latency": {max}}}"#),
+            cycles("router_latency"),
+        ),
+        (
+            "lockstep",
+            format!(r#"{{"star_up_latency": {max}}}"#),
+            cycles("star_up_latency"),
+        ),
+        (
+            "lockstep",
+            format!(r#"{{"star_down_latency": {max}}}"#),
+            cycles("star_down_latency"),
+        ),
+        (
+            "bisp",
+            format!(r#"{{"link_model": {{"serialization_ns": {max}, "capacity": 1}}}}"#),
+            over(
+                "link_model.serialization_ns",
+                "serialization time",
+                "ns",
+                16_777_212,
+            ),
+        ),
+    ] {
+        let text = format!(
+            r#"{{"schema_version": 1, "name": "huge",
+                "base": {{"workload": {{"suite": "w_state_n12"}}, "scheme": "{scheme}",
+                          "shots": 3, "params": {params}}}}}"#
+        );
+        let path = temp_scenario("hisq_cli_huge_param.json", &text);
+        for command in ["validate", "run"] {
+            assert_rejected(&hisq_bounded(&[command, &path]), 1, &message);
+        }
     }
 }
 

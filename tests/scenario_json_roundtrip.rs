@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 use distributed_hisq::runner::{Scenario, SurgeryOp, SystemParams};
 use distributed_hisq::scenario::{ScenarioFile, MAX_SCENARIOS};
 use hisq_compiler::Scheme;
+use hisq_isa::{CYCLE_NS, MAX_WAITI_CYCLES};
 use hisq_json::Json;
 use hisq_net::{DropPolicy, LinkModel, TopologyBuilder};
 use hisq_quantum::NoiseModel;
@@ -294,6 +295,55 @@ fn malformed_scenario_files_fail_readably() {
             message.contains(needle),
             "expected {needle:?} in error for {text}\n-> {message}"
         );
+    }
+}
+
+/// Every time-valued system parameter is bounded by one `waiti`
+/// ([`MAX_WAITI_CYCLES`] cycles): the limit itself parses, one more
+/// fails with the dotted path, the value and the limit.
+#[test]
+fn time_valued_params_are_bounded_by_one_waiti() {
+    let cycles = u64::from(MAX_WAITI_CYCLES);
+    let ns = cycles * CYCLE_NS;
+    assert_eq!(LinkModel::MAX_SERIALIZATION_NS, ns);
+    type Read = fn(&SystemParams) -> u64;
+    let cases: [(&str, u64, &str, Read); 5] = [
+        ("neighbor_latency", cycles, "latency", |p| {
+            p.neighbor_latency
+        }),
+        ("router_latency", cycles, "latency", |p| p.router_latency),
+        ("star_up_latency", cycles, "latency", |p| p.star_up_latency),
+        ("star_down_latency", cycles, "latency", |p| {
+            p.star_down_latency
+        }),
+        (
+            "link_model.serialization_ns",
+            ns,
+            "serialization time",
+            |p| p.link_model.serialization_ns,
+        ),
+    ];
+    for (field, limit, noun, value_of) in cases {
+        let unit = if field.ends_with("_ns") {
+            "ns"
+        } else {
+            "cycles"
+        };
+        let parse = |value: u64| {
+            let text = match field.split_once('.') {
+                Some((outer, inner)) => format!(r#"{{"{outer}": {{"{inner}": {value}}}}}"#),
+                None => format!(r#"{{"{field}": {value}}}"#),
+            };
+            SystemParams::from_json(&Json::parse(&text).unwrap(), "params")
+        };
+        let at_limit = parse(limit).unwrap_or_else(|e| panic!("{field} at the limit: {e}"));
+        assert_eq!(value_of(&at_limit), limit, "{field}");
+        let message = parse(limit + 1).expect_err(field).to_string();
+        let expected = format!(
+            "params.{field}: {noun} {} {unit} is over the limit of {limit} {unit}",
+            limit + 1
+        );
+        assert!(message.contains(&expected), "{field}: {message}");
     }
 }
 

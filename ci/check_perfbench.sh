@@ -4,10 +4,12 @@
 # library change that breaks its imports, its FNV pins or its
 # correctness checks fails here instead of only in a benchmark run.
 #
-#   1. perfbench's own tests (release, offline);
-#   2. every workload once, untraced, for 2 s at seed 1 — the seed whose
+#   1. rustfmt and clippy (-D warnings) over perfbench, which the
+#      root workspace's `cargo fmt --check` and `cargo clippy` never see;
+#   2. perfbench's own tests (release, offline);
+#   3. every workload once, untraced, for 2 s at seed 1 — the seed whose
 #      generated grids are checked against the pins in perfbench/src/ops.rs;
-#   3. corpus_replay once more with tracing on (spans go to perfbench/out/).
+#   4. corpus_replay once more with tracing on (spans go to perfbench/out/).
 #
 # Each run's last stdout line is its JSON result; the script fails
 # unless it reports "correct": true and "failed": 0. Timings are printed
@@ -18,6 +20,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 manifest=perfbench/Cargo.toml
+cargo fmt --check --manifest-path "$manifest"
+cargo clippy --release --offline --manifest-path "$manifest" --all-targets -- -D warnings
 cargo test --release --offline --manifest-path "$manifest"
 
 status=0

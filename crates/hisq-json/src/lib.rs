@@ -2,8 +2,8 @@
 //!
 //! The build environment has no crates.io access, so — like the
 //! `rand`/`proptest` shims — this crate hand-rolls the small JSON
-//! subset the workspace needs to make `Scenario`/`SystemSpec` and
-//! friends **versioned, serializable data**:
+//! subset the workspace needs for scenario files, sweep reports and
+//! compile keys:
 //!
 //! - [`Json`] — an exact value tree. Integers keep their full `u64`/
 //!   `i64` width (seeds are 64-bit; a float-only model would corrupt
@@ -14,7 +14,7 @@
 //!   scenario files).
 //! - [`Json::to_string_compact`] / [`Json::to_string_pretty`] —
 //!   deterministic writers (insertion-ordered objects, shortest
-//!   round-trip float form, the same rendering the sweep reports use).
+//!   round-trip float form); sweep reports render compact.
 //! - [`ObjReader`] — a field cursor for decoders: every `from_json`
 //!   impl takes required/optional fields and then calls
 //!   [`ObjReader::reject_unknown`], so a typoed field name is a

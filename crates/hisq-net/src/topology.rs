@@ -334,21 +334,21 @@ impl TopologyBuilder {
 /// scheme.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
-    pub(crate) width: usize,
-    pub(crate) height: usize,
-    pub(crate) num_controllers: usize,
-    pub(crate) neighbor_latency: u64,
-    pub(crate) router_latency: u64,
-    pub(crate) pipeline_headroom: u64,
-    pub(crate) fabric: FabricMap,
+    width: usize,
+    height: usize,
+    num_controllers: usize,
+    neighbor_latency: u64,
+    router_latency: u64,
+    pipeline_headroom: u64,
+    fabric: FabricMap,
     /// Child → parent router, for controllers and non-root routers.
-    pub(crate) parent: BTreeMap<NodeAddr, NodeAddr>,
+    parent: BTreeMap<NodeAddr, NodeAddr>,
     /// Router → children (controllers or routers).
-    pub(crate) children: BTreeMap<NodeAddr, Vec<NodeAddr>>,
+    children: BTreeMap<NodeAddr, Vec<NodeAddr>>,
     /// Router addresses, creation (level) order; root last.
-    pub(crate) routers: Vec<NodeAddr>,
+    routers: Vec<NodeAddr>,
     /// Controller → mesh neighbours.
-    pub(crate) mesh: BTreeMap<NodeAddr, Vec<NodeAddr>>,
+    mesh: BTreeMap<NodeAddr, Vec<NodeAddr>>,
 }
 
 impl Topology {
@@ -662,9 +662,8 @@ impl Topology {
 }
 
 /// The 4-neighbourhood mesh edges of a `width × height` controller
-/// grid (the mesh layer is always derivable from the grid dimensions,
-/// which keeps serialized topologies compact).
-pub(crate) fn grid_mesh(width: usize, height: usize) -> BTreeMap<NodeAddr, Vec<NodeAddr>> {
+/// grid.
+fn grid_mesh(width: usize, height: usize) -> BTreeMap<NodeAddr, Vec<NodeAddr>> {
     let mut mesh: BTreeMap<NodeAddr, Vec<NodeAddr>> = BTreeMap::new();
     for y in 0..height {
         for x in 0..width {
@@ -826,5 +825,42 @@ mod tests {
         for &r in topo.routers() {
             assert!(topo.is_router(r));
         }
+    }
+
+    #[test]
+    fn drop_router_level_flattens_the_tree() {
+        // 4×4 grid, arity 4: one level of 4 region routers + a root.
+        let mut topo = TopologyBuilder::grid(4, 4).build();
+        assert_eq!(topo.num_routers(), 5);
+        let root = topo.root_router().unwrap();
+        topo.drop_router_level().unwrap();
+        assert_eq!(topo.num_routers(), 1);
+        assert_eq!(topo.root_router(), Some(root));
+        // All 16 controllers now hang off the root directly, in order.
+        assert_eq!(
+            topo.children_of(root),
+            (0..16).collect::<Vec<_>>().as_slice()
+        );
+        assert!((0..16).all(|c| topo.parent_of(c) == Some(root)));
+        // Dropping the root level itself is refused.
+        assert!(topo.drop_router_level().is_err());
+    }
+
+    #[test]
+    fn rewire_subtree_moves_a_region() {
+        let mut topo = TopologyBuilder::grid(4, 4).build();
+        let donor = topo.routers()[0];
+        let target = topo.routers()[1];
+        let moved = topo.children_of(donor)[0];
+        topo.rewire_subtree(moved, target).unwrap();
+        assert_eq!(topo.parent_of(moved), Some(target));
+        assert!(!topo.children_of(donor).contains(&moved));
+        assert_eq!(*topo.children_of(target).last().unwrap(), moved);
+
+        // Cycle: the root under one of its descendants.
+        let root = topo.root_router().unwrap();
+        assert!(topo.rewire_subtree(root, donor).is_err());
+        // New parent must be a router.
+        assert!(topo.rewire_subtree(moved, 0).is_err());
     }
 }

@@ -1014,7 +1014,8 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns a [`JsonError`] at `path` for missing/unknown fields,
-    /// an unknown scheme, or wrong types.
+    /// an unknown scheme, wrong types, a non-positive `t1_us`, or zero
+    /// `shots`.
     pub fn from_json(value: &Json, path: &str) -> Result<Scenario, JsonError> {
         let mut obj = ObjReader::new(value, path)?;
         let workload =
@@ -1035,7 +1036,11 @@ impl Scenario {
             scenario.seed = v.as_u64(&obj.field_path("seed"))?;
         }
         if let Some(v) = obj.optional("t1_us") {
-            scenario.t1_us = v.as_f64(&obj.field_path("t1_us"))?;
+            let t1_path = obj.field_path("t1_us");
+            scenario.t1_us = v.as_f64(&t1_path)?;
+            if scenario.t1_us <= 0.0 {
+                return Err(JsonError::decode(t1_path, "t1_us must be positive"));
+            }
         }
         if let Some(v) = obj.optional("shots") {
             let shots_path = obj.field_path("shots");

@@ -247,7 +247,13 @@ impl Axis {
                 values
                     .iter()
                     .enumerate()
-                    .map(|(i, v)| v.as_f64(&at(i)))
+                    .map(|(i, v)| {
+                        let t1_us = v.as_f64(&at(i))?;
+                        if t1_us <= 0.0 {
+                            return Err(JsonError::decode(at(i), "t1_us must be positive"));
+                        }
+                        Ok(t1_us)
+                    })
                     .collect::<Result<_, _>>()?,
             ),
             "shots" => Axis::Shots(

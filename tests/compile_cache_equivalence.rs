@@ -15,12 +15,14 @@
 use proptest::prelude::*;
 
 use distributed_hisq::runner::{
-    compile_scenario, run_sweep_cached, run_sweep_uncached, CompileCache, Scenario, SurgeryOp,
-    SystemParams,
+    compile_scenario, run_sweep_cached, run_sweep_uncached, CompileCache, LinkOverride,
+    NoiseOverride, Scenario, SurgeryOp, SystemParams,
 };
 use distributed_hisq::scenario::ScenarioFile;
 use distributed_hisq::workloads::WorkloadSpec;
 use hisq_compiler::Scheme;
+use hisq_net::LinkModel;
+use hisq_quantum::NoiseModel;
 
 /// Workspace-root path of the committed scenario corpus.
 const CORPUS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
@@ -158,21 +160,77 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         })
 }
 
+/// A fabric-aware BISP scenario on one of three fabrics: no override
+/// (0), a heated link 0→1 (1), or a heated qubit 2 (2).
+fn aware_scenario(suite: &str, shots: u32, fabric: u8, seed: u64, star: u64) -> Scenario {
+    let mut scenario = Scenario::new(WorkloadSpec::suite(suite), Scheme::Bisp).with_shots(shots);
+    scenario.seed = seed;
+    scenario.params.star_up_latency = star;
+    scenario.params.star_down_latency = star;
+    scenario.params.fabric_aware = true;
+    match fabric {
+        0 => {}
+        1 => {
+            scenario.params.link_overrides = vec![LinkOverride {
+                from: 0,
+                to: 1,
+                link_model: LinkModel::serialized(64),
+            }]
+        }
+        _ => {
+            scenario.params.noise_overrides = vec![NoiseOverride {
+                qubit: 2,
+                noise: NoiseModel::NOISELESS.with_gate_errors(5e-2, 1e-1),
+            }]
+        }
+    }
+    scenario
+}
+
+/// Strategy over pairs of fabric-aware BISP scenarios that share a
+/// workload and shot count and differ in seed, star latencies (which
+/// BISP never reads) and fabric. The fabrics match in one pair of
+/// three, so key-equal and key-split pairs both occur; two independent
+/// draws of [`scenario_strategy`] plus a fabric would rarely collide.
+fn aware_pair_strategy() -> impl Strategy<Value = (Scenario, Scenario)> {
+    (
+        prop_oneof![Just("w_state_n12"), Just("qft_n10")],
+        1..3u32,
+        (0..3u8, 0..3u8),
+        (0..100u64, 0..100u64),
+        (
+            prop_oneof![Just(25u64), Just(40)],
+            prop_oneof![Just(25u64), Just(40)],
+        ),
+    )
+        .prop_map(|(suite, shots, fabrics, seeds, stars)| {
+            (
+                aware_scenario(suite, shots, fabrics.0, seeds.0, stars.0),
+                aware_scenario(suite, shots, fabrics.1, seeds.1, stars.1),
+            )
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Equal compile keys ⇒ the compiler emitted bit-identical program
     /// words (per-controller machine code, compared via the compiled
-    /// artifact's FNV fingerprint).
+    /// artifact's FNV fingerprint), for fabric-oblivious points and for
+    /// fabric-aware ones, whose keys hash the effective fabric and
+    /// noise maps.
     #[test]
     fn equal_compile_keys_mean_identical_program_words(
         a in scenario_strategy(),
         b in scenario_strategy(),
+        aware in aware_pair_strategy(),
     ) {
-        if a.compile_key() == b.compile_key() {
-            let fp_a = compile_scenario(&a).expect("a compiles").fingerprint();
-            let fp_b = compile_scenario(&b).expect("b compiles").fingerprint();
-            prop_assert_eq!(fp_a, fp_b, "key-equal scenarios compiled differently");
+        for (a, b) in [(&a, &b), (&aware.0, &aware.1)] {
+            if a.compile_key() == b.compile_key() {
+                let fp_a = compile_scenario(a).expect("a compiles").fingerprint();
+                let fp_b = compile_scenario(b).expect("b compiles").fingerprint();
+                prop_assert_eq!(fp_a, fp_b, "key-equal scenarios compiled differently");
+            }
         }
     }
 

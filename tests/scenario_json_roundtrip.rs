@@ -1,21 +1,18 @@
 //! Property and table tests for the scenario-file surface.
 //!
-//! The contract under test is `from_json(to_json(x)) == x` — for
-//! generated [`Scenario`]s (including surgery op lists, contended link
-//! models, and noise models) and for [`SystemSpec`]s built from real
-//! topologies — plus a table of malformed inputs that must fail with
-//! readable, dotted-path errors rather than silently defaulting.
-
-use std::collections::BTreeMap;
+//! The contract under test is `from_json(to_json(x)) == x` for
+//! generated [`Scenario`]s and scenario files (including surgery op
+//! lists, contended link models, and noise models), plus a table of
+//! malformed inputs that must fail with readable, dotted-path errors
+//! rather than silently defaulting.
 
 use distributed_hisq::runner::{Scenario, SurgeryOp, SystemParams};
 use distributed_hisq::scenario::{ScenarioFile, MAX_SCENARIOS};
 use hisq_compiler::Scheme;
 use hisq_isa::{CYCLE_NS, MAX_WAITI_CYCLES};
 use hisq_json::Json;
-use hisq_net::{DropPolicy, LinkModel, TopologyBuilder};
+use hisq_net::{DropPolicy, LinkModel};
 use hisq_quantum::NoiseModel;
-use hisq_sim::{BackendSpec, SystemSpec};
 use hisq_workloads::WorkloadSpec;
 use proptest::prelude::*;
 
@@ -163,46 +160,6 @@ proptest! {
             );
         }
     }
-
-    /// `SystemSpec::from_json(SystemSpec::to_json(x)) == x` for specs
-    /// built from real grid topologies with varied link parameters and
-    /// backends.
-    #[test]
-    fn system_spec_round_trips_through_json(
-        width in 2usize..8,
-        height in 1usize..4,
-        neighbor_latency in 1u64..20,
-        router_latency in 1u64..30,
-        backend_kind in 0u8..=255,
-        seed in any::<u64>(),
-    ) {
-        let topology = TopologyBuilder::grid(width, height)
-            .neighbor_latency(neighbor_latency)
-            .router_latency(router_latency)
-            .build();
-        let program = hisq_isa::Assembler::new()
-            .assemble("addi x1, x0, 7\nsync 2\n")
-            .expect("valid program");
-        let programs: BTreeMap<_, _> = (0..(width * height) as u16)
-            .map(|addr| (addr, program.insts().to_vec()))
-            .collect();
-        let mut spec = SystemSpec::from_topology(&topology, programs);
-        spec.backend(match backend_kind % 3 {
-            0 => BackendSpec::Random { seed, p_one: 0.5 },
-            1 => BackendSpec::Fixed { outcome: seed % 2 == 0 },
-            _ => BackendSpec::Leaky {
-                seed,
-                p_one: 0.5,
-                noise: NoiseModel::NOISELESS.with_leak(0.01).into(),
-            },
-        });
-        let json = spec.to_json().expect("spec serializes");
-        for text in [json.to_string_compact(), json.to_string_pretty()] {
-            let parsed = Json::parse(&text).expect("self-produced JSON parses");
-            let back = SystemSpec::from_json(&parsed, "spec").expect("decodes");
-            prop_assert_eq!(&back, &spec, "{}", text);
-        }
-    }
 }
 
 /// Malformed inputs must fail with errors a person editing a scenario
@@ -274,6 +231,17 @@ fn malformed_scenario_files_fail_readably() {
                 "base": {"workload": {"suite": "a"}, "scheme": "bisp"},
                 "axes": [{"axis": "shots", "values": [2, 0]}]}"#,
             "scenario.axes[0].values[1]: shots must be at least 1",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x",
+                "base": {"workload": {"suite": "a"}, "scheme": "bisp", "t1_us": -5}}"#,
+            "scenario.base.t1_us: t1_us must be positive",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x",
+                "base": {"workload": {"suite": "a"}, "scheme": "bisp"},
+                "axes": [{"axis": "t1_us", "values": [300, -1, 0]}]}"#,
+            "scenario.axes[0].values[1]: t1_us must be positive",
         ),
         // A base array must name at least one base, and each entry
         // carries its index in the path.

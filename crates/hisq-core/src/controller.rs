@@ -405,6 +405,17 @@ impl Controller {
         }
     }
 
+    /// `true` when the program holds a `recv` from `source`. A `recv`
+    /// names its source as an immediate and is the only instruction that
+    /// pops a mailbox lane, so messages from a source this returns
+    /// `false` for are banked and never read: a caller may skip
+    /// offering them without changing anything the controller does.
+    pub fn can_recv_from(&self, source: NodeAddr) -> bool {
+        self.program
+            .iter()
+            .any(|inst| matches!(*inst, Inst::Recv { source: s, .. } if s == source))
+    }
+
     /// Runs the instruction stream until it halts, faults, or blocks on
     /// an external input. Outgoing messages are appended to `outbox`.
     pub fn step(&mut self, outbox: &mut Vec<OutboundMessage>) -> StepOutcome {
@@ -979,6 +990,8 @@ mod tests {
         assert!(reply.2 >= 200);
         assert_eq!(ctrl.stats().recvs, 1);
         assert_eq!(ctrl.stats().sends, 1);
+        assert!(ctrl.can_recv_from(2));
+        assert!(!ctrl.can_recv_from(1), "no recv names source 1");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use hisq_quantum::{ExposureLedger, OpCounts};
 use crate::backend::QuantumBackend;
 use crate::config::{LinkReport, SimConfig, SimError, SimReport};
 use crate::events::{EventKind, LinkQueue, QubitList, ReplayAction};
-use crate::nodes::{NodeId, QuantumAction, SimNode};
+use crate::nodes::{HubNode, NodeId, QuantumAction, SimNode};
 use crate::queue::{CalendarQueue, EngineQueue, EventQueue, HeapQueue};
 use crate::spec::Arena;
 use crate::telf::Telf;
@@ -43,8 +43,6 @@ pub(crate) struct Scratch {
     outbox: Vec<hisq_core::OutboundMessage>,
     /// Commit-harvest staging (copied out so the arena borrow ends).
     commits: Vec<hisq_core::CommitRecord>,
-    /// Hub broadcast fan-out staging.
-    fanout: Vec<NodeId>,
     /// Router broadcast relay staging (child addresses).
     relay: Vec<NodeAddr>,
     /// Backend operations buffered for in-order replay.
@@ -152,8 +150,6 @@ pub struct System {
     outbox_scratch: Vec<hisq_core::OutboundMessage>,
     /// Reused commit-harvest staging buffer.
     commit_scratch: Vec<hisq_core::CommitRecord>,
-    /// Reused hub fan-out staging buffer.
-    fanout_scratch: Vec<NodeId>,
     /// Reused router broadcast relay buffer.
     relay_scratch: Vec<NodeAddr>,
     /// `(cycle, fingerprint)` pop trace, recorded when enabled.
@@ -255,7 +251,6 @@ impl System {
             gate_store: scratch.gate_store,
             outbox_scratch: scratch.outbox,
             commit_scratch: scratch.commits,
-            fanout_scratch: scratch.fanout,
             relay_scratch: scratch.relay,
             trace: None,
             applied_through: 0,
@@ -265,6 +260,14 @@ impl System {
             quantum_ops: OpCounts::default(),
             ops_by_qubit: Vec::new(),
             events_processed: 0,
+        }
+    }
+
+    /// The hub at arena id `id`.
+    fn hub(&self, id: NodeId) -> &HubNode {
+        match &self.nodes[id as usize] {
+            SimNode::Hub(hub) => hub,
+            _ => unreachable!("hub events carry hub ids"),
         }
     }
 
@@ -434,29 +437,7 @@ impl System {
     /// capacity slots, and classical payloads are additionally subject
     /// to the deterministic drop-and-retransmit policy.
     fn send(&mut self, from: NodeId, to: NodeId, payload: Payload, sent_at: u64, latency: u64) {
-        self.send_via((from, to), from, to, payload, sent_at, latency);
-    }
-
-    /// [`System::send`] through an explicit serialization queue.
-    ///
-    /// Dedicated links use their own `(from, to)` queue; the hub's
-    /// star fan-out instead shares the `(hub, hub)` egress queue across
-    /// every subscriber — the central port is the resource each of the
-    /// broadcast's N copies must serialize through, which is what makes
-    /// the hub saturate with system size under contention.
-    fn send_via(
-        &mut self,
-        queue_key: (NodeId, NodeId),
-        from: NodeId,
-        to: NodeId,
-        payload: Payload,
-        sent_at: u64,
-        latency: u64,
-    ) {
-        if self.fabric_transparent
-            || matches!(payload, Payload::SyncPulse)
-            || self.edge_model(queue_key).is_transparent()
-        {
+        if matches!(payload, Payload::SyncPulse) || self.is_transparent((from, to)) {
             let from_addr = self.addrs[from as usize];
             self.push_event(
                 sent_at + latency,
@@ -468,7 +449,13 @@ impl System {
             );
             return;
         }
-        self.transmit(queue_key, to, payload, sent_at, latency, 1);
+        self.transmit((from, to), to, payload, sent_at, latency, 1);
+    }
+
+    /// `true` when the link behind `key` carries no queue bookkeeping:
+    /// the whole fabric is transparent, or this edge's model is.
+    fn is_transparent(&self, key: (NodeId, NodeId)) -> bool {
+        self.fabric_transparent || self.edge_model(key).is_transparent()
     }
 
     /// The contention model of the directed link behind `key`: its
@@ -820,35 +807,30 @@ impl System {
                     self.step_controller(to);
                 }
             }
-            SimNode::Hub(_) => {
-                if let Payload::Classical { value } = payload {
-                    let mut fanout = mem::take(&mut self.fanout_scratch);
-                    fanout.clear();
-                    let down_latency = {
-                        let SimNode::Hub(hub) = &self.nodes[to as usize] else {
-                            unreachable!("matched Hub above")
-                        };
-                        fanout.extend_from_slice(&hub.subscriber_ids);
-                        hub.down_latency
-                    };
-                    // The hub's downlink fan-out rides the link
-                    // machinery through the hub's *shared* egress
-                    // queue: the central port emits one copy per
-                    // subscriber, so under a contended model each
-                    // broadcast serializes N copies back to back — the
-                    // saturation the §6.4.3 baseline's constant-latency
-                    // star assumption hides.
-                    for &subscriber in &fanout {
-                        self.send_via(
-                            (to, to),
-                            to,
-                            subscriber,
-                            Payload::Classical { value },
-                            deliver_at,
-                            down_latency,
+            SimNode::Hub(hub) => {
+                let Payload::Classical { value } = payload else {
+                    return Ok(());
+                };
+                let (copies, down_latency) = (hub.subscriber_ids.len(), hub.down_latency);
+                if self.is_transparent((to, to)) {
+                    // Every copy arrives at the same cycle, so one event
+                    // stands for all of them (see `broadcast`).
+                    if copies > 0 {
+                        self.push_event(
+                            deliver_at + down_latency,
+                            EventKind::Broadcast { hub: to, value },
                         );
                     }
-                    self.fanout_scratch = fanout;
+                    return Ok(());
+                }
+                // A contended egress is the hub's *shared* port: the
+                // central port emits one copy per subscriber through
+                // the `(hub, hub)` queue, so each broadcast serializes
+                // N copies back to back — the saturation the §6.4.3
+                // baseline's constant-latency star assumption hides.
+                for position in 0..copies {
+                    let subscriber = self.hub(to).subscriber_ids[position];
+                    self.transmit((to, to), subscriber, payload, deliver_at, down_latency, 1);
                 }
             }
             SimNode::Router(router) => {
@@ -928,6 +910,76 @@ impl System {
         Ok(())
     }
 
+    /// Delivers one hub broadcast arriving at `at`: the per-subscriber
+    /// copies the contended path would pop back to back, in subscriber
+    /// order.
+    ///
+    /// Every copy counts against the event budget and is traced with
+    /// the fingerprint of the `Deliver` it stands for, but only the
+    /// hub's listeners are offered the value: any other subscriber
+    /// would bank it in a lane nothing pops. Pop order is unchanged. A
+    /// listener woken at `at` has `pipe_cycle >= at`, so its step
+    /// pushes only at `>= at` with younger seqs — behind the remaining
+    /// copies, exactly where separate copy events would have left them.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::EventBudgetExceeded`] once a copy exceeds the
+    /// budget, after offering exactly the copies before it.
+    fn broadcast(&mut self, hub: NodeId, value: u32, at: u64) -> Result<(), SimError> {
+        let copies = self.hub(hub).subscriber_ids.len() as u64;
+        let admitted = copies.min(self.config.max_events.saturating_sub(self.events_processed));
+        self.events_processed += admitted;
+        let from = self.addrs[hub as usize];
+        let payload = Payload::Classical { value };
+        if let Some(mut trace) = self.trace.take() {
+            trace.extend(
+                self.hub(hub).subscriber_ids[..admitted as usize]
+                    .iter()
+                    .map(|&to| (at, EventKind::Deliver { from, to, payload }.fingerprint())),
+            );
+            self.trace = Some(trace);
+        }
+        for index in 0..self.hub(hub).listeners.len() {
+            let (position, listener) = self.hub(hub).listeners[index];
+            if u64::from(position) >= admitted {
+                break;
+            }
+            let node = self.nodes[listener as usize]
+                .as_controller_mut()
+                .expect("listeners are controllers");
+            if node.ctrl.offer_classical(from, value, at) {
+                self.step_controller(listener);
+                debug_assert!(
+                    self.queue.next_at().is_none_or(|next| next >= at),
+                    "a listener woken at cycle {at} queued an event behind its broadcast"
+                );
+            }
+        }
+        if admitted < copies {
+            self.events_processed += 1;
+            return Err(SimError::EventBudgetExceeded {
+                budget: self.config.max_events,
+            });
+        }
+        Ok(())
+    }
+
+    /// Counts one popped event against the budget and, when recording,
+    /// appends its trace entry.
+    fn count_event(&mut self, at: u64, kind: &EventKind) -> Result<(), SimError> {
+        self.events_processed += 1;
+        if self.events_processed > self.config.max_events {
+            return Err(SimError::EventBudgetExceeded {
+                budget: self.config.max_events,
+            });
+        }
+        if let Some(trace) = &mut self.trace {
+            trace.push((at, kind.fingerprint()));
+        }
+        Ok(())
+    }
+
     /// Runs the system to quiescence.
     ///
     /// # Errors
@@ -942,20 +994,14 @@ impl System {
             self.step_controller(id);
         }
         while let Some((at, kind)) = self.queue.pop() {
-            self.events_processed += 1;
-            if self.events_processed > self.config.max_events {
-                return Err(SimError::EventBudgetExceeded {
-                    budget: self.config.max_events,
-                });
-            }
-            if let Some(trace) = &mut self.trace {
-                trace.push((at, kind.fingerprint()));
-            }
             match kind {
                 EventKind::Deliver { from, to, payload } => {
+                    self.count_event(at, &kind)?;
                     self.deliver(from, to, payload, at)?;
                 }
-                EventKind::Resend(resend) => {
+                EventKind::Broadcast { hub, value } => self.broadcast(hub, value, at)?,
+                EventKind::Resend(ref resend) => {
+                    self.count_event(at, &kind)?;
                     self.transmit(
                         resend.link,
                         resend.to,
@@ -970,6 +1016,7 @@ impl System {
                     qubit,
                     trigger_cycle,
                 } => {
+                    self.count_event(at, &kind)?;
                     self.apply_gates_through(trigger_cycle);
                     let outcome = self.backend.measure(qubit);
                     if let Some(ctrl_node) = self.nodes[node as usize].as_controller_mut() {
@@ -1085,8 +1132,6 @@ impl Drop for System {
         outbox.clear();
         let mut commits = mem::take(&mut self.commit_scratch);
         commits.clear();
-        let mut fanout = mem::take(&mut self.fanout_scratch);
-        fanout.clear();
         let mut relay = mem::take(&mut self.relay_scratch);
         relay.clear();
         let mut arena = ArenaBuffers {
@@ -1108,7 +1153,6 @@ impl Drop for System {
             gates,
             outbox,
             commits,
-            fanout,
             relay,
             gate_store,
             arena,

@@ -12,9 +12,9 @@ use hisq_quantum::Gate;
 
 use crate::nodes::NodeId;
 
-/// An engine event: a routed message or a resolving measurement. The
-/// destination is an arena id — resolution from addresses happened at
-/// routing time.
+/// An engine event: a routed message, a hub broadcast, or a resolving
+/// measurement. The destination is an arena id — resolution from
+/// addresses happened at routing time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum EventKind {
     /// Deliver a routed payload to node `to`.
@@ -25,6 +25,16 @@ pub(crate) enum EventKind {
         to: NodeId,
         /// The message content.
         payload: Payload,
+    },
+    /// Every subscriber's copy of one hub broadcast over a transparent
+    /// egress, arriving now: one event standing for the N classical
+    /// [`EventKind::Deliver`]s from the hub that would otherwise pop
+    /// back to back. The engine counts and traces it per copy.
+    Broadcast {
+        /// The hub's arena id.
+        hub: NodeId,
+        /// The broadcast value.
+        value: u32,
     },
     /// A measurement triggered at `trigger_cycle` resolves now.
     MeasResolve {
@@ -68,7 +78,9 @@ impl EventKind {
     /// [`System::record_event_trace`](crate::System::record_event_trace)):
     /// two runs pop the same event sequence iff their `(cycle,
     /// fingerprint)` traces match. Mixed with splitmix64 so distinct
-    /// events collide with negligible probability.
+    /// events collide with negligible probability. (A broadcast has a
+    /// digest of its own, but the engine traces each of its copies as
+    /// the `Deliver` it stands for.)
     pub(crate) fn fingerprint(&self) -> u64 {
         fn mix(hash: u64, value: u64) -> u64 {
             splitmix64(hash ^ value.wrapping_mul(0x9e37_79b9_7f4a_7c15))
@@ -88,6 +100,7 @@ impl EventKind {
                 mix(mix(0x01, u64::from(from)), u64::from(to)),
                 payload_digest(&payload),
             ),
+            EventKind::Broadcast { hub, value } => mix(mix(0x04, u64::from(hub)), u64::from(value)),
             EventKind::MeasResolve {
                 node,
                 qubit,

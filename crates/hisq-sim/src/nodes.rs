@@ -102,6 +102,11 @@ impl ControllerNode {
 pub(crate) struct HubNode {
     /// Subscriber arena ids (build-time resolved).
     pub subscriber_ids: Vec<NodeId>,
+    /// The subscribers whose program can `recv` from the hub, as
+    /// `(position in subscriber_ids, arena id)` in subscriber order.
+    /// Only these are offered a broadcast on the one-event path; every
+    /// other copy would land in a mailbox lane nothing pops.
+    pub listeners: Vec<(u32, NodeId)>,
     /// Constant hub→subscriber latency in cycles.
     pub down_latency: u64,
 }

@@ -300,8 +300,9 @@ impl SystemSpec {
 
     /// Validates the description and lowers it into a runnable
     /// [`System`]: addresses are interned into dense arena ids, hub
-    /// subscribers are pre-resolved, and bindings are attached to
-    /// their controllers.
+    /// subscribers are pre-resolved (and those whose program can `recv`
+    /// from the hub marked as its listeners), and bindings are attached
+    /// to their controllers.
     ///
     /// # Errors
     ///
@@ -348,6 +349,7 @@ impl SystemSpec {
                 addr,
                 SimNode::Hub(HubNode {
                     subscriber_ids: Vec::new(),
+                    listeners: Vec::new(),
                     down_latency: hub.down_latency,
                 }),
             )?;
@@ -372,10 +374,22 @@ impl SystemSpec {
                 .iter()
                 .map(|&s| resolve_controller(&addr_to_id, &nodes, s, "hub subscriber"))
                 .collect::<Result<Vec<NodeId>, SimError>>()?;
+            let hub_addr = addrs[hub_id as usize];
+            let listeners = ids
+                .iter()
+                .enumerate()
+                .filter(|&(_, &id)| {
+                    nodes[id as usize]
+                        .as_controller()
+                        .is_some_and(|node| node.ctrl.can_recv_from(hub_addr))
+                })
+                .map(|(position, &id)| (position as u32, id))
+                .collect();
             let SimNode::Hub(node) = &mut nodes[hub_id as usize] else {
                 unreachable!("interned as hub");
             };
             node.subscriber_ids = ids;
+            node.listeners = listeners;
         }
         for (addr, port, codeword, action) in self.bindings {
             let id = resolve_controller(&addr_to_id, &nodes, addr, "binding node")?;

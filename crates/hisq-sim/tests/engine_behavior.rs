@@ -12,8 +12,8 @@ use hisq_isa::{Assembler, Inst};
 use hisq_net::{Router, RouterError, TopologyBuilder};
 use hisq_quantum::Gate;
 use hisq_sim::{
-    FixedBackend, Hub, MeasBinding, QuantumAction, SimConfig, SimError, StabilizerBackend,
-    SystemSpec,
+    DropPolicy, FixedBackend, Hub, LinkModel, MeasBinding, QuantumAction, SimConfig, SimError,
+    SimReport, StabilizerBackend, SystemSpec,
 };
 
 fn asm(src: &str) -> Vec<Inst> {
@@ -271,35 +271,190 @@ fn exposure_ledger_tracks_gate_spans() {
     assert_eq!(system.exposure().exposure_ns(5), 420);
 }
 
-#[test]
-fn hub_broadcast_reaches_every_subscriber() {
-    // One publisher, three subscribers on a star: the lock-step
-    // substrate end to end through the arena dispatch.
+/// The lock-step hub's address in the hub tests.
+const HUB: NodeAddr = 10;
+
+/// Everything a hub run exposes: the report (or error) without its
+/// link statistics, the pop trace, and each controller's `t1`/`t2`.
+#[derive(Debug, PartialEq)]
+struct HubOutcome {
+    result: Result<SimReport, SimError>,
+    trace: Vec<(u64, u64)>,
+    regs: Vec<(u32, u32)>,
+}
+
+/// Runs controllers `0..programs.len()` on a star around hub [`HUB`]
+/// (25-cycle downlink) with tracing on, the `(hub, hub)` egress
+/// running `egress` if given. Returns the outcome and the egress's
+/// reported message count.
+fn run_hub(
+    subscribers: &[NodeAddr],
+    programs: &[&str],
+    max_events: u64,
+    egress: Option<LinkModel>,
+) -> (HubOutcome, u64) {
     let mut spec = SystemSpec::new();
+    spec.config(SimConfig {
+        max_events,
+        ..SimConfig::default()
+    });
     spec.hub(
-        10,
+        HUB,
         Hub {
-            subscribers: vec![0, 1, 2],
+            subscribers: subscribers.to_vec(),
             down_latency: 25,
         },
     );
-    spec.controller(
-        NodeConfig::new(0),
-        asm("li t0, 7\nsend 10, t0\nrecv t1, 10\nstop"),
-    );
-    for addr in 1..3u16 {
-        spec.controller(NodeConfig::new(addr), asm("recv t1, 10\nstop"));
+    for (addr, program) in programs.iter().enumerate() {
+        spec.controller(NodeConfig::new(addr as NodeAddr), asm(program));
+    }
+    if let Some(model) = egress {
+        spec.link_model_for(HUB, HUB, model);
     }
     let mut system = spec.build().unwrap();
-    let report = system.run().unwrap();
-    assert!(report.all_halted, "{:?}", report.blocked);
-    for addr in 0..3u16 {
-        let t1 = system
-            .controller(addr)
-            .unwrap()
-            .reg(hisq_isa::Reg::parse("t1").unwrap());
-        assert_eq!(t1, 7, "subscriber {addr} received the broadcast");
+    system.record_event_trace();
+    let mut result = system.run();
+    let egress_messages = result.as_ref().map_or(0, |report| {
+        report
+            .link_stats
+            .iter()
+            .filter(|l| (l.from, l.to) == (HUB, HUB))
+            .map(|l| l.messages)
+            .sum()
+    });
+    if let Ok(report) = &mut result {
+        report.link_stats.clear();
     }
+    let reg = |addr: usize, name: &str| {
+        system
+            .controller(addr as NodeAddr)
+            .unwrap()
+            .reg(hisq_isa::Reg::parse(name).unwrap())
+    };
+    let regs = (0..programs.len())
+        .map(|addr| (reg(addr, "t1"), reg(addr, "t2")))
+        .collect();
+    let outcome = HubOutcome {
+        result,
+        trace: system.event_trace().to_vec(),
+        regs,
+    };
+    (outcome, egress_messages)
+}
+
+/// Runs one hub input twice: on the one-event broadcast path
+/// (transparent egress) and on the per-copy path. A lossless drop
+/// policy on the egress forces the per-copy path, yet nothing
+/// serializes or drops, so every copy still lands at the broadcast's
+/// cycle. Asserts both runs agree on everything and returns the
+/// outcome with the per-copy run's `(hub, hub)` message count.
+fn hub_outcome(subscribers: &[NodeAddr], programs: &[&str], max_events: u64) -> (HubOutcome, u64) {
+    let (one_event, no_queue) = run_hub(subscribers, programs, max_events, None);
+    assert_eq!(no_queue, 0, "a transparent egress keeps no link queue");
+    let lossless = LinkModel::default().with_drop(DropPolicy {
+        loss_ppm: 0,
+        ..DropPolicy::default()
+    });
+    let (per_copy, egress_messages) = run_hub(subscribers, programs, max_events, Some(lossless));
+    assert_eq!(
+        one_event, per_copy,
+        "one-event and per-copy broadcasts diverge for subscribers {subscribers:?}"
+    );
+    (one_event, egress_messages)
+}
+
+#[test]
+fn hub_broadcast_reaches_every_subscriber() {
+    // One publisher, two listeners, and a subscriber with no `recv`
+    // from the hub: the lock-step substrate end to end through the
+    // arena dispatch. The non-listener halts beside the listeners, and
+    // its copy is still counted: 1 uplink delivery + 4 copies.
+    let publish = "li t0, 7\nsend 10, t0\nrecv t1, 10\nstop";
+    let listen = "recv t1, 10\nstop";
+    let star = [publish, listen, listen, "stop"];
+    let default_budget = SimConfig::default().max_events;
+    let (outcome, egress) = hub_outcome(&[0, 1, 2, 3], &star, default_budget);
+    let report = outcome.result.unwrap();
+    assert!(report.all_halted, "{:?}", report.blocked);
+    assert_eq!(report.events_processed, 5);
+    assert_eq!(outcome.trace.len(), 5, "one trace entry per copy");
+    assert_eq!(
+        egress, 4,
+        "the per-copy egress carries one message per copy"
+    );
+    let t1: Vec<u32> = outcome.regs.iter().map(|&(t1, _)| t1).collect();
+    assert_eq!(t1, [7, 7, 7, 0]);
+
+    // A contended egress serializes the copies but still delivers them
+    // all, reporting one (hub, hub) message per copy.
+    let (contended, egress) = run_hub(
+        &[0, 1, 2, 3],
+        &star,
+        default_budget,
+        Some(LinkModel::serialized(16)),
+    );
+    assert!(contended.result.unwrap().all_halted);
+    assert_eq!(contended.regs, outcome.regs);
+    assert_eq!(egress, 4);
+
+    // A budget that runs out inside the broadcast fails on the first
+    // copy past it, after offering exactly the copies before it;
+    // a budget equal to the run's exact total succeeds.
+    for budget in 1..=4u64 {
+        let (outcome, _) = hub_outcome(&[0, 1, 2, 3], &star, budget);
+        assert_eq!(
+            outcome.result,
+            Err(SimError::EventBudgetExceeded { budget })
+        );
+        let offered = (budget - 1) as usize;
+        let t1: Vec<u32> = outcome.regs.iter().map(|&(t1, _)| t1).collect();
+        let expected: Vec<u32> = (0..4)
+            .map(|addr| if addr < offered && addr < 3 { 7 } else { 0 })
+            .collect();
+        assert_eq!(t1, expected, "budget {budget}");
+        // The uplink delivery plus the admitted copies.
+        assert_eq!(outcome.trace.len(), budget as usize, "budget {budget}");
+    }
+    let (exact, _) = hub_outcome(&[0, 1, 2, 3], &star, 5);
+    assert_eq!(exact.result.unwrap().events_processed, 5);
+
+    // A listener blocked on another source while two broadcasts land
+    // banks both and later receives them in FIFO order. Controller 2
+    // only sends to 1 after both broadcasts reached it, i.e. after
+    // they reached 1 as well.
+    let (outcome, egress) = hub_outcome(
+        &[0, 1, 2],
+        &[
+            "li t0, 7\nsend 10, t0\nli t0, 9\nsend 10, t0\nstop",
+            "recv t3, 2\nrecv t1, 10\nrecv t2, 10\nstop",
+            "recv t1, 10\nrecv t2, 10\nsend 1, t2\nstop",
+        ],
+        default_budget,
+    );
+    assert!(outcome.result.unwrap().all_halted);
+    assert_eq!(outcome.regs[1], (7, 9));
+    assert_eq!(outcome.regs[2], (7, 9));
+    assert_eq!(egress, 6);
+
+    // Duplicate subscriber entries each get a copy.
+    let (outcome, egress) = hub_outcome(
+        &[0, 1, 1],
+        &[publish, "recv t1, 10\nrecv t2, 10\nstop"],
+        default_budget,
+    );
+    let report = outcome.result.unwrap();
+    assert!(report.all_halted, "{:?}", report.blocked);
+    assert_eq!(report.events_processed, 4);
+    assert_eq!(outcome.regs[1], (7, 7));
+    assert_eq!(egress, 3);
+
+    // An empty subscriber list adds no event: only the uplink
+    // delivery to the hub is processed.
+    let (outcome, egress) = hub_outcome(&[], &["li t0, 7\nsend 10, t0\nstop"], default_budget);
+    let report = outcome.result.unwrap();
+    assert!(report.all_halted);
+    assert_eq!(report.events_processed, 1);
+    assert_eq!(egress, 0);
 }
 
 #[test]

@@ -18,11 +18,10 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use distributed_hisq::compiler::Scheme;
-use distributed_hisq::runner::{
-    run_sweep_cached, run_sweep_uncached, CompileCache, Scenario, SystemParams,
-};
+use distributed_hisq::runner::{run_sweep_cached, run_sweep_uncached, CompileCache, Scenario};
+use distributed_hisq::scenario::{Axis, ScenarioFile};
 use distributed_hisq::workloads::WorkloadSpec;
-use hisq_sim::{NoiseModel, SweepGrid};
+use hisq_sim::NoiseModel;
 
 /// Worker-thread counts the harness measures by default.
 pub const THREAD_AXIS: [usize; 3] = [1, 4, 8];
@@ -65,23 +64,15 @@ pub fn throughput_scenarios(quick: bool) -> Vec<Scenario> {
     };
     let seeds: &[u64] = if quick { &[1, 2] } else { &[1, 2, 3, 4, 5, 6] };
     let noise: &[f64] = if quick { &[1e-4] } else { &NOISE_AXIS };
-    let mut scenarios = Vec::new();
-    for &suite in suites {
-        let base = Scenario::new(WorkloadSpec::suite(suite), Scheme::Bisp)
-            .with_params(SystemParams::default());
-        scenarios.extend(
-            SweepGrid::new(base)
-                .axis([Scheme::Bisp, Scheme::Lockstep], |s, &scheme| {
-                    s.scheme = scheme
-                })
-                .axis(seeds.iter().copied(), |s, &seed| s.seed = seed)
-                .axis(noise.iter().copied(), |s, &p| {
-                    s.params.noise = fig_noise_model(p)
-                })
-                .into_points(),
-        );
-    }
-    scenarios
+    let base = Scenario::new(WorkloadSpec::suite(suites[0]), Scheme::Bisp);
+    let mut grid = ScenarioFile::new("sweep_throughput", base);
+    grid.axes = vec![
+        Axis::Workload(suites.iter().copied().map(WorkloadSpec::suite).collect()),
+        Axis::Scheme(vec![Scheme::Bisp, Scheme::Lockstep]),
+        Axis::Seed(seeds.to_vec()),
+        Axis::Noise(noise.iter().map(|&p| fig_noise_model(p)).collect()),
+    ];
+    grid.expand(None)
 }
 
 /// Number of distinct [`CompileKey`]s in a grid — the compiles a

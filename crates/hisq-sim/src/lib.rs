@@ -49,9 +49,8 @@
 //! `docs/ARCHITECTURE.md` for the seeding/determinism contract.
 //!
 //! On top of the single-system engine, the [`sweep`] module provides
-//! the batch layer: [`SweepGrid`] expands cartesian parameter grids
-//! into scenario lists and [`SweepRunner`] executes them on a worker
-//! pool, aggregating per-scenario [`SweepRecord`]s into a
+//! the batch layer: [`SweepRunner`] executes a scenario list on a
+//! worker pool, aggregating per-scenario [`SweepRecord`]s into a
 //! deterministic, seed-stable JSON [`SweepReport`].
 //!
 //! ## Modelled idealizations (documented deviations)
@@ -112,7 +111,7 @@ pub use engine::System;
 pub use hisq_net::{DropPolicy, FabricMap, LinkModel, RouterError};
 pub use hisq_quantum::{NoiseMap, NoiseModel, OpCounts};
 pub use nodes::{Hub, MeasBinding, QuantumAction};
-pub use queue::{CalendarQueue, EngineQueue, EventQueue, HeapQueue};
+pub use queue::{CalendarQueue, EventQueue, HeapQueue};
 pub use spec::{BackendSpec, SystemSpec};
-pub use sweep::{Metric, MetricSummary, SweepGrid, SweepRecord, SweepReport, SweepRunner};
+pub use sweep::{Metric, MetricSummary, SweepRecord, SweepReport, SweepRunner};
 pub use telf::{Telf, TelfRecord};

@@ -1,9 +1,9 @@
 //! The event-queue abstraction of the discrete-event core: a small
 //! [`EventQueue`] trait with two implementations — the production
-//! [`CalendarQueue`] (a bucketed calendar queue / timing wheel) and the
-//! retained [`HeapQueue`] reference (the historical
-//! `BinaryHeap<Reverse<_>>` ordering), kept so the two can be run
-//! differentially against each other.
+//! [`CalendarQueue`] (a bucketed calendar queue / timing wheel) that
+//! the engine runs on, and the [`HeapQueue`] reference (the historical
+//! `BinaryHeap<Reverse<_>>` ordering), kept as the differential oracle
+//! the calendar queue is tested against.
 //!
 //! # Ordering contract
 //!
@@ -14,7 +14,9 @@
 //! events replaying in exactly the order they were scheduled, so a
 //! queue swap must preserve pop order bit-for-bit, which is what
 //! `crates/hisq-sim/tests/queue_equivalence.rs` (proptest differential
-//! oracle) and the engine-trace replay tests prove.
+//! oracle) proves, and the engine's pop-trace pins in
+//! `tests/queue_trace_replay.rs` (recorded under the heap) hold end to
+//! end.
 //!
 //! # Calendar layout
 //!
@@ -563,9 +565,8 @@ impl<T> PartialOrd for HeapEntry<T> {
 
 /// The reference implementation: the historical
 /// `BinaryHeap<Reverse<(at, seq)>>` ordering, retained as the
-/// differential oracle the calendar queue is proven against (and
-/// selectable on a built [`System`](crate::System) via
-/// [`use_reference_queue`](crate::System::use_reference_queue)).
+/// differential oracle the calendar queue is proven against
+/// (`crates/hisq-sim/tests/queue_equivalence.rs`).
 #[derive(Debug, Clone)]
 pub struct HeapQueue<T> {
     heap: BinaryHeap<Reverse<HeapEntry<T>>>,
@@ -620,54 +621,6 @@ impl<T> EventQueue<T> for HeapQueue<T> {
     fn clear(&mut self) {
         self.heap.clear();
         self.seq = 0;
-    }
-}
-
-/// The engine's queue slot: the production calendar queue, or the heap
-/// reference when a differential run was requested. An enum (not a
-/// `dyn` box) so the hot loop dispatches with a predictable branch.
-#[derive(Debug, Clone)]
-pub enum EngineQueue<T> {
-    /// The production bucketed calendar queue.
-    Calendar(CalendarQueue<T>),
-    /// The retained binary-heap reference implementation.
-    Reference(HeapQueue<T>),
-}
-
-impl<T> EventQueue<T> for EngineQueue<T> {
-    fn push(&mut self, at: u64, item: T) {
-        match self {
-            EngineQueue::Calendar(q) => q.push(at, item),
-            EngineQueue::Reference(q) => q.push(at, item),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(u64, T)> {
-        match self {
-            EngineQueue::Calendar(q) => q.pop(),
-            EngineQueue::Reference(q) => q.pop(),
-        }
-    }
-
-    fn next_at(&mut self) -> Option<u64> {
-        match self {
-            EngineQueue::Calendar(q) => q.next_at(),
-            EngineQueue::Reference(q) => q.next_at(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EngineQueue::Calendar(q) => q.len(),
-            EngineQueue::Reference(q) => q.len(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            EngineQueue::Calendar(q) => q.clear(),
-            EngineQueue::Reference(q) => q.clear(),
-        }
     }
 }
 

@@ -4,10 +4,9 @@
 //! Paper figures are parameter sweeps — workload × scheme × topology ×
 //! seed — and every scenario is an independent simulation, so the batch
 //! is embarrassingly parallel. This module provides the three pieces
-//! every harness shares:
+//! every harness shares (grids of facade scenarios are expanded by the
+//! facade crate's scenario files):
 //!
-//! - [`SweepGrid`] — a cartesian-product builder that expands parameter
-//!   axes over a base scenario description;
 //! - [`SweepRunner`] — a scoped worker pool (hand-rolled over
 //!   `std::thread`; the build environment has no crates.io access) that
 //!   executes scenarios concurrently while keeping results in input
@@ -25,16 +24,15 @@
 //! # Example
 //!
 //! ```
-//! use hisq_sim::sweep::{SweepGrid, SweepRecord, SweepRunner};
+//! use hisq_sim::sweep::{SweepRecord, SweepRunner};
 //!
-//! // Expand a 2-axis grid (3 seeds × 2 latencies = 6 scenarios)...
-//! let scenarios = SweepGrid::new((0u64, 0u64))
-//!     .axis([1u64, 2, 3], |s, &seed| s.0 = seed)
-//!     .axis([5u64, 10], |s, &lat| s.1 = lat)
-//!     .into_points();
-//! assert_eq!(scenarios.len(), 6);
+//! // A 2-axis grid (3 seeds × 2 latencies = 6 scenarios)...
+//! let scenarios: Vec<(u64, u64)> = [1u64, 2, 3]
+//!     .into_iter()
+//!     .flat_map(|seed| [5u64, 10].map(|lat| (seed, lat)))
+//!     .collect();
 //!
-//! // ...and run it on two worker threads.
+//! // ...run on two worker threads.
 //! let report = SweepRunner::new(2).run(&scenarios, |i, &(seed, lat)| {
 //!     SweepRecord::new(format!("s{seed}/l{lat}"))
 //!         .with("index", i as u64)
@@ -323,85 +321,6 @@ impl fmt::Display for SweepReport {
     }
 }
 
-/// Cartesian-product expansion of parameter axes over a base scenario.
-///
-/// Each [`SweepGrid::axis`] call multiplies the current point set by
-/// the axis values, applying a setter to each clone. An empty axis
-/// therefore empties the grid (the cartesian product with ∅), and a
-/// single-valued axis leaves the point count unchanged.
-///
-/// # Example
-///
-/// ```
-/// use hisq_sim::sweep::SweepGrid;
-///
-/// #[derive(Clone)]
-/// struct Scenario { workload: &'static str, seed: u64 }
-///
-/// let points = SweepGrid::new(Scenario { workload: "", seed: 0 })
-///     .axis(["adder", "qft", "w_state"], |s, &w| s.workload = w)
-///     .axis([1u64, 2], |s, &seed| s.seed = seed)
-///     .into_points();
-///
-/// assert_eq!(points.len(), 6);
-/// // Later axes vary fastest: the order is deterministic.
-/// assert_eq!(points[0].workload, "adder");
-/// assert_eq!(points[1].seed, 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SweepGrid<T> {
-    points: Vec<T>,
-}
-
-impl<T: Clone> SweepGrid<T> {
-    /// A grid holding the single base point.
-    pub fn new(base: T) -> SweepGrid<T> {
-        SweepGrid { points: vec![base] }
-    }
-
-    /// A grid over explicit pre-built points.
-    pub fn from_points(points: Vec<T>) -> SweepGrid<T> {
-        SweepGrid { points }
-    }
-
-    /// Multiplies the grid by one parameter axis: every current point
-    /// is cloned once per axis value, with `apply` installing the
-    /// value on the clone.
-    #[must_use]
-    pub fn axis<A>(self, values: impl IntoIterator<Item = A>, apply: impl Fn(&mut T, &A)) -> Self {
-        let values: Vec<A> = values.into_iter().collect();
-        let mut points = Vec::with_capacity(self.points.len() * values.len());
-        for point in &self.points {
-            for value in &values {
-                let mut next = point.clone();
-                apply(&mut next, value);
-                points.push(next);
-            }
-        }
-        SweepGrid { points }
-    }
-
-    /// The expanded scenario points, in axis-major order.
-    pub fn points(&self) -> &[T] {
-        &self.points
-    }
-
-    /// Consumes the grid into its points.
-    pub fn into_points(self) -> Vec<T> {
-        self.points
-    }
-
-    /// Number of expanded points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` when an empty axis annihilated the grid.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-}
-
 /// A scoped worker pool executing scenarios in parallel.
 ///
 /// Workers pull scenario indices from a shared cursor and write each
@@ -509,36 +428,6 @@ impl SweepRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn grid_expands_cartesian_product_in_axis_major_order() {
-        let points = SweepGrid::new((0u32, 0u32))
-            .axis([1u32, 2], |p, &a| p.0 = a)
-            .axis([10u32, 20, 30], |p, &b| p.1 = b)
-            .into_points();
-        assert_eq!(
-            points,
-            vec![(1, 10), (1, 20), (1, 30), (2, 10), (2, 20), (2, 30)]
-        );
-    }
-
-    #[test]
-    fn empty_axis_annihilates_the_grid() {
-        let grid = SweepGrid::new(0u32).axis(Vec::<u32>::new(), |p, &v| *p = v);
-        assert!(grid.is_empty());
-        assert_eq!(grid.len(), 0);
-        // Further axes keep it empty rather than resurrecting points.
-        let grid = grid.axis([1u32, 2, 3], |p, &v| *p = v);
-        assert!(grid.is_empty());
-    }
-
-    #[test]
-    fn single_point_axis_keeps_the_count() {
-        let grid = SweepGrid::new((0u32, 0u32))
-            .axis([7u32], |p, &v| p.0 = v)
-            .axis([9u32], |p, &v| p.1 = v);
-        assert_eq!(grid.points(), &[(7, 9)]);
-    }
 
     #[test]
     fn runner_is_deterministic_across_thread_counts() {

@@ -4,7 +4,7 @@
 //! error starts to dominate the idle (scheduling) term.
 //!
 //! This is a miniature of the `fig_noise` bench binary: the noise model
-//! rides `SystemParams::noise` as an ordinary sweep axis, the backend
+//! is an ordinary sweep axis (`Axis::Noise`), the backend
 //! switches to the leakage-aware random backend, and the
 //! `noise_infidelity` metric is scored analytically from the committed
 //! operation counts plus the exposure ledger.
@@ -15,8 +15,8 @@ use std::error::Error;
 
 use distributed_hisq::compiler::Scheme;
 use distributed_hisq::quantum::NoiseModel;
-use distributed_hisq::runner::{run_sweep, Scenario, SystemParams};
-use distributed_hisq::sim::SweepGrid;
+use distributed_hisq::runner::run_sweep;
+use distributed_hisq::scenario::{Axis, Scenario, ScenarioFile};
 use distributed_hisq::workloads::WorkloadSpec;
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -36,17 +36,14 @@ fn main() -> Result<(), Box<dyn Error>> {
             .with_leak(p)
     };
 
-    let scenarios = SweepGrid::new(Scenario::new(workload, Scheme::Bisp).with_seed(16))
-        .axis([1e-5, 1e-4, 1e-3, 1e-2], |s, &p| {
-            s.params = SystemParams {
-                noise: model(p),
-                ..SystemParams::default()
-            }
-        })
-        .axis([Scheme::Bisp, Scheme::Lockstep], |s, &scheme| {
-            s.scheme = scheme
-        })
-        .into_points();
+    // Error rate × scheme, scheme varying fastest.
+    let base = Scenario::new(workload, Scheme::Bisp).with_seed(16);
+    let mut grid = ScenarioFile::new("noise_sweep", base);
+    grid.axes = vec![
+        Axis::Noise([1e-5, 1e-4, 1e-3, 1e-2].map(model).to_vec()),
+        Axis::Scheme(vec![Scheme::Bisp, Scheme::Lockstep]),
+    ];
+    let scenarios = grid.expand(None);
 
     let report = run_sweep(&scenarios, 2)?;
 

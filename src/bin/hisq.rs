@@ -13,8 +13,10 @@
 //! the file without running anything, printing the scenario ids.
 //!
 //! Unknown flags and malformed inputs exit nonzero with a usage
-//! message; nothing is silently ignored.
+//! message; nothing is silently ignored. Output stops quietly, with
+//! exit 0, when the reader closes stdout (`hisq validate f.json | head`).
 
+use std::io::{self, StdoutLock, Write};
 use std::process::ExitCode;
 
 use distributed_hisq::runner::run_sweep;
@@ -40,6 +42,20 @@ options (validate):
   (none)
 
 The scenario-file grammar is documented in docs/SCENARIOS.md.";
+
+/// Prints through a locked stdout. A closed pipe means the reader has
+/// what it wanted: printing stops and the command still succeeds.
+fn emit(print: impl FnOnce(&mut StdoutLock<'static>) -> io::Result<()>) -> ExitCode {
+    let mut out = io::stdout().lock();
+    match print(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("hisq: stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
 fn fail(message: &str) -> ExitCode {
     eprintln!("hisq: {message}");
@@ -156,23 +172,23 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     };
     if args.json {
-        println!("{}", report.to_json());
-        return ExitCode::SUCCESS;
+        return emit(|out| writeln!(out, "{}", report.to_json()));
     }
-    println!("{}: {} scenario(s)", file.name, report.records().len());
-    if !file.description.is_empty() {
-        println!("  {}", file.description);
-    }
-    println!("{:-<78}", "");
-    for record in report.records() {
-        let makespan = match record.metrics.get("makespan_ns") {
-            Some(distributed_hisq::sim::Metric::U64(ns)) => format!("{ns:>12}"),
-            _ => format!("{:>12}", "-"),
-        };
-        println!("{makespan} ns  {}", record.id);
-    }
-    println!("{:-<78}", "");
-    ExitCode::SUCCESS
+    emit(|out| {
+        writeln!(out, "{}: {} scenario(s)", file.name, report.records().len())?;
+        if !file.description.is_empty() {
+            writeln!(out, "  {}", file.description)?;
+        }
+        writeln!(out, "{:-<78}", "")?;
+        for record in report.records() {
+            let makespan = match record.metrics.get("makespan_ns") {
+                Some(distributed_hisq::sim::Metric::U64(ns)) => format!("{ns:>12}"),
+                _ => format!("{:>12}", "-"),
+            };
+            writeln!(out, "{makespan} ns  {}", record.id)?;
+        }
+        writeln!(out, "{:-<78}", "")
+    })
 }
 
 fn cmd_validate(args: &[String]) -> ExitCode {
@@ -191,17 +207,20 @@ fn cmd_validate(args: &[String]) -> ExitCode {
         }
     };
     let scenarios = file.expand(None);
-    println!(
-        "{}: ok ({} grid point(s) x {} repetition(s) = {} scenario(s))",
-        file.name,
-        file.grid_len(),
-        file.repetitions,
-        scenarios.len()
-    );
-    for scenario in &scenarios {
-        println!("  {}", scenario.id());
-    }
-    ExitCode::SUCCESS
+    emit(|out| {
+        writeln!(
+            out,
+            "{}: ok ({} grid point(s) x {} repetition(s) = {} scenario(s))",
+            file.name,
+            file.grid_len(),
+            file.repetitions,
+            scenarios.len()
+        )?;
+        for scenario in &scenarios {
+            writeln!(out, "  {}", scenario.id())?;
+        }
+        Ok(())
+    })
 }
 
 fn main() -> ExitCode {
@@ -210,10 +229,7 @@ fn main() -> ExitCode {
         Some((command, rest)) => match command.as_str() {
             "run" => cmd_run(rest),
             "validate" => cmd_validate(rest),
-            "--help" | "-h" | "help" => {
-                println!("{USAGE}");
-                ExitCode::SUCCESS
-            }
+            "--help" | "-h" | "help" => emit(|out| writeln!(out, "{USAGE}")),
             other => fail(&format!("unknown command `{other}`")),
         },
         None => fail("missing command"),

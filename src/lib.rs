@@ -42,15 +42,17 @@
 //! assert_eq!(program.len(), 4);
 //! ```
 
-//! The [`runner`] module is the facade-level experiment harness: it
-//! glues the compiler to the simulator ([`runner::build_system`]) and
-//! drives whole parameter sweeps end to end — compile → place →
-//! simulate → aggregate — via [`runner::Scenario`] and
-//! [`runner::run_sweep`] on the [`sim::sweep`] worker pool.
+//! The [`scenario`] module is the scenario model — one experiment
+//! point ([`scenario::Scenario`]), its stable id and its JSON grammar —
+//! and the scenario *files* built from it: versioned JSON documents
+//! describing base scenarios plus sweep axes, expanded into grids,
+//! executed by the `hisq run` binary and replayed byte-for-byte in CI.
 //!
-//! The [`scenario`] module is the same harness as *files*: versioned
-//! JSON documents describing a base scenario plus sweep axes, executed
-//! by the `hisq run` binary and replayed byte-for-byte in CI.
+//! The [`runner`] module is the pipeline: it glues the compiler to the
+//! simulator ([`runner::build_system`]), runs each scenario through
+//! compile → instantiate → run + score ([`runner::run_scenario`]), and
+//! fans whole sweeps out over the [`sim::sweep`] worker pool
+//! ([`runner::run_sweep`]).
 //!
 //! The [`load`] module is the multi-tenant job engine on top of the
 //! runner: seeded open-loop arrival streams, a bounded admission

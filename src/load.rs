@@ -80,9 +80,8 @@ use hisq_sim::queue::{CalendarQueue, EventQueue};
 use hisq_sim::SweepRecord;
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::runner::{
-    run_scenario_from_artifact, CompileCache, RunnerError, Scenario, ScenarioReport,
-};
+use crate::runner::{run_scenario_from_artifact, CompileCache, RunnerError, ScenarioReport};
+use crate::scenario::Scenario;
 use crate::stats::percentile_nearest_rank;
 use crate::testing::fnv1a64;
 
@@ -178,7 +177,7 @@ pub enum ServiceModel {
 
 /// The `load` block of a scenario: arrival streams, machine
 /// partitioning, admission bound, and the service model. Attached as
-/// [`Scenario::load`](crate::runner::Scenario::load), it switches the
+/// [`Scenario::load`](crate::scenario::Scenario::load), it switches the
 /// scenario from "one program owns the machine" to the multi-tenant
 /// job engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -766,7 +765,7 @@ pub fn run_load(scenario: &Scenario, cache: &CompileCache) -> Result<LoadOutcome
             ServiceModel::Simulated => {
                 let mut inner = job_type.clone();
                 inner.seed = job_seed;
-                let record = run_scenario_from_artifact(&inner, artifact.clone())?;
+                let record = run_scenario_from_artifact(&inner, &artifact)?;
                 record
                     .counter("makespan_ns")
                     .ok_or_else(|| RunnerError::Load {
@@ -922,7 +921,6 @@ pub fn load_record(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Scenario;
     use hisq_compiler::Scheme;
     use hisq_workloads::WorkloadSpec;
 

@@ -1,13 +1,17 @@
-//! Versioned scenario files: the product surface of the reproduction.
+//! The scenario model and the scenario-file grammar: what one
+//! experiment point is ([`Scenario`], [`SystemParams`], [`SurgeryOp`]
+//! and the per-edge/per-qubit overrides), its stable id, its JSON form,
+//! and how a scenario file's axes expand into a grid.
 //!
 //! A scenario file is a JSON document describing a whole experiment —
 //! one or more base [`Scenario`]s, sweep axes expanded into the
-//! cartesian grid (exactly what the in-process
-//! [`SweepGrid`](hisq_sim::SweepGrid) builders do), and a repetition
-//! count — that the `hisq run` binary executes through the
-//! deterministic sweep engine. Committed scenario files plus their
+//! cartesian grid, and a repetition count — that the `hisq run` binary
+//! executes through the deterministic sweep engine
+//! ([`crate::runner::run_sweep`]). Committed scenario files plus their
 //! committed reports form the golden replay corpus in `scenarios/`,
-//! compared byte-for-byte by `cargo test` and in CI.
+//! compared byte-for-byte by `cargo test` and in CI. In-process grids
+//! are built the same way: a [`ScenarioFile`] with typed [`Axis`]
+//! values, then [`ScenarioFile::expand`].
 //!
 //! # Format
 //!
@@ -38,7 +42,10 @@
 //! - `axes` (optional) expand in file order into the cartesian
 //!   product, later axes varying fastest. Axis values overwrite the
 //!   corresponding base field, including whole `surgery` op lists — a
-//!   structural transform is a grid axis like any other.
+//!   structural transform is a grid axis like any other. Each value is
+//!   decoded by its base field's decoder, so it obeys the same rules
+//!   (a positive `t1_us`, an override list naming each edge or qubit
+//!   once, …).
 //! - `repetitions` (optional, default 1) runs every grid point `N`
 //!   times with consecutive seeds (`seed`, `seed+1`, …), golem-des
 //!   style; `hisq run --repetitions N` overrides it.
@@ -46,14 +53,18 @@
 //!   exceed [`MAX_SCENARIOS`]; a larger file is rejected at parse
 //!   time, before anything is allocated for it.
 
+use std::collections::{BTreeSet, HashSet};
+
 use hisq_compiler::Scheme;
+use hisq_core::NodeAddr;
+use hisq_isa::MAX_WAITI_CYCLES;
 use hisq_json::{Json, JsonError, ObjReader};
+use hisq_net::json::{edge_override_from_json, edge_override_to_json};
 use hisq_net::LinkModel;
 use hisq_quantum::NoiseModel;
 use hisq_workloads::WorkloadSpec;
 
 use crate::load::LoadSpec;
-use crate::runner::{LinkOverride, NoiseOverride, Scenario, SurgeryOp};
 
 /// The scenario-file schema version this build reads and writes.
 ///
@@ -67,6 +78,822 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// legitimate sweep never meets it, while a hostile or mistyped file
 /// fails at parse time instead of running until killed.
 pub const MAX_SCENARIOS: u64 = 100_000;
+
+/// A spec-surgery transform: a declarative edit applied to a scenario
+/// before it runs, making "the same experiment, with one structural
+/// change" expressible as a first-class sweep axis (and a scenario-file
+/// field) instead of a forked binary.
+///
+/// Topology ops ([`DropRouterLevel`](SurgeryOp::DropRouterLevel),
+/// [`RewireSubtree`](SurgeryOp::RewireSubtree)) mutate the built
+/// router tree *before* compilation, so the BISP compiler places
+/// region syncs against the surgered tree. Scenario ops
+/// ([`SwapWorkload`](SurgeryOp::SwapWorkload),
+/// [`OverrideLinkModel`](SurgeryOp::OverrideLinkModel),
+/// [`OverrideNoise`](SurgeryOp::OverrideNoise)) replace the
+/// corresponding scenario field, and the heat ops
+/// ([`HeatEdge`](SurgeryOp::HeatEdge),
+/// [`HeatQubit`](SurgeryOp::HeatQubit)) push one per-edge/per-qubit
+/// override on top of whatever the parameters declare (see
+/// [`effective_maps`](crate::runner::effective_maps) for the resolution
+/// order). Ops apply in list order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SurgeryOp {
+    /// Remove the bottom router level, splicing its children into
+    /// their grandparents (see
+    /// [`Topology::drop_router_level`](hisq_net::Topology::drop_router_level))
+    /// — a flatter, higher-fan-in synchronization tree.
+    DropRouterLevel,
+    /// Reattach the subtree rooted at `subtree` under router
+    /// `new_parent` (see
+    /// [`Topology::rewire_subtree`](hisq_net::Topology::rewire_subtree))
+    /// — a region reporting through a different coordinator.
+    RewireSubtree {
+        /// Root of the moved subtree (controller or router address).
+        subtree: NodeAddr,
+        /// The router that adopts it.
+        new_parent: NodeAddr,
+    },
+    /// Run a different workload with otherwise identical parameters.
+    SwapWorkload {
+        /// The replacement workload.
+        workload: WorkloadSpec,
+    },
+    /// Replace the classical link contention model.
+    OverrideLinkModel {
+        /// The replacement model.
+        link_model: LinkModel,
+    },
+    /// Replace the quantum noise model.
+    OverrideNoise {
+        /// The replacement model.
+        noise: NoiseModel,
+    },
+    /// Heat one directed fabric edge: run `link_model` on the
+    /// `from → to` link while every other link keeps the scenario's
+    /// default — "the same machine, with one degraded cable".
+    HeatEdge {
+        /// Source endpoint of the heated link.
+        from: NodeAddr,
+        /// Destination endpoint of the heated link.
+        to: NodeAddr,
+        /// The model the heated link runs.
+        link_model: LinkModel,
+    },
+    /// Heat one physical qubit: score (and sample) `noise` on that
+    /// qubit while every other qubit keeps the scenario's default —
+    /// "the same device, with one lossy transmon".
+    HeatQubit {
+        /// The heated physical qubit (= controller index).
+        qubit: usize,
+        /// The model the heated qubit runs.
+        noise: NoiseModel,
+    },
+}
+
+impl SurgeryOp {
+    /// Short stable fragment for scenario ids (see [`Scenario::id`]).
+    fn id_fragment(&self) -> String {
+        match self {
+            SurgeryOp::DropRouterLevel => "droplevel".to_string(),
+            SurgeryOp::RewireSubtree {
+                subtree,
+                new_parent,
+            } => format!("rewire{subtree}-{new_parent}"),
+            SurgeryOp::SwapWorkload { workload } => format!("swap-{}", workload.label()),
+            SurgeryOp::OverrideLinkModel { link_model } => {
+                format!("lm-{}", link_model_fragment(link_model))
+            }
+            SurgeryOp::OverrideNoise { noise } => format!("noise-{}", noise_fragment(noise)),
+            SurgeryOp::HeatEdge {
+                from,
+                to,
+                link_model,
+            } => format!("heatedge{from}-{to}.{}", link_model_fragment(link_model)),
+            SurgeryOp::HeatQubit { qubit, noise } => {
+                format!("heatqubit{qubit}.{}", noise_fragment(noise))
+            }
+        }
+    }
+
+    /// Serializes the op as an `op`-tagged object, e.g.
+    /// `{"op":"rewire_subtree","subtree":5,"new_parent":21}`.
+    pub fn to_json(&self) -> Json {
+        match self {
+            SurgeryOp::DropRouterLevel => {
+                Json::Object(vec![("op".into(), Json::str("drop_router_level"))])
+            }
+            SurgeryOp::RewireSubtree {
+                subtree,
+                new_parent,
+            } => Json::Object(vec![
+                ("op".into(), Json::str("rewire_subtree")),
+                ("subtree".into(), (*subtree).into()),
+                ("new_parent".into(), (*new_parent).into()),
+            ]),
+            SurgeryOp::SwapWorkload { workload } => Json::Object(vec![
+                ("op".into(), Json::str("swap_workload")),
+                ("workload".into(), workload.to_json()),
+            ]),
+            SurgeryOp::OverrideLinkModel { link_model } => Json::Object(vec![
+                ("op".into(), Json::str("override_link_model")),
+                ("link_model".into(), link_model.to_json()),
+            ]),
+            SurgeryOp::OverrideNoise { noise } => Json::Object(vec![
+                ("op".into(), Json::str("override_noise")),
+                ("noise".into(), noise.to_json()),
+            ]),
+            SurgeryOp::HeatEdge {
+                from,
+                to,
+                link_model,
+            } => Json::Object(vec![
+                ("op".into(), Json::str("heat_edge")),
+                ("from".into(), (*from).into()),
+                ("to".into(), (*to).into()),
+                ("link_model".into(), link_model.to_json()),
+            ]),
+            SurgeryOp::HeatQubit { qubit, noise } => Json::Object(vec![
+                ("op".into(), Json::str("heat_qubit")),
+                ("qubit".into(), (*qubit).into()),
+                ("noise".into(), noise.to_json()),
+            ]),
+        }
+    }
+
+    /// Parses an op serialized by [`SurgeryOp::to_json`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] at `path` for an unknown `op` tag,
+    /// missing/unknown fields, or wrong types.
+    pub fn from_json(value: &Json, path: &str) -> Result<SurgeryOp, JsonError> {
+        let mut obj = ObjReader::new(value, path)?;
+        let tag_path = obj.field_path("op");
+        let tag = obj.required("op")?.as_str(&tag_path)?.to_owned();
+        let op = match tag.as_str() {
+            "drop_router_level" => SurgeryOp::DropRouterLevel,
+            "rewire_subtree" => SurgeryOp::RewireSubtree {
+                subtree: obj
+                    .required("subtree")?
+                    .as_u16(&obj.field_path("subtree"))?,
+                new_parent: obj
+                    .required("new_parent")?
+                    .as_u16(&obj.field_path("new_parent"))?,
+            },
+            "swap_workload" => SurgeryOp::SwapWorkload {
+                workload: WorkloadSpec::from_json(
+                    obj.required("workload")?,
+                    &obj.field_path("workload"),
+                )?,
+            },
+            "override_link_model" => SurgeryOp::OverrideLinkModel {
+                link_model: LinkModel::from_json(
+                    obj.required("link_model")?,
+                    &obj.field_path("link_model"),
+                )?,
+            },
+            "override_noise" => SurgeryOp::OverrideNoise {
+                noise: NoiseModel::from_json(obj.required("noise")?, &obj.field_path("noise"))?,
+            },
+            "heat_edge" => SurgeryOp::HeatEdge {
+                from: obj.required("from")?.as_u16(&obj.field_path("from"))?,
+                to: obj.required("to")?.as_u16(&obj.field_path("to"))?,
+                link_model: LinkModel::from_json(
+                    obj.required("link_model")?,
+                    &obj.field_path("link_model"),
+                )?,
+            },
+            "heat_qubit" => SurgeryOp::HeatQubit {
+                qubit: obj.required("qubit")?.as_usize(&obj.field_path("qubit"))?,
+                noise: NoiseModel::from_json(obj.required("noise")?, &obj.field_path("noise"))?,
+            },
+            other => {
+                return Err(JsonError::decode(
+                    tag_path,
+                    format!(
+                        "unknown surgery op \"{other}\" (expected \"drop_router_level\", \
+                         \"rewire_subtree\", \"swap_workload\", \"override_link_model\", \
+                         \"override_noise\", \"heat_edge\", or \"heat_qubit\")"
+                    ),
+                ))
+            }
+        };
+        obj.reject_unknown()?;
+        Ok(op)
+    }
+}
+
+/// One per-directed-edge link-model override of a scenario's fabric:
+/// the `from → to` link runs `link_model` while every other link keeps
+/// the scenario default. The scenario-grammar form is
+/// `{"from": a, "to": b, "model": {...}}`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkOverride {
+    /// Source endpoint of the overridden link.
+    pub from: NodeAddr,
+    /// Destination endpoint of the overridden link.
+    pub to: NodeAddr,
+    /// The model that directed link runs.
+    pub link_model: LinkModel,
+}
+
+impl LinkOverride {
+    /// Serializes the override as `{"from": a, "to": b, "model": {...}}`.
+    pub fn to_json(&self) -> Json {
+        edge_override_to_json(self.from, self.to, &self.link_model)
+    }
+
+    /// Parses an override serialized by [`LinkOverride::to_json`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] at `path` for missing/unknown fields or
+    /// a malformed model.
+    pub fn from_json(value: &Json, path: &str) -> Result<LinkOverride, JsonError> {
+        let (from, to, link_model) = edge_override_from_json(value, path)?;
+        Ok(LinkOverride {
+            from,
+            to,
+            link_model,
+        })
+    }
+}
+
+/// One per-qubit noise-model override of a scenario's device: physical
+/// qubit `qubit` runs `noise` while every other qubit keeps the
+/// scenario default. The scenario-grammar form is
+/// `{"qubit": q, "noise": {...}}` (the same shape
+/// [`NoiseMap`](hisq_quantum::NoiseMap)'s `overrides` entries use).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NoiseOverride {
+    /// The overridden physical qubit (= controller index).
+    pub qubit: usize,
+    /// The model that qubit runs.
+    pub noise: NoiseModel,
+}
+
+impl NoiseOverride {
+    /// Serializes the override as `{"qubit": q, "noise": {...}}`.
+    pub fn to_json(&self) -> Json {
+        Json::Object(vec![
+            ("qubit".into(), self.qubit.into()),
+            ("noise".into(), self.noise.to_json()),
+        ])
+    }
+
+    /// Parses an override serialized by [`NoiseOverride::to_json`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] at `path` for missing/unknown fields or
+    /// a malformed model.
+    pub fn from_json(value: &Json, path: &str) -> Result<NoiseOverride, JsonError> {
+        let mut obj = ObjReader::new(value, path)?;
+        let qubit = obj.required("qubit")?.as_usize(&obj.field_path("qubit"))?;
+        let noise = NoiseModel::from_json(obj.required("noise")?, &obj.field_path("noise"))?;
+        obj.reject_unknown()?;
+        Ok(NoiseOverride { qubit, noise })
+    }
+}
+
+/// System-level parameters of a scenario: the mesh/tree link latencies
+/// the BISP topology is built with, the star latencies of the
+/// lock-step baseline's broadcast hub, the classical-link and
+/// quantum-noise models both schemes run under, and the heterogeneous
+/// per-edge/per-qubit overrides on top of those defaults.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SystemParams {
+    /// Mesh-edge latency between neighbouring controllers (cycles).
+    pub neighbor_latency: u64,
+    /// Tree-edge latency between routers (cycles).
+    pub router_latency: u64,
+    /// Router fan-in of the synchronization tree.
+    pub router_arity: usize,
+    /// Baseline controller → hub latency (cycles).
+    pub star_up_latency: u64,
+    /// Baseline hub → controller broadcast latency (cycles).
+    pub star_down_latency: u64,
+    /// Contention model every classical link runs — a first-class
+    /// sweep axis (default: transparent pure-latency links). Applies to
+    /// both schemes: mesh/tree links under BISP, the star's up/down
+    /// legs under lock-step.
+    pub link_model: LinkModel,
+    /// Quantum noise model — a first-class sweep axis (default: exactly
+    /// noiseless). A non-default model switches the scenario's backend
+    /// to the leakage-aware random backend (so outcomes, and therefore
+    /// feedback branches, sample the noise) and adds the analytic
+    /// `noise_infidelity` metric scored from the committed operation
+    /// counts and the exposure ledger (`fig_noise`'s metric).
+    pub noise: NoiseModel,
+    /// Per-directed-edge overrides of [`link_model`](Self::link_model)
+    /// (default: none — a uniform fabric, byte-identical to the
+    /// historical single-model path). A scenario file may name each
+    /// edge once; in a list built in code, later entries for the same
+    /// edge win. An entry equal to the default is a no-op.
+    pub link_overrides: Vec<LinkOverride>,
+    /// Per-qubit overrides of [`noise`](Self::noise) (default: none — a
+    /// uniform device). A scenario file may name each qubit once; in a
+    /// list built in code, later entries for the same qubit win. An
+    /// entry equal to the default is a no-op. Any override (even on an
+    /// otherwise noiseless device) switches the backend to the
+    /// leakage-aware one and enables the noise metrics.
+    pub noise_overrides: Vec<NoiseOverride>,
+    /// When `true`, the BISP compile stage reads the effective fabric
+    /// and noise maps and places the circuit to avoid heated edges and
+    /// qubits (see [`hisq_compiler::fabric`]); when `false` (the
+    /// default) compilation is fabric-oblivious, exactly the historical
+    /// pipeline. Lock-step compilation has no placement freedom and
+    /// ignores the flag.
+    pub fabric_aware: bool,
+}
+
+impl Default for SystemParams {
+    /// The paper's Figure 15 defaults: 5-cycle mesh edges, 10-cycle
+    /// tree edges, arity 4, 100 ns (25-cycle) star legs, transparent
+    /// links, no gate noise.
+    fn default() -> SystemParams {
+        SystemParams {
+            neighbor_latency: 5,
+            router_latency: 10,
+            router_arity: 4,
+            star_up_latency: 25,
+            star_down_latency: 25,
+            link_model: LinkModel::default(),
+            noise: NoiseModel::NOISELESS,
+            link_overrides: Vec::new(),
+            noise_overrides: Vec::new(),
+            fabric_aware: false,
+        }
+    }
+}
+
+impl SystemParams {
+    /// Serializes the parameters (every scalar field explicit, so a
+    /// committed scenario documents its full configuration; the
+    /// override lists and the `fabric_aware` flag are omitted when
+    /// empty/false, so uniform-fabric scenarios render exactly as they
+    /// always have).
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("neighbor_latency".into(), self.neighbor_latency.into()),
+            ("router_latency".into(), self.router_latency.into()),
+            ("router_arity".into(), self.router_arity.into()),
+            ("star_up_latency".into(), self.star_up_latency.into()),
+            ("star_down_latency".into(), self.star_down_latency.into()),
+            ("link_model".into(), self.link_model.to_json()),
+            ("noise".into(), self.noise.to_json()),
+        ];
+        if !self.link_overrides.is_empty() {
+            fields.push((
+                "link_overrides".into(),
+                link_overrides_to_json(&self.link_overrides),
+            ));
+        }
+        if !self.noise_overrides.is_empty() {
+            fields.push((
+                "noise_overrides".into(),
+                noise_overrides_to_json(&self.noise_overrides),
+            ));
+        }
+        if self.fabric_aware {
+            fields.push(("fabric_aware".into(), true.into()));
+        }
+        Json::Object(fields)
+    }
+
+    /// Parses parameters serialized by [`SystemParams::to_json`].
+    /// Omitted fields take the paper defaults ([`SystemParams::default`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] at `path` for unknown fields, wrong
+    /// types, `router_arity < 2` (the topology builder would panic), a
+    /// latency over [`MAX_WAITI_CYCLES`], or an override list naming
+    /// one edge or qubit twice.
+    pub fn from_json(value: &Json, path: &str) -> Result<SystemParams, JsonError> {
+        let mut obj = ObjReader::new(value, path)?;
+        let mut params = SystemParams::default();
+        if let Some(v) = obj.optional("neighbor_latency") {
+            params.neighbor_latency = latency_from_json(v, &obj.field_path("neighbor_latency"))?;
+        }
+        if let Some(v) = obj.optional("router_latency") {
+            params.router_latency = latency_from_json(v, &obj.field_path("router_latency"))?;
+        }
+        if let Some(v) = obj.optional("router_arity") {
+            params.router_arity = v.as_usize(&obj.field_path("router_arity"))?;
+            if params.router_arity < 2 {
+                return Err(JsonError::decode(
+                    obj.field_path("router_arity"),
+                    "router arity must be at least 2",
+                ));
+            }
+        }
+        if let Some(v) = obj.optional("star_up_latency") {
+            params.star_up_latency = latency_from_json(v, &obj.field_path("star_up_latency"))?;
+        }
+        if let Some(v) = obj.optional("star_down_latency") {
+            params.star_down_latency = latency_from_json(v, &obj.field_path("star_down_latency"))?;
+        }
+        if let Some(v) = obj.optional("link_model") {
+            params.link_model = LinkModel::from_json(v, &obj.field_path("link_model"))?;
+        }
+        if let Some(v) = obj.optional("noise") {
+            params.noise = NoiseModel::from_json(v, &obj.field_path("noise"))?;
+        }
+        if let Some(v) = obj.optional("link_overrides") {
+            params.link_overrides = link_overrides_from_json(v, &obj.field_path("link_overrides"))?;
+        }
+        if let Some(v) = obj.optional("noise_overrides") {
+            params.noise_overrides =
+                noise_overrides_from_json(v, &obj.field_path("noise_overrides"))?;
+        }
+        if let Some(v) = obj.optional("fabric_aware") {
+            params.fabric_aware = v.as_bool(&obj.field_path("fabric_aware"))?;
+        }
+        obj.reject_unknown()?;
+        Ok(params)
+    }
+}
+
+/// Parses a link latency in cycles. The compilers emit each wait of a
+/// latency as `waiti`s of at most [`MAX_WAITI_CYCLES`], and the engine
+/// adds latencies to cycle counts unchecked, so a latency is bounded by
+/// one `waiti`.
+fn latency_from_json(value: &Json, path: &str) -> Result<u64, JsonError> {
+    let cycles = value.as_u64(path)?;
+    let limit = u64::from(MAX_WAITI_CYCLES);
+    if cycles > limit {
+        return Err(JsonError::decode(
+            path,
+            format!("latency {cycles} cycles is over the limit of {limit} cycles (one waiti)"),
+        ));
+    }
+    Ok(cycles)
+}
+
+/// One experiment point of a sweep: workload × scheme × system
+/// parameters × seed × coherence time.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Scenario {
+    /// The workload to compile and run.
+    pub workload: WorkloadSpec,
+    /// Execution scheme (Distributed-HISQ BISP or lock-step baseline).
+    pub scheme: Scheme,
+    /// Seed of the random measurement backend.
+    pub seed: u64,
+    /// Relaxation time T1 = T2 (µs) the infidelity metric is scored at.
+    pub t1_us: f64,
+    /// Program repetitions per run. Under BISP every shot after the
+    /// first opens with a region-level synchronization against the
+    /// router tree (§2.1.4), so multi-shot scenarios are the ones where
+    /// tree surgery is timing-visible; lock-step unrolls shots
+    /// statically.
+    pub shots: u32,
+    /// Link latencies and baseline star parameters.
+    pub params: SystemParams,
+    /// Spec-surgery transforms applied before the run (usually empty).
+    pub surgery: Vec<SurgeryOp>,
+    /// Optional multi-tenant load block: when set, the scenario runs
+    /// the [`crate::load`] job engine (arrival streams multiplexed
+    /// over controller partitions, each job an instance of this
+    /// scenario) instead of a single program run.
+    pub load: Option<LoadSpec>,
+}
+
+impl Scenario {
+    /// A scenario with the paper-default seed (1), coherence (300 µs),
+    /// and system parameters.
+    pub fn new(workload: WorkloadSpec, scheme: Scheme) -> Scenario {
+        Scenario {
+            workload,
+            scheme,
+            seed: 1,
+            t1_us: 300.0,
+            shots: 1,
+            params: SystemParams::default(),
+            surgery: Vec::new(),
+            load: None,
+        }
+    }
+
+    /// Replaces the shot count (builder style).
+    #[must_use]
+    pub fn with_shots(mut self, shots: u32) -> Scenario {
+        self.shots = shots;
+        self
+    }
+
+    /// Replaces the backend seed (builder style).
+    #[must_use]
+    pub fn with_seed(mut self, seed: u64) -> Scenario {
+        self.seed = seed;
+        self
+    }
+
+    /// Replaces the scored coherence time (builder style).
+    #[must_use]
+    pub fn with_t1_us(mut self, t1_us: f64) -> Scenario {
+        self.t1_us = t1_us;
+        self
+    }
+
+    /// Replaces the system parameters (builder style).
+    #[must_use]
+    pub fn with_params(mut self, params: SystemParams) -> Scenario {
+        self.params = params;
+        self
+    }
+
+    /// Appends a spec-surgery transform (builder style).
+    #[must_use]
+    pub fn with_surgery(mut self, op: SurgeryOp) -> Scenario {
+        self.surgery.push(op);
+        self
+    }
+
+    /// Attaches a multi-tenant load block (builder style).
+    #[must_use]
+    pub fn with_load(mut self, load: LoadSpec) -> Scenario {
+        self.load = Some(load);
+        self
+    }
+
+    /// Stable identifier used as the sweep-record id (and for pairing
+    /// scheme twins in the figure harnesses).
+    ///
+    /// Default-link-model single-shot ids are unchanged from their
+    /// historical form; a multi-shot scenario appends a `/shotsN`
+    /// segment, and a contended model appends a
+    /// `/serN.cK[.lossPPM.sSEED.aATTEMPTS]` segment covering every
+    /// [`LinkModel`] field, so grid points along *any* link-model axis
+    /// (serialization, capacity, loss rate, drop seed, attempt budget)
+    /// stay unique. A non-default noise model likewise appends a
+    /// `/p1qA.p2qB.mC.iD.lE` segment covering every [`NoiseModel`]
+    /// rate, so grid points along any noise axis stay unique too.
+    /// Heterogeneous scenarios append one `/loF-T.<link frag>` segment
+    /// per link override, one `/noQ.<noise frag>` segment per noise
+    /// override, and `/aware` when fabric-aware compilation is on —
+    /// all absent on uniform fabrics, keeping historical ids intact.
+    pub fn id(&self) -> String {
+        let mut id = format!(
+            "{}/{}/seed{}/t{}",
+            self.workload.label(),
+            scheme_name(self.scheme),
+            self.seed,
+            self.t1_us
+        );
+        // Single-shot ids are unchanged from their historical form.
+        if self.shots != 1 {
+            id.push_str(&format!("/shots{}", self.shots));
+        }
+        let model = self.params.link_model;
+        if model != LinkModel::default() {
+            id.push_str(&format!("/{}", link_model_fragment(&model)));
+        }
+        let noise = self.params.noise;
+        if !noise.is_noiseless() {
+            id.push_str(&format!("/{}", noise_fragment(&noise)));
+        }
+        // Uniform-fabric ids are unchanged from their historical form:
+        // override segments (and the `/aware` marker) only appear when
+        // the corresponding heterogeneity is actually declared.
+        for over in &self.params.link_overrides {
+            id.push_str(&format!(
+                "/lo{}-{}.{}",
+                over.from,
+                over.to,
+                link_model_fragment(&over.link_model)
+            ));
+        }
+        for over in &self.params.noise_overrides {
+            id.push_str(&format!(
+                "/no{}.{}",
+                over.qubit,
+                noise_fragment(&over.noise)
+            ));
+        }
+        if self.params.fabric_aware {
+            id.push_str("/aware");
+        }
+        // Surgery-free ids are unchanged from their historical form.
+        for op in &self.surgery {
+            id.push_str("/x-");
+            id.push_str(&op.id_fragment());
+        }
+        // Load-free ids are unchanged from their historical form.
+        if let Some(load) = &self.load {
+            id.push_str(&format!("/{}", load.id_fragment()));
+        }
+        id
+    }
+
+    /// Serializes the scenario for the scenario-file surface
+    /// (`hisq run`). Every field is explicit.
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("workload".into(), self.workload.to_json()),
+            ("scheme".into(), scheme_to_json(&self.scheme)),
+            ("seed".into(), self.seed.into()),
+            ("t1_us".into(), t1_us_to_json(&self.t1_us)),
+            ("shots".into(), shots_to_json(&self.shots)),
+            ("params".into(), self.params.to_json()),
+        ];
+        if !self.surgery.is_empty() {
+            fields.push(("surgery".into(), surgery_to_json(&self.surgery)));
+        }
+        if let Some(load) = &self.load {
+            fields.push(("load".into(), load.to_json()));
+        }
+        Json::Object(fields)
+    }
+
+    /// Parses a scenario serialized by [`Scenario::to_json`]. Only
+    /// `workload` and `scheme` are required; `seed`, `t1_us`, `shots`,
+    /// `params`, and `surgery` default as in [`Scenario::new`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] at `path` for missing/unknown fields,
+    /// an unknown scheme, wrong types, a non-positive `t1_us`, or zero
+    /// `shots`.
+    pub fn from_json(value: &Json, path: &str) -> Result<Scenario, JsonError> {
+        let mut obj = ObjReader::new(value, path)?;
+        let workload =
+            WorkloadSpec::from_json(obj.required("workload")?, &obj.field_path("workload"))?;
+        let scheme = scheme_from_json(obj.required("scheme")?, &obj.field_path("scheme"))?;
+        let mut scenario = Scenario::new(workload, scheme);
+        if let Some(v) = obj.optional("seed") {
+            scenario.seed = v.as_u64(&obj.field_path("seed"))?;
+        }
+        if let Some(v) = obj.optional("t1_us") {
+            scenario.t1_us = t1_us_from_json(v, &obj.field_path("t1_us"))?;
+        }
+        if let Some(v) = obj.optional("shots") {
+            scenario.shots = shots_from_json(v, &obj.field_path("shots"))?;
+        }
+        if let Some(v) = obj.optional("params") {
+            scenario.params = SystemParams::from_json(v, &obj.field_path("params"))?;
+        }
+        if let Some(v) = obj.optional("surgery") {
+            scenario.surgery = surgery_from_json(v, &obj.field_path("surgery"))?;
+        }
+        if let Some(v) = obj.optional("load") {
+            scenario.load = Some(LoadSpec::from_json(v, &obj.field_path("load"))?);
+        }
+        obj.reject_unknown()?;
+        Ok(scenario)
+    }
+}
+
+/// The scheme's name in scenario files and ids.
+fn scheme_name(scheme: Scheme) -> &'static str {
+    match scheme {
+        Scheme::Bisp => "bisp",
+        Scheme::Lockstep => "lockstep",
+    }
+}
+
+// Field codecs: the one JSON form and validation of each scenario
+// field that is also a sweep axis. `base` (through `Scenario` and
+// `SystemParams`) and axis values (through `Axis`) both call these,
+// so an axis value obeys exactly its base field's rules.
+
+fn scheme_to_json(scheme: &Scheme) -> Json {
+    Json::str(scheme_name(*scheme))
+}
+
+fn scheme_from_json(value: &Json, path: &str) -> Result<Scheme, JsonError> {
+    let name = value.as_str(path)?;
+    [Scheme::Bisp, Scheme::Lockstep]
+        .into_iter()
+        .find(|&scheme| scheme_name(scheme) == name)
+        .ok_or_else(|| {
+            JsonError::decode(
+                path,
+                format!(
+                    "unknown scheme \"{name}\" (expected \"{}\" or \"{}\")",
+                    scheme_name(Scheme::Bisp),
+                    scheme_name(Scheme::Lockstep)
+                ),
+            )
+        })
+}
+
+fn t1_us_to_json(t1_us: &f64) -> Json {
+    Json::float(*t1_us)
+}
+
+fn t1_us_from_json(value: &Json, path: &str) -> Result<f64, JsonError> {
+    let t1_us = value.as_f64(path)?;
+    if t1_us <= 0.0 {
+        return Err(JsonError::decode(path, "t1_us must be positive"));
+    }
+    Ok(t1_us)
+}
+
+fn shots_to_json(shots: &u32) -> Json {
+    u64::from(*shots).into()
+}
+
+fn shots_from_json(value: &Json, path: &str) -> Result<u32, JsonError> {
+    let shots = value.as_u32(path)?;
+    if shots == 0 {
+        return Err(JsonError::decode(path, "shots must be at least 1"));
+    }
+    Ok(shots)
+}
+
+fn link_overrides_to_json(overrides: &[LinkOverride]) -> Json {
+    Json::Array(overrides.iter().map(LinkOverride::to_json).collect())
+}
+
+fn link_overrides_from_json(value: &Json, path: &str) -> Result<Vec<LinkOverride>, JsonError> {
+    distinct_from_json(value, path, LinkOverride::from_json, |over| {
+        format!("edge {} -> {}", over.from, over.to)
+    })
+}
+
+fn noise_overrides_to_json(overrides: &[NoiseOverride]) -> Json {
+    Json::Array(overrides.iter().map(NoiseOverride::to_json).collect())
+}
+
+fn noise_overrides_from_json(value: &Json, path: &str) -> Result<Vec<NoiseOverride>, JsonError> {
+    distinct_from_json(value, path, NoiseOverride::from_json, |over| {
+        format!("qubit {}", over.qubit)
+    })
+}
+
+fn surgery_to_json(ops: &[SurgeryOp]) -> Json {
+    Json::Array(ops.iter().map(SurgeryOp::to_json).collect())
+}
+
+fn surgery_from_json(value: &Json, path: &str) -> Result<Vec<SurgeryOp>, JsonError> {
+    decode_each(value.as_array(path)?, path, SurgeryOp::from_json)
+}
+
+/// Decodes `values` (the array at `path`) element by element.
+fn decode_each<T>(
+    values: &[Json],
+    path: &str,
+    decode: impl Fn(&Json, &str) -> Result<T, JsonError>,
+) -> Result<Vec<T>, JsonError> {
+    values
+        .iter()
+        .enumerate()
+        .map(|(i, value)| decode(value, &format!("{path}[{i}]")))
+        .collect()
+}
+
+/// Decodes an override list whose entries must name distinct targets:
+/// `target` renders an entry's edge or qubit, and the first entry
+/// repeating one is an error at its own path.
+fn distinct_from_json<T>(
+    value: &Json,
+    path: &str,
+    decode: impl Fn(&Json, &str) -> Result<T, JsonError>,
+    target: impl Fn(&T) -> String,
+) -> Result<Vec<T>, JsonError> {
+    let mut seen = BTreeSet::new();
+    let mut list = Vec::new();
+    for (i, entry) in value.as_array(path)?.iter().enumerate() {
+        let entry_path = format!("{path}[{i}]");
+        let over = decode(entry, &entry_path)?;
+        let target = target(&over);
+        if seen.contains(&target) {
+            return Err(JsonError::decode(
+                entry_path,
+                format!("duplicate override for {target}"),
+            ));
+        }
+        seen.insert(target);
+        list.push(over);
+    }
+    Ok(list)
+}
+
+/// Short stable rendering of a [`LinkModel`] for scenario-id segments:
+/// `serN.cK[.lossPPM.sSEED.aATTEMPTS]`.
+fn link_model_fragment(model: &LinkModel) -> String {
+    let mut frag = format!("ser{}.c{}", model.serialization_ns, model.capacity);
+    if let Some(drop) = model.drop {
+        frag.push_str(&format!(
+            ".loss{}.s{}.a{}",
+            drop.loss_ppm, drop.seed, drop.max_attempts
+        ));
+    }
+    frag
+}
+
+/// Short stable rendering of a [`NoiseModel`] for scenario-id segments:
+/// `p1qA.p2qB.mC.iD.lE` (every rate, so grid points along any noise
+/// axis stay unique).
+fn noise_fragment(noise: &NoiseModel) -> String {
+    format!(
+        "p1q{}.p2q{}.m{}.i{}.l{}",
+        noise.p_gate_1q, noise.p_gate_2q, noise.p_meas, noise.p_idle_per_ns, noise.p_leak
+    )
+}
 
 /// One sweep axis of a scenario file: which base field varies, and the
 /// values it takes. Axes expand in file order into the cartesian
@@ -167,37 +994,21 @@ impl Axis {
         }
     }
 
-    /// Serializes the axis as `{"axis": name, "values": [...]}`.
+    /// Serializes the axis as `{"axis": name, "values": [...]}`, each
+    /// value in its base field's form.
     pub fn to_json(&self) -> Json {
         let values = match self {
-            Axis::Scheme(v) => v
-                .iter()
-                .map(|s| {
-                    Json::str(match s {
-                        Scheme::Bisp => "bisp",
-                        Scheme::Lockstep => "lockstep",
-                    })
-                })
-                .collect(),
-            Axis::Seed(v) => v.iter().map(|&s| s.into()).collect(),
-            Axis::T1Us(v) => v.iter().map(|&t| Json::float(t)).collect(),
-            Axis::Shots(v) => v.iter().map(|&s| u64::from(s).into()).collect(),
+            Axis::Scheme(v) => v.iter().map(scheme_to_json).collect(),
+            Axis::Seed(v) => v.iter().map(|&seed| seed.into()).collect(),
+            Axis::T1Us(v) => v.iter().map(t1_us_to_json).collect(),
+            Axis::Shots(v) => v.iter().map(shots_to_json).collect(),
             Axis::Workload(v) => v.iter().map(WorkloadSpec::to_json).collect(),
             Axis::LinkModel(v) => v.iter().map(LinkModel::to_json).collect(),
             Axis::Noise(v) => v.iter().map(NoiseModel::to_json).collect(),
-            Axis::LinkOverrides(v) => v
-                .iter()
-                .map(|overs| Json::Array(overs.iter().map(LinkOverride::to_json).collect()))
-                .collect(),
-            Axis::NoiseOverrides(v) => v
-                .iter()
-                .map(|overs| Json::Array(overs.iter().map(NoiseOverride::to_json).collect()))
-                .collect(),
-            Axis::FabricAware(v) => v.iter().map(|&b| b.into()).collect(),
-            Axis::Surgery(v) => v
-                .iter()
-                .map(|ops| Json::Array(ops.iter().map(SurgeryOp::to_json).collect()))
-                .collect(),
+            Axis::LinkOverrides(v) => v.iter().map(|list| link_overrides_to_json(list)).collect(),
+            Axis::NoiseOverrides(v) => v.iter().map(|list| noise_overrides_to_json(list)).collect(),
+            Axis::FabricAware(v) => v.iter().map(|&aware| aware.into()).collect(),
+            Axis::Surgery(v) => v.iter().map(|ops| surgery_to_json(ops)).collect(),
             Axis::Load(v) => v.iter().map(LoadSpec::to_json).collect(),
         };
         Json::Object(vec![
@@ -206,147 +1017,36 @@ impl Axis {
         ])
     }
 
-    /// Parses an axis serialized by [`Axis::to_json`].
+    /// Parses an axis serialized by [`Axis::to_json`]; each value is
+    /// decoded by its base field's decoder.
     ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] at `path` for an unknown axis name, an
-    /// empty value list, or malformed values.
+    /// empty value list, or a value its base field would reject.
     pub fn from_json(value: &Json, path: &str) -> Result<Axis, JsonError> {
         let mut obj = ObjReader::new(value, path)?;
         let name_path = obj.field_path("axis");
         let name = obj.required("axis")?.as_str(&name_path)?.to_owned();
-        let values_path = obj.field_path("values");
-        let values = obj.required("values")?.as_array(&values_path)?;
-        let at = |i: usize| format!("{values_path}[{i}]");
+        let at = obj.field_path("values");
+        let values = obj.required("values")?.as_array(&at)?;
         let axis = match name.as_str() {
-            "scheme" => Axis::Scheme(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| match v.as_str(&at(i))? {
-                        "bisp" => Ok(Scheme::Bisp),
-                        "lockstep" => Ok(Scheme::Lockstep),
-                        other => Err(JsonError::decode(
-                            at(i),
-                            format!(
-                                "unknown scheme \"{other}\" (expected \"bisp\" or \"lockstep\")"
-                            ),
-                        )),
-                    })
-                    .collect::<Result<_, _>>()?,
-            ),
-            "seed" => Axis::Seed(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| v.as_u64(&at(i)))
-                    .collect::<Result<_, _>>()?,
-            ),
-            "t1_us" => Axis::T1Us(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| {
-                        let t1_us = v.as_f64(&at(i))?;
-                        if t1_us <= 0.0 {
-                            return Err(JsonError::decode(at(i), "t1_us must be positive"));
-                        }
-                        Ok(t1_us)
-                    })
-                    .collect::<Result<_, _>>()?,
-            ),
-            "shots" => Axis::Shots(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| {
-                        let shots = v.as_u32(&at(i))?;
-                        if shots == 0 {
-                            return Err(JsonError::decode(at(i), "shots must be at least 1"));
-                        }
-                        Ok(shots)
-                    })
-                    .collect::<Result<_, _>>()?,
-            ),
-            "workload" => Axis::Workload(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| WorkloadSpec::from_json(v, &at(i)))
-                    .collect::<Result<_, _>>()?,
-            ),
-            "link_model" => Axis::LinkModel(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| LinkModel::from_json(v, &at(i)))
-                    .collect::<Result<_, _>>()?,
-            ),
-            "noise" => Axis::Noise(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| NoiseModel::from_json(v, &at(i)))
-                    .collect::<Result<_, _>>()?,
-            ),
-            "link_overrides" => Axis::LinkOverrides(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| {
-                        v.as_array(&at(i))?
-                            .iter()
-                            .enumerate()
-                            .map(|(j, over)| {
-                                LinkOverride::from_json(over, &format!("{}[{j}]", at(i)))
-                            })
-                            .collect::<Result<Vec<LinkOverride>, _>>()
-                    })
-                    .collect::<Result<_, _>>()?,
-            ),
-            "noise_overrides" => Axis::NoiseOverrides(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| {
-                        v.as_array(&at(i))?
-                            .iter()
-                            .enumerate()
-                            .map(|(j, over)| {
-                                NoiseOverride::from_json(over, &format!("{}[{j}]", at(i)))
-                            })
-                            .collect::<Result<Vec<NoiseOverride>, _>>()
-                    })
-                    .collect::<Result<_, _>>()?,
-            ),
-            "fabric_aware" => Axis::FabricAware(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| v.as_bool(&at(i)))
-                    .collect::<Result<_, _>>()?,
-            ),
-            "surgery" => Axis::Surgery(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| {
-                        v.as_array(&at(i))?
-                            .iter()
-                            .enumerate()
-                            .map(|(j, op)| SurgeryOp::from_json(op, &format!("{}[{j}]", at(i))))
-                            .collect::<Result<Vec<SurgeryOp>, _>>()
-                    })
-                    .collect::<Result<_, _>>()?,
-            ),
-            "load" => Axis::Load(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| LoadSpec::from_json(v, &at(i)))
-                    .collect::<Result<_, _>>()?,
-            ),
+            "scheme" => Axis::Scheme(decode_each(values, &at, scheme_from_json)?),
+            "seed" => Axis::Seed(decode_each(values, &at, Json::as_u64)?),
+            "t1_us" => Axis::T1Us(decode_each(values, &at, t1_us_from_json)?),
+            "shots" => Axis::Shots(decode_each(values, &at, shots_from_json)?),
+            "workload" => Axis::Workload(decode_each(values, &at, WorkloadSpec::from_json)?),
+            "link_model" => Axis::LinkModel(decode_each(values, &at, LinkModel::from_json)?),
+            "noise" => Axis::Noise(decode_each(values, &at, NoiseModel::from_json)?),
+            "link_overrides" => {
+                Axis::LinkOverrides(decode_each(values, &at, link_overrides_from_json)?)
+            }
+            "noise_overrides" => {
+                Axis::NoiseOverrides(decode_each(values, &at, noise_overrides_from_json)?)
+            }
+            "fabric_aware" => Axis::FabricAware(decode_each(values, &at, Json::as_bool)?),
+            "surgery" => Axis::Surgery(decode_each(values, &at, surgery_from_json)?),
+            "load" => Axis::Load(decode_each(values, &at, LoadSpec::from_json)?),
             other => {
                 return Err(JsonError::decode(
                     name_path,
@@ -361,7 +1061,7 @@ impl Axis {
         };
         obj.reject_unknown()?;
         if axis.is_empty() {
-            return Err(JsonError::decode(values_path, "axis has no values"));
+            return Err(JsonError::decode(at, "axis has no values"));
         }
         Ok(axis)
     }
@@ -455,19 +1155,13 @@ impl ScenarioFile {
             Json::Array(items) if items.is_empty() => {
                 return Err(JsonError::decode(base_path, "base array is empty"));
             }
-            Json::Array(items) => items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| Scenario::from_json(item, &format!("{base_path}[{i}]")))
-                .collect::<Result<_, _>>()?,
+            Json::Array(items) => decode_each(items, &base_path, Scenario::from_json)?,
             single => vec![Scenario::from_json(single, &base_path)?],
         };
         let mut axes = Vec::new();
         if let Some(v) = obj.optional("axes") {
             let axes_path = obj.field_path("axes");
-            for (i, entry) in v.as_array(&axes_path)?.iter().enumerate() {
-                axes.push(Axis::from_json(entry, &format!("{axes_path}[{i}]"))?);
-            }
+            axes = decode_each(v.as_array(&axes_path)?, &axes_path, Axis::from_json)?;
         }
         obj.reject_unknown()?;
         let file = ScenarioFile {
@@ -551,8 +1245,10 @@ impl ScenarioFile {
     /// engine runs: for each base in order, the cartesian product of
     /// the axes over that base (later axes varying fastest), each point
     /// repeated `repetitions` times with consecutive seeds (`seed`,
-    /// `seed+1`, …). Pass `repetitions_override` to replace the file's
-    /// count (the `--repetitions` flag); check it with
+    /// `seed+1`, …). An axis with no values (only constructible in
+    /// code; parsing rejects it) empties the grid. Pass
+    /// `repetitions_override` to replace the file's count (the
+    /// `--repetitions` flag); check it with
     /// [`ScenarioFile::check_scenario_count`] first.
     pub fn expand(&self, repetitions_override: Option<u64>) -> Vec<Scenario> {
         let repetitions = repetitions_override.unwrap_or(self.repetitions).max(1);
@@ -589,7 +1285,7 @@ impl ScenarioFile {
         for scenario in &mut scenarios {
             scenario.shots = 1;
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         scenarios.retain(|s| seen.insert(s.id()));
         scenarios
     }
@@ -633,6 +1329,49 @@ mod tests {
     }
 
     #[test]
+    fn grid_expands_cartesian_product_in_axis_major_order() {
+        // Axes of unequal length: a transposed walk would change both
+        // the order and the run lengths.
+        let mut file = quick_file();
+        file.axes = vec![Axis::Seed(vec![1, 2]), Axis::T1Us(vec![10.0, 20.0, 30.0])];
+        assert_eq!(file.grid_len(), 6);
+        let points: Vec<(u64, f64)> = file
+            .expand(None)
+            .iter()
+            .map(|s| (s.seed, s.t1_us))
+            .collect();
+        assert_eq!(
+            points,
+            [
+                (1, 10.0),
+                (1, 20.0),
+                (1, 30.0),
+                (2, 10.0),
+                (2, 20.0),
+                (2, 30.0),
+            ]
+        );
+    }
+
+    #[test]
+    fn empty_axis_annihilates_the_grid() {
+        let mut file = quick_file();
+        file.axes.insert(1, Axis::Shots(Vec::new()));
+        assert_eq!(file.grid_len(), 0);
+        // Later axes keep it empty rather than resurrecting points.
+        assert!(file.expand(None).is_empty());
+    }
+
+    #[test]
+    fn single_point_axis_keeps_the_count() {
+        let mut file = quick_file();
+        file.axes.push(Axis::T1Us(vec![150.0]));
+        let ids: Vec<String> = file.expand(None).iter().map(Scenario::id).collect();
+        assert_eq!(ids.len(), 4);
+        assert!(ids.iter().all(|id| id.ends_with("/t150")), "{ids:?}");
+    }
+
+    #[test]
     fn repetitions_expand_with_consecutive_seeds() {
         let mut file = quick_file();
         file.axes.truncate(1); // scheme only
@@ -670,7 +1409,7 @@ mod tests {
         file.repetitions = 2;
         file.axes.push(Axis::Surgery(vec![
             Vec::new(),
-            vec![crate::runner::SurgeryOp::DropRouterLevel],
+            vec![SurgeryOp::DropRouterLevel],
         ]));
         let text = file.to_json().to_string_pretty();
         assert_eq!(ScenarioFile::parse(&text).unwrap(), file);

@@ -15,10 +15,11 @@
 use proptest::prelude::*;
 
 use distributed_hisq::runner::{
-    compile_scenario, run_sweep_cached, run_sweep_uncached, CompileCache, LinkOverride,
-    NoiseOverride, Scenario, SurgeryOp, SystemParams,
+    compile_scenario, run_sweep_cached, run_sweep_uncached, CompileCache,
 };
-use distributed_hisq::scenario::ScenarioFile;
+use distributed_hisq::scenario::{
+    LinkOverride, NoiseOverride, Scenario, ScenarioFile, SurgeryOp, SystemParams,
+};
 use distributed_hisq::workloads::WorkloadSpec;
 use hisq_compiler::Scheme;
 use hisq_net::LinkModel;

@@ -5,10 +5,8 @@
 //! it), and every distinguishing knob — drop policies included — must
 //! reach the scenario id.
 
-use distributed_hisq::runner::{
-    effective_maps, run_sweep, LinkOverride, NoiseOverride, Scenario, SurgeryOp,
-};
-use distributed_hisq::scenario::ScenarioFile;
+use distributed_hisq::runner::{effective_maps, run_sweep};
+use distributed_hisq::scenario::{LinkOverride, NoiseOverride, Scenario, ScenarioFile, SurgeryOp};
 use hisq_compiler::Scheme;
 use hisq_net::{DropPolicy, LinkModel};
 use hisq_quantum::NoiseModel;

@@ -2,10 +2,12 @@
 //! the real executable (`CARGO_BIN_EXE_hisq`): unknown flags and flag
 //! conflicts must exit 2 with a usage message — never run a sweep with
 //! a silently ignored option — `--quick` must execute the reduced
-//! grid successfully, and grids past the expansion limit or time-valued
+//! grid successfully, grids past the expansion limit or time-valued
 //! parameters past one `waiti` must fail fast with a message instead of
-//! hanging, aborting or panicking.
+//! hanging, aborting or panicking, and a reader closing stdout early
+//! ends the output quietly.
 
+use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -177,4 +179,36 @@ fn repetitions_past_the_limit_exit_2() {
         let out = hisq_bounded(&["run", SCENARIO, "--repetitions", repetitions]);
         assert_rejected_over_limit(&out, 2);
     }
+}
+
+#[test]
+fn closed_stdout_ends_output_quietly() {
+    // 5,000 ids (about 150 KB) overflow a 64 KiB pipe buffer, so hisq
+    // is still printing when the reader goes away, as under `| head -1`.
+    let seeds: Vec<String> = (0..5000).map(|seed| seed.to_string()).collect();
+    let text = format!(
+        r#"{{"schema_version": 1, "name": "many",
+            "base": {{"workload": {{"suite": "w_state_n12"}}, "scheme": "bisp"}},
+            "axes": [{{"axis": "seed", "values": [{}]}}]}}"#,
+        seeds.join(", ")
+    );
+    let path = temp_scenario("hisq_cli_many_seeds.json", &text);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hisq"))
+        .args(["validate", &path])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("hisq binary runs");
+    let mut first = String::new();
+    // The reader is dropped at the end of this statement, closing the
+    // pipe's read end after the first line.
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line reads");
+    assert!(first.starts_with("many: ok"), "{first}");
+    let out = child.wait_with_output().expect("hisq exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stderr.is_empty(), "{stderr}");
 }

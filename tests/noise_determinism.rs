@@ -9,8 +9,8 @@ use proptest::prelude::*;
 
 use distributed_hisq::compiler::Scheme;
 use distributed_hisq::quantum::NoiseModel;
-use distributed_hisq::runner::{run_sweep, Scenario, SystemParams};
-use distributed_hisq::sim::SweepGrid;
+use distributed_hisq::runner::run_sweep;
+use distributed_hisq::scenario::{Axis, Scenario, ScenarioFile};
 use distributed_hisq::workloads::WorkloadSpec;
 
 /// A small noisy grid: one long-range CNOT gadget under both schemes
@@ -21,21 +21,20 @@ fn noisy_grid(seed: u64) -> Vec<Scenario> {
         parallel: 1,
         span: 3,
     };
-    SweepGrid::new(Scenario::new(workload, Scheme::Bisp).with_seed(seed))
-        .axis([1e-4, 1e-2], |s, &p| {
-            s.params = SystemParams {
-                noise: NoiseModel::default()
-                    .with_gate_errors(p, 10.0 * p)
-                    .with_meas_error(10.0 * p)
-                    .with_idle_error(1e-6)
-                    .with_leak(p),
-                ..SystemParams::default()
-            }
-        })
-        .axis([Scheme::Bisp, Scheme::Lockstep], |s, &scheme| {
-            s.scheme = scheme
-        })
-        .into_points()
+    let model = |p: f64| {
+        NoiseModel::default()
+            .with_gate_errors(p, 10.0 * p)
+            .with_meas_error(10.0 * p)
+            .with_idle_error(1e-6)
+            .with_leak(p)
+    };
+    let base = Scenario::new(workload, Scheme::Bisp).with_seed(seed);
+    let mut grid = ScenarioFile::new("noisy", base);
+    grid.axes = vec![
+        Axis::Noise(vec![model(1e-4), model(1e-2)]),
+        Axis::Scheme(vec![Scheme::Bisp, Scheme::Lockstep]),
+    ];
+    grid.expand(None)
 }
 
 proptest! {

@@ -1,19 +1,22 @@
-//! End-to-end differential oracle over real golden-corpus scenarios:
-//! the engine's pop sequence under the retained `BinaryHeap` reference
-//! queue is captured as a `(cycle, fingerprint)` trace, and the
-//! production calendar queue must replay it exactly — event for event,
-//! in order. This guards the FIFO-within-cycle `seq` contract end to
-//! end, through routing, contention, retransmission, and measurement
-//! resolution, not just at the queue-API level
-//! (`crates/hisq-sim/tests/queue_equivalence.rs` covers that).
+//! End-to-end pop-order pins over real scenarios: the engine's event
+//! trace for a scenario is captured as a `(cycle, fingerprint)`
+//! sequence and pinned as `(id, event count, FNV-1a 64)`. This guards
+//! the calendar queue's FIFO-within-cycle `seq` contract end to end —
+//! through routing, contention, retransmission, measurement resolution
+//! and lock-step hub broadcasts — not just at the queue-API level
+//! (`crates/hisq-sim/tests/queue_equivalence.rs` runs the calendar
+//! queue against the `BinaryHeap` reference there).
 //!
-//! Both sides of that comparison take the same hub fan-out path, so it
-//! cannot see a reordering inside a lock-step broadcast. The lock-step
-//! traces are therefore also pinned as FNV-1a digests, recorded when
-//! every broadcast copy was its own queue event: the corpus's lock-step
-//! points plus one paper-size instance. In a debug build the paper-size
-//! pin also runs the engine's assertion that no woken listener queues
-//! an event behind its broadcast.
+//! Every point of `scenarios/bisp_vs_lockstep.json`,
+//! `contended_links.json` and `noisy_backends.json` is pinned, plus the
+//! lock-step points of `fig15.json` and one paper-size lock-step
+//! instance. The pins were recorded while the engine could still swap
+//! in the heap reference queue, with the heap and the calendar queue
+//! popping identical traces, so each pin is the heap's pop order. The
+//! lock-step pins were recorded when every hub broadcast copy was its
+//! own queue event. In a debug build the paper-size pin also runs the
+//! engine's assertion that no woken listener queues an event behind
+//! its broadcast.
 
 use distributed_hisq::compiler::Scheme;
 use distributed_hisq::runner::{scenario_system, Scenario};
@@ -28,74 +31,34 @@ fn corpus(text: &str) -> Vec<Scenario> {
         .expand(None)
 }
 
-/// One `(cycle, fingerprint)` pop trace.
-type Trace = Vec<(u64, u64)>;
-
-/// Runs `scenario` once under the heap reference queue and once under
-/// the calendar queue, returning both pop traces.
-fn traces(scenario: &Scenario) -> (Trace, Trace) {
-    let mut reference = scenario_system(scenario).expect("corpus scenario builds");
-    reference.use_reference_queue();
-    reference.record_event_trace();
-    reference.run().expect("corpus scenario runs (reference)");
-
-    let mut wheel = scenario_system(scenario).expect("corpus scenario builds");
-    wheel.record_event_trace();
-    wheel.run().expect("corpus scenario runs (wheel)");
-
-    (
-        reference.event_trace().to_vec(),
-        wheel.event_trace().to_vec(),
-    )
-}
-
-/// Asserts the wheel replays the reference trace exactly for every
-/// scenario of the file, and that the traces actually carried events.
-fn assert_file_replays(name: &str, text: &str) {
-    let scenarios = corpus(text);
-    assert!(!scenarios.is_empty(), "{name}: corpus expands to scenarios");
-    let mut events = 0usize;
-    for scenario in &scenarios {
-        let (reference, wheel) = traces(scenario);
-        assert_eq!(
-            reference,
-            wheel,
-            "{name}: scenario {} popped a different event order under \
-             the calendar queue",
-            scenario.id()
-        );
-        events += reference.len();
-    }
-    assert!(events > 0, "{name}: traces must carry events");
-}
-
-#[test]
-fn bisp_vs_lockstep_corpus_replays_exactly() {
-    assert_file_replays(
-        "bisp_vs_lockstep",
-        include_str!("../scenarios/bisp_vs_lockstep.json"),
-    );
-}
-
-#[test]
-fn contended_links_corpus_replays_exactly() {
-    assert_file_replays(
-        "contended_links",
-        include_str!("../scenarios/contended_links.json"),
-    );
-}
-
-#[test]
-fn noisy_backends_corpus_replays_exactly() {
-    assert_file_replays(
-        "noisy_backends",
-        include_str!("../scenarios/noisy_backends.json"),
-    );
-}
-
-/// One pinned lock-step trace: scenario id, event count, FNV-1a 64 of
-/// the trace (see [`trace_digest`]).
+/// One pinned trace: scenario id, event count, FNV-1a 64 of the trace
+/// (see [`trace_digest`]).
 type TracePin = (&'static str, usize, u64);
+
+/// The BISP points of `bisp_vs_lockstep.json` (its lock-step points
+/// are in [`LOCKSTEP_CORPUS_PINS`]).
+#[rustfmt::skip]
+const BISP_VS_LOCKSTEP_PINS: &[TracePin] = &[
+    ("w_state_n12/bisp/seed1/t300", 210, 0xda1db2728b6aba7d),
+    ("w_state_n12/bisp/seed2/t300", 210, 0xddeb20cc65a1edc3),
+];
+
+#[rustfmt::skip]
+const CONTENDED_LINKS_PINS: &[TracePin] = &[
+    ("qft_n10/bisp/seed1/t300", 916, 0x0fcc101811bde05b),
+    ("qft_n10/bisp/seed1/t300/ser8.c2", 916, 0x70eee32fb165db54),
+    ("qft_n10/bisp/seed1/t300/ser8.c1.loss50000.s7.a16", 924, 0x2cadf10879b20b95),
+    ("qft_n10/lockstep/seed1/t300", 3738, 0x87437acb882c2cd8),
+    ("qft_n10/lockstep/seed1/t300/ser8.c2", 3738, 0x6e3dc6a5c1e80eb2),
+    ("qft_n10/lockstep/seed1/t300/ser8.c1.loss50000.s7.a16", 3929, 0xb896109693969f40),
+];
+
+#[rustfmt::skip]
+const NOISY_BACKENDS_PINS: &[TracePin] = &[
+    ("bv_n16/bisp/seed11/t300", 303, 0x725399e186bb32f1),
+    ("bv_n16/bisp/seed11/t300/p1q0.001.p2q0.01.m0.02.i0.l0", 303, 0x725399e186bb32f1),
+    ("bv_n16/bisp/seed11/t300/p1q0.p2q0.005.m0.i0.0000001.l0.002", 303, 0x4b72c6148f7bfa5d),
+];
 
 #[rustfmt::skip]
 const LOCKSTEP_CORPUS_PINS: &[TracePin] = &[
@@ -155,7 +118,45 @@ fn assert_trace_pins(actual: &[(String, usize, u64)], pinned: &[TracePin]) {
         .collect();
     assert!(
         matches,
-        "lock-step pop traces drifted from their pins; actual:\n{table}"
+        "pop traces drifted from their pins; actual:\n{table}"
+    );
+}
+
+/// Pins the trace of every point of a committed file whose scheme
+/// `pinned` selects.
+fn assert_file_pins(text: &str, pinned: fn(Scheme) -> bool, pins: &[TracePin]) {
+    let actual: Vec<_> = corpus(text)
+        .iter()
+        .filter(|scenario| pinned(scenario.scheme))
+        .map(trace_pin)
+        .collect();
+    assert_trace_pins(&actual, pins);
+}
+
+#[test]
+fn bisp_vs_lockstep_corpus_replays_exactly() {
+    assert_file_pins(
+        include_str!("../scenarios/bisp_vs_lockstep.json"),
+        |scheme| scheme == Scheme::Bisp,
+        BISP_VS_LOCKSTEP_PINS,
+    );
+}
+
+#[test]
+fn contended_links_corpus_replays_exactly() {
+    assert_file_pins(
+        include_str!("../scenarios/contended_links.json"),
+        |_| true,
+        CONTENDED_LINKS_PINS,
+    );
+}
+
+#[test]
+fn noisy_backends_corpus_replays_exactly() {
+    assert_file_pins(
+        include_str!("../scenarios/noisy_backends.json"),
+        |_| true,
+        NOISY_BACKENDS_PINS,
     );
 }
 

@@ -2,12 +2,15 @@
 //!
 //! The contract under test is `from_json(to_json(x)) == x` for
 //! generated [`Scenario`]s and scenario files (including surgery op
-//! lists, contended link models, and noise models), plus a table of
-//! malformed inputs that must fail with readable, dotted-path errors
-//! rather than silently defaulting.
+//! lists, contended link models, noise models, and one axis of every
+//! kind), plus a table of malformed inputs that must fail with
+//! readable, dotted-path errors rather than silently defaulting.
 
-use distributed_hisq::runner::{Scenario, SurgeryOp, SystemParams};
-use distributed_hisq::scenario::{ScenarioFile, MAX_SCENARIOS};
+use distributed_hisq::load::{ArrivalStream, LoadSpec};
+use distributed_hisq::scenario::{
+    Axis, LinkOverride, NoiseOverride, Scenario, ScenarioFile, SurgeryOp, SystemParams,
+    MAX_SCENARIOS,
+};
 use hisq_compiler::Scheme;
 use hisq_isa::{CYCLE_NS, MAX_WAITI_CYCLES};
 use hisq_json::Json;
@@ -15,6 +18,126 @@ use hisq_net::{DropPolicy, LinkModel};
 use hisq_quantum::NoiseModel;
 use hisq_workloads::WorkloadSpec;
 use proptest::prelude::*;
+
+fn workload_of(kind: u8) -> WorkloadSpec {
+    match kind % 3 {
+        0 => WorkloadSpec::suite("w_state_n12"),
+        1 => WorkloadSpec::suite("qft_n10"),
+        _ => WorkloadSpec::LongRangeCnots {
+            parallel: 1 + (kind as usize % 4),
+            span: 2 + (kind as usize % 3),
+        },
+    }
+}
+
+fn link_model_of(kind: u8) -> LinkModel {
+    match kind % 3 {
+        0 => LinkModel::default(),
+        1 => LinkModel::serialized(u64::from(kind) + 1).with_capacity(2),
+        _ => LinkModel::serialized(4).with_drop(DropPolicy {
+            loss_ppm: u32::from(kind) * 1000,
+            seed: u64::from(kind),
+            max_attempts: 1 + u32::from(kind % 7),
+        }),
+    }
+}
+
+fn noise_of(kind: u8) -> NoiseModel {
+    match kind % 3 {
+        0 => NoiseModel::NOISELESS,
+        1 => NoiseModel::NOISELESS.with_gate_errors(0.001, 0.01),
+        _ => NoiseModel::NOISELESS
+            .with_meas_error(f64::from(kind) / 512.0)
+            .with_leak(0.002),
+    }
+}
+
+fn surgery_of(kind: u8) -> Vec<SurgeryOp> {
+    match kind % 4 {
+        0 => Vec::new(),
+        1 => vec![SurgeryOp::DropRouterLevel],
+        2 => vec![SurgeryOp::RewireSubtree {
+            subtree: u16::from(kind),
+            new_parent: u16::from(kind) + 1,
+        }],
+        _ => vec![
+            SurgeryOp::SwapWorkload {
+                workload: WorkloadSpec::suite("bv_n16"),
+            },
+            SurgeryOp::OverrideNoise {
+                noise: NoiseModel::NOISELESS.with_gate_errors(0.002, 0.02),
+            },
+            SurgeryOp::OverrideLinkModel {
+                link_model: LinkModel::serialized(8),
+            },
+        ],
+    }
+}
+
+/// Up to two link overrides, on distinct edges.
+fn link_overrides_of(kind: u8) -> Vec<LinkOverride> {
+    (0..kind % 3)
+        .map(|e| LinkOverride {
+            from: u16::from(e),
+            to: u16::from(e) + 1,
+            link_model: link_model_of(kind.wrapping_add(e)),
+        })
+        .collect()
+}
+
+/// Up to two noise overrides, on distinct qubits.
+fn noise_overrides_of(kind: u8) -> Vec<NoiseOverride> {
+    (0..kind % 3)
+        .map(|q| NoiseOverride {
+            qubit: usize::from(q),
+            noise: noise_of(kind.wrapping_add(q)),
+        })
+        .collect()
+}
+
+fn load_of(kind: u8) -> LoadSpec {
+    let stream = if kind % 2 == 0 {
+        ArrivalStream::trace(vec![0, 1_000 * u64::from(kind)])
+    } else {
+        ArrivalStream::poisson(f64::from(kind) / 4.0, 1 + u64::from(kind % 5))
+    };
+    LoadSpec::new(vec![stream], 1 + u32::from(kind % 3))
+}
+
+/// `count` values drawn from consecutive kinds starting at `kind`.
+fn draws<T>(count: usize, kind: u8, value: impl Fn(u8) -> T) -> Vec<T> {
+    (0..count as u8)
+        .map(|k| value(kind.wrapping_add(k)))
+        .collect()
+}
+
+/// One axis of every kind, in declaration order. The seed axis takes
+/// `seeds`; every other axis takes two values when `wide` names its
+/// position and one otherwise.
+fn every_axis(kind: u8, seeds: &[u64], wide: &[usize]) -> Vec<Axis> {
+    let n = |i: usize| if wide.contains(&i) { 2 } else { 1 };
+    let scheme = |k: u8| {
+        if k % 2 == 0 {
+            Scheme::Bisp
+        } else {
+            Scheme::Lockstep
+        }
+    };
+    vec![
+        Axis::Scheme(draws(n(0), kind, scheme)),
+        Axis::Seed(seeds.to_vec()),
+        Axis::T1Us(draws(n(2), kind, |k| f64::from(k) + 0.25)),
+        Axis::Shots(draws(n(3), kind, |k| 1 + u32::from(k % 5))),
+        Axis::Workload(draws(n(4), kind, workload_of)),
+        Axis::LinkModel(draws(n(5), kind, link_model_of)),
+        Axis::Noise(draws(n(6), kind, noise_of)),
+        Axis::LinkOverrides(draws(n(7), kind, link_overrides_of)),
+        Axis::NoiseOverrides(draws(n(8), kind, noise_overrides_of)),
+        Axis::FabricAware(draws(n(9), kind, |k| k % 2 == 1)),
+        Axis::Surgery(draws(n(10), kind, surgery_of)),
+        Axis::Load(draws(n(11), kind, load_of)),
+    ]
+}
 
 /// Builds a scenario from primitive draws. Every choice point in the
 /// scenario grammar (scheme, workload selector, link model, drop
@@ -30,65 +153,22 @@ fn scenario_from_draws(
     noise_kind: u8,
     surgery_kind: u8,
 ) -> Scenario {
-    let workload = match workload_kind % 3 {
-        0 => WorkloadSpec::suite("w_state_n12"),
-        1 => WorkloadSpec::suite("qft_n10"),
-        _ => WorkloadSpec::LongRangeCnots {
-            parallel: 1 + (workload_kind as usize % 4),
-            span: 2 + (workload_kind as usize % 3),
-        },
-    };
     let scheme = if scheme_bisp {
         Scheme::Bisp
     } else {
         Scheme::Lockstep
     };
     let params = SystemParams {
-        link_model: match link_kind % 3 {
-            0 => LinkModel::default(),
-            1 => LinkModel::serialized(u64::from(link_kind) + 1).with_capacity(2),
-            _ => LinkModel::serialized(4).with_drop(DropPolicy {
-                loss_ppm: u32::from(link_kind) * 1000,
-                seed: u64::from(link_kind),
-                max_attempts: 1 + u32::from(link_kind % 7),
-            }),
-        },
-        noise: match noise_kind % 3 {
-            0 => NoiseModel::NOISELESS,
-            1 => NoiseModel::NOISELESS.with_gate_errors(0.001, 0.01),
-            _ => NoiseModel::NOISELESS
-                .with_meas_error(f64::from(noise_kind) / 512.0)
-                .with_leak(0.002),
-        },
+        link_model: link_model_of(link_kind),
+        noise: noise_of(noise_kind),
         ..SystemParams::default()
     };
-    let mut scenario = Scenario::new(workload, scheme)
+    let mut scenario = Scenario::new(workload_of(workload_kind), scheme)
         .with_seed(seed)
         .with_t1_us(f64::from(t1_us) + 0.5)
         .with_shots(1 + shots % 5)
         .with_params(params);
-    match surgery_kind % 4 {
-        0 => {}
-        1 => scenario = scenario.with_surgery(SurgeryOp::DropRouterLevel),
-        2 => {
-            scenario = scenario.with_surgery(SurgeryOp::RewireSubtree {
-                subtree: u16::from(surgery_kind),
-                new_parent: u16::from(surgery_kind) + 1,
-            })
-        }
-        _ => {
-            scenario = scenario
-                .with_surgery(SurgeryOp::SwapWorkload {
-                    workload: WorkloadSpec::suite("bv_n16"),
-                })
-                .with_surgery(SurgeryOp::OverrideNoise {
-                    noise: NoiseModel::NOISELESS.with_gate_errors(0.002, 0.02),
-                })
-                .with_surgery(SurgeryOp::OverrideLinkModel {
-                    link_model: LinkModel::serialized(8),
-                })
-        }
-    }
+    scenario.surgery = surgery_of(surgery_kind);
     scenario
 }
 
@@ -121,10 +201,10 @@ proptest! {
         }
     }
 
-    /// A whole scenario *file* (one to three bases + axes +
-    /// repetitions) survives the same round trip, and the re-read file
-    /// expands to the identical scenario list — ids and all — with each
-    /// base's grid in base order.
+    /// A whole scenario *file* (one to three bases + one axis of every
+    /// kind + repetitions) survives the same round trip, and the
+    /// re-read file expands to the identical scenario list — ids and
+    /// all — with each base's grid in base order.
     #[test]
     fn scenario_file_round_trips_and_expands_identically(
         scheme_bisp in any::<bool>(),
@@ -132,18 +212,24 @@ proptest! {
         repetitions in 1u64..4,
         surgery_kind in 0u8..=255,
         base_count in 1u8..4,
+        axis_draws in (0u8..=255, proptest::collection::vec(0usize..12, 0..3)),
     ) {
+        let (axis_kind, wide) = axis_draws;
+        // Bases differ in a field no axis varies, so each base's grid
+        // is recognizable after expansion.
         let bases: Vec<Scenario> = (0..base_count)
             .map(|i| {
-                scenario_from_draws(
+                let mut base = scenario_from_draws(
                     scheme_bisp ^ (i == 1), i, 1, 300, 0, i, i, surgery_kind.wrapping_add(i),
-                )
+                );
+                base.params.neighbor_latency = 5 + u64::from(i);
+                base
             })
             .collect();
         let mut file = ScenarioFile::new("prop", bases[0].clone());
         file.bases = bases.clone();
         file.repetitions = repetitions;
-        file.axes.push(distributed_hisq::scenario::Axis::Seed(seeds.clone()));
+        file.axes = every_axis(axis_kind, &seeds, &wide);
         let text = file.to_json().to_string_pretty();
         let back = ScenarioFile::parse(&text).expect("file round-trips");
         prop_assert_eq!(&back, &file, "{}", text);
@@ -151,11 +237,11 @@ proptest! {
         let ids: Vec<String> = expanded.iter().map(Scenario::id).collect();
         let back_ids: Vec<String> = back.expand(None).iter().map(Scenario::id).collect();
         prop_assert_eq!(ids, back_ids);
-        let per_base = seeds.len() * repetitions as usize;
+        let per_base = file.grid_len() / bases.len() * repetitions as usize;
         prop_assert_eq!(expanded.len(), bases.len() * per_base);
         for (base, grid) in bases.iter().zip(expanded.chunks(per_base)) {
             prop_assert!(
-                grid.iter().all(|s| s.workload == base.workload && s.scheme == base.scheme),
+                grid.iter().all(|s| s.params.neighbor_latency == base.params.neighbor_latency),
                 "each base's grid follows the previous one"
             );
         }
@@ -242,6 +328,26 @@ fn malformed_scenario_files_fail_readably() {
                 "base": {"workload": {"suite": "a"}, "scheme": "bisp"},
                 "axes": [{"axis": "t1_us", "values": [300, -1, 0]}]}"#,
             "scenario.axes[0].values[1]: t1_us must be positive",
+        ),
+        // An axis value obeys its base field's rules: an override list
+        // names each edge or qubit once.
+        (
+            r#"{"schema_version": 1, "name": "x",
+                "base": {"workload": {"suite": "a"}, "scheme": "bisp"},
+                "axes": [{"axis": "link_overrides", "values": [[
+                    {"from": 0, "to": 1, "model": {"serialization_ns": 4, "capacity": 1}},
+                    {"from": 0, "to": 1, "model": {"serialization_ns": 8, "capacity": 1}}
+                ]]}]}"#,
+            "scenario.axes[0].values[0][1]: duplicate override for edge 0 -> 1",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x",
+                "base": {"workload": {"suite": "a"}, "scheme": "bisp"},
+                "axes": [{"axis": "noise_overrides", "values": [[
+                    {"qubit": 2, "noise": {"p_meas": 0.01}},
+                    {"qubit": 2, "noise": {"p_meas": 0.02}}
+                ]]}]}"#,
+            "scenario.axes[0].values[0][1]: duplicate override for qubit 2",
         ),
         // A base array must name at least one base, and each entry
         // carries its index in the path.

@@ -6,22 +6,21 @@
 //! golden-corpus report check in `compile_cache_equivalence.rs`.
 
 use distributed_hisq::compiler::Scheme;
-use distributed_hisq::runner::{run_sweep, Scenario};
-use distributed_hisq::sim::SweepGrid;
+use distributed_hisq::runner::run_sweep;
+use distributed_hisq::scenario::{Axis, Scenario, ScenarioFile};
 use distributed_hisq::workloads::{SuiteScale, WorkloadSpec};
 
 /// The full quick suite under both schemes at three seeds:
 /// 6 × 2 × 3 = 36 scenarios (the acceptance floor is 32).
 fn scenario_grid() -> Vec<Scenario> {
-    SweepGrid::new(Scenario::new(WorkloadSpec::suite(""), Scheme::Bisp))
-        .axis(WorkloadSpec::suite_specs(SuiteScale::Quick), |s, w| {
-            s.workload = w.clone()
-        })
-        .axis([Scheme::Bisp, Scheme::Lockstep], |s, &scheme| {
-            s.scheme = scheme
-        })
-        .axis([1u64, 7, 15], |s, &seed| s.seed = seed)
-        .into_points()
+    let base = Scenario::new(WorkloadSpec::suite(""), Scheme::Bisp);
+    let mut grid = ScenarioFile::new("quick_suite", base);
+    grid.axes = vec![
+        Axis::Workload(WorkloadSpec::suite_specs(SuiteScale::Quick)),
+        Axis::Scheme(vec![Scheme::Bisp, Scheme::Lockstep]),
+        Axis::Seed(vec![1, 7, 15]),
+    ];
+    grid.expand(None)
 }
 
 #[test]

@@ -12,6 +12,13 @@
 # copies of mismatching reports are left under $DIFF_DIR (default
 # target/baseline-diff/) for CI to upload as an artifact.
 #
+# Next, the thread-count spot-check: the binaries whose output is not a
+# golden-corpus report (fig_scale, and the experiment harnesses fig11
+# and fig13) must emit byte-identical `--quick --json` reports on 1 and
+# 4 worker threads. Mismatching pairs are kept under $DIFF_DIR too.
+# (ci/check_scenarios.sh replays the scenario-driven figures on 1 and
+# 4 threads.)
+#
 # After the figure baseline, the wall-clock regression gates run:
 # `event_engine --gate` re-measures the simulator hot loop and fails if
 # any row of the committed BENCH_event_engine.json regressed by more
@@ -47,6 +54,21 @@ for bin in "${BASELINED_BINS[@]}"; do
         echo "FAIL $bin: regenerated report differs from $golden" >&2
         echo "     regenerated copy kept at $out" >&2
         echo "     to accept the new baseline: cp $out $golden" >&2
+        status=1
+    fi
+done
+
+for bin in fig11 fig13 fig_scale; do
+    t1="$DIFF_DIR/$bin.t1.json"
+    t4="$DIFF_DIR/$bin.t4.json"
+    cargo run --release -p hisq-bench --bin "$bin" -- --quick --threads 4 --json > "$t4"
+    cargo run --release -p hisq-bench --bin "$bin" -- --quick --threads 1 --json > "$t1"
+    if cmp "$t1" "$t4"; then
+        rm "$t1" "$t4"
+        echo "ok   $bin (1 vs 4 threads)"
+    else
+        echo "FAIL $bin: --threads 1 and --threads 4 reports differ" >&2
+        echo "     both copies kept at $t1 and $t4" >&2
         status=1
     fi
 done

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use hisq_core::NodeAddr;
+use hisq_core::{NodeAddr, MEAS_FIFO_ADDR};
 use hisq_isa::{AluOp, Reg};
 use hisq_net::Topology;
 use hisq_quantum::{Circuit, Condition, Operation};
@@ -26,9 +26,6 @@ use hisq_quantum::{Circuit, Condition, Operation};
 use crate::codewords::{CodewordTable, PORT_GATE, PORT_READOUT};
 use crate::emit::{Label, StreamBuilder};
 use crate::{CompileError, CompileStats, CompiledSystem, CycleDurations, Scheme};
-
-/// Address of the local measurement FIFO (`hisq_core::MEAS_FIFO_ADDR`).
-const MEAS_FIFO: NodeAddr = 0xFFF;
 
 /// Options for the BISP backend.
 #[derive(Debug, Clone)]
@@ -121,7 +118,6 @@ pub fn compile_bisp(
     }
     let root = topology.root_router().ok_or(CompileError::NoRootRouter)?;
     let wiring = wire(circuit)?;
-    let d = options.durations;
 
     let mut builders: BTreeMap<NodeAddr, StreamBuilder> = (0..topology.num_controllers() as u16)
         .map(|addr| (addr, StreamBuilder::new(addr)))
@@ -164,7 +160,6 @@ pub fn compile_bisp(
         bindings: table.into_bindings(),
         num_qubits: n,
         hub: None,
-        durations: d,
         stats,
     })
 }
@@ -248,7 +243,7 @@ fn emit_body(
                 let builder = builders.get_mut(&addr).expect("controller exists");
                 builder.cw(PORT_READOUT, cw);
                 builder.wait(d.measurement);
-                builder.recv(Reg::T0, MEAS_FIFO);
+                builder.recv(Reg::T0, MEAS_FIFO_ADDR);
                 builder.mark_blocker();
                 if let Some(consumers) = wiring.consumers.get(&idx) {
                     for &consumer in consumers {

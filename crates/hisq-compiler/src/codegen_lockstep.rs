@@ -20,7 +20,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hisq_core::NodeAddr;
+use hisq_core::{NodeAddr, MEAS_FIFO_ADDR};
 use hisq_isa::{AluOp, Inst, LoadOp, Reg, StoreOp};
 use hisq_quantum::{Circuit, Condition, Gate, Instruction, Operation};
 
@@ -355,7 +355,7 @@ pub fn compile_lockstep(
                     cursor = cursor.max(time) + d.measurement;
                     builder.cw(PORT_READOUT, cw);
                     builder.wait(d.measurement);
-                    builder.recv(Reg::T0, 0xFFF);
+                    builder.recv(Reg::T0, MEAS_FIFO_ADDR);
                     builder.li(Reg::T5, (meas_index as u32) << 1);
                     builder.alu(AluOp::Add, Reg::T5, Reg::T5, Reg::T0);
                     builder.send(hub_addr, Reg::T5);
@@ -442,7 +442,6 @@ pub fn compile_lockstep(
             up_latency: options.star_up_latency,
             down_latency: options.star_down_latency,
         }),
-        durations: d,
         stats,
     })
 }

@@ -87,29 +87,27 @@ pub struct CycleDurations {
 }
 
 impl CycleDurations {
-    /// The paper's §6.4.1 durations on the 4 ns grid: 5 / 10 / 75 cycles.
-    pub const PAPER: CycleDurations = CycleDurations {
-        single: 5,
-        two_qubit: 10,
-        measurement: 75,
-        reset: 75,
-    };
-
-    /// Quantizes nanosecond durations to cycles (rounding up).
-    pub fn from_durations(durations: GateDurations) -> CycleDurations {
+    /// The paper's §6.4.1 durations, [`GateDurations::PAPER`], on the
+    /// 4 ns grid: 5 / 10 / 75 cycles.
+    pub const PAPER: CycleDurations = {
+        let ns = GateDurations::PAPER;
         CycleDurations {
-            single: durations.single_qubit_ns.div_ceil(CYCLE_NS),
-            two_qubit: durations.two_qubit_ns.div_ceil(CYCLE_NS),
-            measurement: durations.measurement_ns.div_ceil(CYCLE_NS),
-            reset: durations.reset_ns.div_ceil(CYCLE_NS),
+            single: whole_cycles(ns.single_qubit_ns),
+            two_qubit: whole_cycles(ns.two_qubit_ns),
+            measurement: whole_cycles(ns.measurement_ns),
+            reset: whole_cycles(ns.reset_ns),
         }
-    }
+    };
 }
 
-impl Default for CycleDurations {
-    fn default() -> CycleDurations {
-        CycleDurations::PAPER
-    }
+/// `ns` in TCU cycles. Evaluated in a `const`, so a duration that is not
+/// a whole number of [`CYCLE_NS`] fails the build instead of rounding.
+const fn whole_cycles(ns: u64) -> u64 {
+    assert!(
+        ns % CYCLE_NS == 0,
+        "operation durations must be whole TCU cycles"
+    );
+    ns / CYCLE_NS
 }
 
 /// The execution scheme a program was compiled for.
@@ -166,8 +164,6 @@ pub struct CompiledSystem {
     pub num_qubits: usize,
     /// Broadcast hub parameters (lock-step only).
     pub hub: Option<HubSpec>,
-    /// Durations the schedule was built with.
-    pub durations: CycleDurations,
     /// Compilation counters.
     pub stats: CompileStats,
 }
@@ -297,25 +293,11 @@ mod tests {
 
     #[test]
     fn paper_durations_quantize_correctly() {
-        let d = CycleDurations::from_durations(GateDurations::PAPER);
-        assert_eq!(d, CycleDurations::PAPER);
+        let d = CycleDurations::PAPER;
         assert_eq!(d.single, 5); // 20 ns at 4 ns/cycle
         assert_eq!(d.two_qubit, 10); // 40 ns
         assert_eq!(d.measurement, 75); // 300 ns
-    }
-
-    #[test]
-    fn rounding_up_for_non_multiples() {
-        let d = CycleDurations::from_durations(GateDurations {
-            single_qubit_ns: 21,
-            two_qubit_ns: 41,
-            measurement_ns: 301,
-            reset_ns: 1,
-        });
-        assert_eq!(d.single, 6);
-        assert_eq!(d.two_qubit, 11);
-        assert_eq!(d.measurement, 76);
-        assert_eq!(d.reset, 1);
+        assert_eq!(d.reset, 75); // 300 ns
     }
 
     #[test]

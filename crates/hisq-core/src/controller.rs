@@ -308,36 +308,17 @@ impl Controller {
         self.timeline.total_stall()
     }
 
-    /// Delivers a nearby-sync pulse from `from` arriving at `arrival`.
-    pub fn deliver_sync_pulse(&mut self, from: NodeAddr, arrival: u64) {
-        self.sync_pulses.push(from, arrival);
-    }
+    // Each `offer_*` delivers one input and reports whether a
+    // [`Controller::step`] would now make progress. An input that
+    // completes the pending instruction does so in place, skipping the
+    // inbox: a controller blocks only on an empty lane, so that input is
+    // the one [`Controller::try_complete`] would pop. Any other input is
+    // banked in its lane, and `false` tells the caller that stepping now
+    // would be a no-op.
 
-    /// Delivers a region-sync max-time broadcast from `router`.
-    pub fn deliver_max_time(&mut self, router: NodeAddr, t_m: u64) {
-        self.max_times.push(router, t_m);
-    }
-
-    /// Delivers a classical message from `from` arriving at `arrival`.
-    pub fn deliver_classical(&mut self, from: NodeAddr, value: u32, arrival: u64) {
-        self.mailboxes.push(from, (arrival, value));
-    }
-
-    // The `offer_*` variants below fuse a delivery with the completion
-    // check the caller would otherwise run next: each is exactly
-    // `deliver_*` followed by "would a [`Controller::step`] make
-    // progress now?", with the inbox round trip skipped when the input
-    // completes the pending instruction directly. Skipping is sound
-    // because a controller only ever blocks when the awaited lane is
-    // empty ([`Controller::try_complete`] fails iff the lane is empty),
-    // so the delivered input *is* the one `try_complete` would pop —
-    // the lane check below keeps FIFO order even for callers that mix
-    // `deliver_*` and `offer_*` arbitrarily. The returned `bool` is the
-    // event-driven caller's step gate: `false` means the input was
-    // banked and stepping now would be a no-op.
-
-    /// Delivers a nearby-sync pulse and reports whether the controller
-    /// can now make progress (see the fusion note above).
+    /// Delivers a nearby-sync pulse from `from` arriving at `arrival`
+    /// and reports whether the controller can now make progress (see
+    /// the note above).
     pub fn offer_sync_pulse(&mut self, from: NodeAddr, arrival: u64) -> bool {
         if let Status::Blocked(PendingOp::SyncPulse {
             partner,
@@ -360,8 +341,8 @@ impl Controller {
         }
     }
 
-    /// Delivers a region-sync max-time broadcast and reports whether
-    /// the controller can now make progress.
+    /// Delivers a region-sync max-time broadcast from `router` and
+    /// reports whether the controller can now make progress.
     pub fn offer_max_time(&mut self, router: NodeAddr, t_m: u64) -> bool {
         if let Status::Blocked(PendingOp::MaxTime {
             router: pending_router,
@@ -384,8 +365,8 @@ impl Controller {
         }
     }
 
-    /// Delivers a classical message and reports whether the controller
-    /// can now make progress.
+    /// Delivers a classical message from `from` arriving at `arrival`
+    /// and reports whether the controller can now make progress.
     pub fn offer_classical(&mut self, from: NodeAddr, value: u32, arrival: u64) -> bool {
         if let Status::Blocked(PendingOp::Recv { source, rd }) = self.status {
             if source == from && self.mailboxes.lane_is_empty(from) {
@@ -859,7 +840,7 @@ mod tests {
             config,
             assemble("waiti 100\nsync 2\nwaiti 5\ncw.i.i 1, 1\nstop"),
         );
-        ctrl.deliver_sync_pulse(2, 50);
+        assert!(ctrl.offer_sync_pulse(2, 50));
         let mut outbox = Vec::new();
         assert!(ctrl.step(&mut outbox).is_halted());
         // Booking at 100, gate at 105, pulse at 50 → resume 105, cw at
@@ -890,7 +871,7 @@ mod tests {
             StepOutcome::Blocked(BlockReason::AwaitSyncPulse { partner: 2 })
         );
         // Partner booked late: its pulse arrives at 130.
-        ctrl.deliver_sync_pulse(2, 130);
+        assert!(ctrl.offer_sync_pulse(2, 130));
         assert!(ctrl.step(&mut outbox).is_halted());
         // Gate at 105 stalls until 130; cw at offset 5 past the gate
         // commits at 130.
@@ -910,7 +891,7 @@ mod tests {
         );
         let mut outbox = Vec::new();
         assert!(matches!(ctrl.step(&mut outbox), StepOutcome::Blocked(_)));
-        ctrl.deliver_sync_pulse(2, 150);
+        assert!(ctrl.offer_sync_pulse(2, 150));
         assert!(ctrl.step(&mut outbox).is_halted());
         let commits = ctrl.commits();
         // Offset 4 < N=10: commits at 104, before the gate.
@@ -942,7 +923,7 @@ mod tests {
             }
         )));
         // Router announces T_m = 90 (some other controller is slower).
-        ctrl.deliver_max_time(100, 90);
+        assert!(ctrl.offer_max_time(100, 90));
         assert!(ctrl.step(&mut outbox).is_halted());
         // The synchronization point (offset 20) resumes at T_m = 90.
         assert_eq!(ctrl.commits()[0].cycle, 90);
@@ -955,7 +936,7 @@ mod tests {
             config,
             assemble("li t0, 30\nwaiti 50\nsync 100, t0\nwaiti 30\ncw.i.i 1, 1\nstop"),
         );
-        ctrl.deliver_max_time(100, 75); // T_m earlier than our T_i = 81
+        assert!(ctrl.offer_max_time(100, 75)); // T_m earlier than our T_i = 81
         let mut outbox = Vec::new();
         assert!(ctrl.step(&mut outbox).is_halted());
         assert_eq!(ctrl.commits()[0].cycle, 81); // zero-cycle overhead
@@ -975,7 +956,7 @@ mod tests {
             ctrl.step(&mut outbox),
             StepOutcome::Blocked(BlockReason::AwaitMessage { source: 2 })
         );
-        ctrl.deliver_classical(2, 41, 200);
+        assert!(ctrl.offer_classical(2, 41, 200));
         assert!(ctrl.step(&mut outbox).is_halted());
         let reply = outbox
             .iter()
@@ -1001,7 +982,7 @@ mod tests {
             NodeConfig::new(1),
             assemble("recv t0, 2\nwaiti 10\ncw.i.i 1, 1\nstop"),
         );
-        ctrl.deliver_classical(2, 1, 500);
+        assert!(ctrl.offer_classical(2, 1, 500));
         let mut outbox = Vec::new();
         assert!(ctrl.step(&mut outbox).is_halted());
         assert!(ctrl.commits()[0].cycle >= 510);
@@ -1082,12 +1063,12 @@ mod tests {
         // Exchange pulses with the link latency applied.
         for m in out0.drain(..) {
             if let OutboundMessage::SyncPulse { to: 1, sent_at } = m {
-                c1.deliver_sync_pulse(0, sent_at + latency);
+                assert!(c1.offer_sync_pulse(0, sent_at + latency));
             }
         }
         for m in out1.drain(..) {
             if let OutboundMessage::SyncPulse { to: 0, sent_at } = m {
-                c0.deliver_sync_pulse(1, sent_at + latency);
+                assert!(c0.offer_sync_pulse(1, sent_at + latency));
             }
         }
         assert!(c0.step(&mut out0).is_halted());

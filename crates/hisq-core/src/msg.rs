@@ -43,26 +43,6 @@ pub enum OutboundMessage {
     },
 }
 
-impl OutboundMessage {
-    /// The message's destination node.
-    pub fn destination(&self) -> NodeAddr {
-        match *self {
-            OutboundMessage::SyncPulse { to, .. } => to,
-            OutboundMessage::BookTime { router, .. } => router,
-            OutboundMessage::Classical { to, .. } => to,
-        }
-    }
-
-    /// The cycle the message left its sender.
-    pub fn sent_at(&self) -> u64 {
-        match *self {
-            OutboundMessage::SyncPulse { sent_at, .. }
-            | OutboundMessage::BookTime { sent_at, .. }
-            | OutboundMessage::Classical { sent_at, .. } => sent_at,
-        }
-    }
-}
-
 /// A committed codeword trigger: the TCU issued `codeword` to `port` at
 /// `cycle`. The sequence of commit records is the controller's TELF
 /// (Timing Event Logging Format) trace.
@@ -92,27 +72,6 @@ impl fmt::Display for CommitRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn destination_and_timestamp_accessors() {
-        let m = OutboundMessage::SyncPulse { to: 7, sent_at: 42 };
-        assert_eq!(m.destination(), 7);
-        assert_eq!(m.sent_at(), 42);
-        let m = OutboundMessage::BookTime {
-            router: 9,
-            time_point: 100,
-            sent_at: 50,
-        };
-        assert_eq!(m.destination(), 9);
-        assert_eq!(m.sent_at(), 50);
-        let m = OutboundMessage::Classical {
-            to: 3,
-            value: 1,
-            sent_at: 8,
-        };
-        assert_eq!(m.destination(), 3);
-        assert_eq!(m.sent_at(), 8);
-    }
 
     #[test]
     fn commit_record_display_shows_nanoseconds() {

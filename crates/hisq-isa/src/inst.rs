@@ -395,14 +395,6 @@ impl Inst {
         )
     }
 
-    /// `true` if this instruction may redirect control flow.
-    pub fn is_control_flow(&self) -> bool {
-        matches!(
-            self,
-            Inst::Jal { .. } | Inst::Jalr { .. } | Inst::Branch { .. }
-        )
-    }
-
     /// `true` if the instruction's duration is unknowable at compile time
     /// (it depends on run-time register values or remote controllers).
     ///

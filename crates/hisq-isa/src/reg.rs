@@ -70,11 +70,6 @@ impl Reg {
         u32::from(self.0)
     }
 
-    /// The architectural name, e.g. `"x5"`.
-    pub fn arch_name(self) -> String {
-        format!("x{}", self.0)
-    }
-
     /// The RISC-V ABI alias, e.g. `"t0"` for `x5`.
     pub fn abi_name(self) -> &'static str {
         ABI_NAMES[self.index()]

@@ -39,7 +39,7 @@ pub mod message;
 pub mod router;
 pub mod topology;
 
-pub use message::{Envelope, Payload};
+pub use message::Payload;
 pub use router::{Router, RouterAction, RouterError};
 pub use topology::{DropPolicy, FabricMap, LinkModel, Topology, TopologyBuilder};
 

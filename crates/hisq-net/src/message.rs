@@ -1,4 +1,4 @@
-//! Network-level message envelopes.
+//! Network-level message payloads.
 
 use hisq_core::NodeAddr;
 
@@ -28,46 +28,4 @@ pub enum Payload {
         /// Payload value.
         value: u32,
     },
-}
-
-/// A routed message: payload plus addressing and delivery time.
-///
-/// `deliver_at` is an absolute wall-clock cycle computed by the sender's
-/// side of the link (`sent_at + link latency`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Envelope {
-    /// Sending node.
-    pub from: NodeAddr,
-    /// Receiving node.
-    pub to: NodeAddr,
-    /// Message content.
-    pub payload: Payload,
-    /// Absolute delivery cycle.
-    pub deliver_at: u64,
-}
-
-impl Envelope {
-    /// Convenience constructor.
-    pub fn new(from: NodeAddr, to: NodeAddr, payload: Payload, deliver_at: u64) -> Envelope {
-        Envelope {
-            from,
-            to,
-            payload,
-            deliver_at,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn envelope_round_trip_fields() {
-        let e = Envelope::new(1, 2, Payload::SyncPulse, 77);
-        assert_eq!(e.from, 1);
-        assert_eq!(e.to, 2);
-        assert_eq!(e.deliver_at, 77);
-        assert_eq!(e.payload, Payload::SyncPulse);
-    }
 }

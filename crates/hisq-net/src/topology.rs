@@ -16,6 +16,10 @@ use std::collections::BTreeMap;
 
 use hisq_core::{NodeAddr, NodeConfig, CYCLE_NS, MAX_WAITI_CYCLES};
 
+/// The TCU queue decoupling margin, in cycles, of every controller a
+/// topology configures.
+const PIPELINE_HEADROOM: u64 = 32;
+
 /// Loss model of a contended classical link: each transmission attempt
 /// of a packetized classical message is dropped with a fixed
 /// probability, drawn from a deterministic seeded stream, and the
@@ -122,8 +126,7 @@ impl LinkModel {
 }
 
 /// Per-directed-edge link contention models with a uniform default —
-/// the heterogeneous-fabric generalization of the single topology-wide
-/// [`LinkModel`].
+/// the heterogeneous-fabric generalization of a single [`LinkModel`].
 ///
 /// Resolution order is *default → per-edge override*: every directed
 /// edge `(from, to)` runs the default model unless an override was
@@ -211,8 +214,6 @@ pub struct TopologyBuilder {
     neighbor_latency: u64,
     router_arity: usize,
     router_latency: u64,
-    pipeline_headroom: u64,
-    fabric: FabricMap,
 }
 
 impl TopologyBuilder {
@@ -228,8 +229,6 @@ impl TopologyBuilder {
             neighbor_latency: 5,
             router_arity: 4,
             router_latency: 10,
-            pipeline_headroom: 32,
-            fabric: FabricMap::default(),
         }
     }
 
@@ -254,35 +253,6 @@ impl TopologyBuilder {
     /// Sets the one-way tree-edge latency in cycles (default 10 = 40 ns).
     pub fn router_latency(mut self, cycles: u64) -> TopologyBuilder {
         self.router_latency = cycles;
-        self
-    }
-
-    /// Sets the controllers' TCU queue decoupling margin (default 32).
-    pub fn pipeline_headroom(mut self, cycles: u64) -> TopologyBuilder {
-        self.pipeline_headroom = cycles;
-        self
-    }
-
-    /// Sets the *default* contention model of this topology's fabric —
-    /// the model every link runs unless overridden per edge via
-    /// [`TopologyBuilder::link_model_for`] (default: the transparent
-    /// pure-latency model).
-    pub fn link_model(mut self, model: LinkModel) -> TopologyBuilder {
-        self.fabric.set_default(model);
-        self
-    }
-
-    /// Overrides the contention model of the single directed edge
-    /// `from → to` (a hot link in an otherwise uniform fabric). The
-    /// uniform default stays whatever [`TopologyBuilder::link_model`]
-    /// set.
-    pub fn link_model_for(
-        mut self,
-        from: NodeAddr,
-        to: NodeAddr,
-        model: LinkModel,
-    ) -> TopologyBuilder {
-        self.fabric.set_edge(from, to, model);
         self
     }
 
@@ -320,8 +290,6 @@ impl TopologyBuilder {
             num_controllers,
             neighbor_latency: self.neighbor_latency,
             router_latency: self.router_latency,
-            pipeline_headroom: self.pipeline_headroom,
-            fabric: self.fabric,
             parent,
             children,
             routers,
@@ -339,8 +307,6 @@ pub struct Topology {
     num_controllers: usize,
     neighbor_latency: u64,
     router_latency: u64,
-    pipeline_headroom: u64,
-    fabric: FabricMap,
     /// Child → parent router, for controllers and non-root routers.
     parent: BTreeMap<NodeAddr, NodeAddr>,
     /// Router → children (controllers or routers).
@@ -380,14 +346,6 @@ impl Topology {
     /// One-way tree-edge latency in cycles.
     pub fn router_latency(&self) -> u64 {
         self.router_latency
-    }
-
-    /// The per-directed-edge fabric map this topology's links carry
-    /// (uniform and transparent unless set via
-    /// [`TopologyBuilder::link_model`] /
-    /// [`TopologyBuilder::link_model_for`]).
-    pub fn fabric(&self) -> &FabricMap {
-        &self.fabric
     }
 
     /// The controller address at grid position `(x, y)`.
@@ -481,17 +439,6 @@ impl Topology {
         None
     }
 
-    /// Tree height (router levels above the controllers).
-    pub fn tree_height(&self) -> usize {
-        self.root_router()
-            .map(|root| {
-                // Depth of the deepest controller below the root.
-                self.ancestors(0).len()
-                    + usize::from(!self.ancestors(0).contains(&root) && root != 0)
-            })
-            .unwrap_or(0)
-    }
-
     /// Manhattan distance between two controllers on the mesh (in hops).
     pub fn manhattan(&self, a: NodeAddr, b: NodeAddr) -> usize {
         let (ax, ay) = self.coords(a);
@@ -541,7 +488,7 @@ impl Topology {
             (addr as usize) < self.num_controllers,
             "{addr} is not a controller"
         );
-        let mut config = NodeConfig::new(addr).with_pipeline_headroom(self.pipeline_headroom);
+        let mut config = NodeConfig::new(addr).with_pipeline_headroom(PIPELINE_HEADROOM);
         for &n in self.mesh_neighbors(addr) {
             config = config.with_neighbor(n, self.neighbor_latency);
         }
@@ -799,20 +746,6 @@ mod tests {
             !fabric.is_transparent(),
             "one hot edge breaks the fast path"
         );
-    }
-
-    #[test]
-    fn builder_link_model_for_overrides_one_edge() {
-        let topo = TopologyBuilder::linear(4)
-            .link_model(LinkModel::serialized(4))
-            .link_model_for(1, 2, LinkModel::serialized(32))
-            .build();
-        // The fabric's uniform default stays the builder-wide model...
-        assert_eq!(topo.fabric().default_model(), LinkModel::serialized(4));
-        // ...while the fabric map carries the per-edge override.
-        assert_eq!(topo.fabric().resolve(1, 2), LinkModel::serialized(32));
-        assert_eq!(topo.fabric().resolve(2, 1), LinkModel::serialized(4));
-        assert_eq!(topo.fabric().overrides().count(), 1);
     }
 
     #[test]

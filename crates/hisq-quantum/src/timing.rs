@@ -3,11 +3,12 @@
 //! > "In our evaluation, we set 20 ns (40 ns) for single (two)-qubit
 //! > gates, and 300 ns for measurements."
 //!
-//! Durations are quantized to the TCU's 4 ns cycle grid when lowered to
-//! HISQ programs; they are kept in nanoseconds here so the quantum layer
-//! stays independent of controller clocking.
+//! [`GateDurations::PAPER`] is the only place these values are written.
+//! They are kept in nanoseconds so the quantum layer stays independent
+//! of controller clocking: the compiler derives its 4 ns cycle table
+//! from them, and the simulator reads them for measurement latency and
+//! exposure accounting.
 
-use crate::circuit::Operation;
 use crate::gate::Gate;
 
 /// Fixed operation durations in nanoseconds.
@@ -39,23 +40,6 @@ impl GateDurations {
             _ => self.two_qubit_ns,
         }
     }
-
-    /// Duration of an arbitrary circuit operation. Barriers take no time.
-    pub fn operation_ns(&self, op: &Operation) -> u64 {
-        match op {
-            Operation::Gate { gate, .. } => self.gate_ns(*gate),
-            Operation::Measure { .. } => self.measurement_ns,
-            Operation::Reset { .. } => self.reset_ns,
-            Operation::Barrier { .. } => 0,
-            Operation::Delay { duration_ns, .. } => *duration_ns,
-        }
-    }
-}
-
-impl Default for GateDurations {
-    fn default() -> GateDurations {
-        GateDurations::PAPER
-    }
 }
 
 #[cfg(test)]
@@ -67,22 +51,6 @@ mod tests {
         let d = GateDurations::PAPER;
         assert_eq!(d.gate_ns(Gate::H), 20);
         assert_eq!(d.gate_ns(Gate::Cz), 40);
-        assert_eq!(
-            d.operation_ns(&Operation::Measure { qubit: 0, clbit: 0 }),
-            300
-        );
-        assert_eq!(d.operation_ns(&Operation::Barrier { qubits: vec![] }), 0);
-        assert_eq!(
-            d.operation_ns(&Operation::Delay {
-                qubit: 0,
-                duration_ns: 1234
-            }),
-            1234
-        );
-    }
-
-    #[test]
-    fn default_is_paper() {
-        assert_eq!(GateDurations::default(), GateDurations::PAPER);
+        assert_eq!(d.measurement_ns, 300);
     }
 }

@@ -6,14 +6,12 @@ use std::fmt;
 
 use hisq_core::{BlockReason, NodeAddr};
 use hisq_net::RouterError;
-use hisq_quantum::{GateDurations, OpCounts};
+use hisq_quantum::OpCounts;
 
-/// Engine configuration.
+/// Engine configuration. Operation durations are not configurable:
+/// the engine reads [`GateDurations::PAPER`](hisq_quantum::GateDurations::PAPER).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
-    /// Deliver region max-time broadcasts with zero latency (the paper's
-    /// §4.4 accounting — see the crate docs). Default `true`.
-    pub idealize_downlink: bool,
     /// Latency for classical `send`s between nodes without a calibrated
     /// link, in cycles. Default 25 (100 ns). (Tree-edge latencies always
     /// come from calibrated links or the attached topology: a `sync`
@@ -22,17 +20,13 @@ pub struct SimConfig {
     pub default_classical_latency: u64,
     /// Abort the run after this many processed events (runaway guard).
     pub max_events: u64,
-    /// Operation durations used for exposure accounting.
-    pub durations: GateDurations,
 }
 
 impl Default for SimConfig {
     fn default() -> SimConfig {
         SimConfig {
-            idealize_downlink: true,
             default_classical_latency: 25,
             max_events: 200_000_000,
-            durations: GateDurations::PAPER,
         }
     }
 }
@@ -48,8 +42,7 @@ pub enum SimError {
     /// A node address was used twice.
     DuplicateAddr(NodeAddr),
     /// A spec referenced an address that is not a registered
-    /// controller (dangling hub subscriber, binding, or measurement
-    /// port).
+    /// controller (dangling hub subscriber or binding).
     UnknownAddr {
         /// The dangling address.
         addr: NodeAddr,

@@ -18,7 +18,7 @@ use std::mem;
 use hisq_core::{BlockReason, NodeAddr, Status, MEAS_FIFO_ADDR};
 use hisq_isa::CYCLE_NS;
 use hisq_net::{FabricMap, LinkModel, Payload, RouterAction, Topology};
-use hisq_quantum::{ExposureLedger, OpCounts};
+use hisq_quantum::{ExposureLedger, GateDurations, OpCounts};
 
 use crate::backend::QuantumBackend;
 use crate::config::{LinkReport, SimConfig, SimError, SimReport};
@@ -111,10 +111,10 @@ pub struct System {
     /// stepping order).
     controller_ids: Vec<NodeId>,
     /// Per-node direct-link table for non-controller senders (routers:
-    /// parent + children at the tree-edge latency), sorted by address.
-    /// Precomputed from the topology so the per-event router relays
-    /// skip the topology's map walks; misses fall through to the full
-    /// lookup, so the table is purely an equivalent fast path.
+    /// the parent edge at the tree-edge latency). Precomputed from the
+    /// topology so a router forwarding a booking up skips the
+    /// topology's map walks; misses fall through to the full lookup, so
+    /// the table is purely an equivalent fast path.
     node_links: Vec<Vec<(NodeAddr, u64)>>,
     /// Per-node tree parent (`NodeAddr::MAX` = none / no topology),
     /// the first hop of every controller booking.
@@ -219,14 +219,7 @@ impl System {
         debug_assert!(node_links.is_empty());
         node_links.extend(arena.nodes.iter().map(|node| match (node, &topology) {
             (SimNode::Router(router), Some(topo)) => {
-                let mut links: Vec<(NodeAddr, u64)> = router
-                    .children()
-                    .iter()
-                    .chain(router.parent().as_ref())
-                    .map(|&addr| (addr, topo.router_latency()))
-                    .collect();
-                links.sort_unstable_by_key(|&(addr, _)| addr);
-                links
+                Vec::from_iter(router.parent().map(|up| (up, topo.router_latency())))
             }
             _ => Vec::new(),
         }));
@@ -612,7 +605,7 @@ impl System {
                 self.commit_scratch = staged;
                 return;
             }
-            if node.bindings.is_empty() && node.meas_ports.is_empty() {
+            if node.bindings.is_empty() {
                 // No codeword is bound to any quantum action, so every
                 // new commit would fall through the binding lookup
                 // below untouched: advance the watermark and skip the
@@ -633,7 +626,6 @@ impl System {
             Gate(hisq_quantum::Gate, QubitList),
             Measure(usize),
             Reset(usize),
-            MeasPort { qubit: usize, result_latency: u64 },
             None,
         }
         for &commit in &staged {
@@ -646,17 +638,11 @@ impl System {
                 }
                 Some(QuantumAction::Measure { qubit }) => Bound::Measure(*qubit),
                 Some(QuantumAction::Reset { qubit }) => Bound::Reset(*qubit),
-                None => match node.meas_ports.get(&commit.port).copied() {
-                    Some(binding) => Bound::MeasPort {
-                        qubit: binding.qubit,
-                        result_latency: binding.result_latency,
-                    },
-                    None => Bound::None,
-                },
+                None => Bound::None,
             };
             match bound {
                 Bound::Gate(gate, qubits) => {
-                    let duration = self.config.durations.gate_ns(gate);
+                    let duration = GateDurations::PAPER.gate_ns(gate);
                     let single = gate.arity() == 1;
                     for &q in qubits.as_slice() {
                         self.exposure.record_span(
@@ -679,11 +665,13 @@ impl System {
                     self.replay(commit.cycle, ReplayAction::Gate(gate, qubits));
                 }
                 Bound::Measure(qubit) => {
-                    let latency = self.config.durations.measurement_ns / CYCLE_NS;
+                    // A whole number of cycles: `CycleDurations::PAPER`
+                    // in `hisq-compiler` asserts it at compile time.
+                    let latency = GateDurations::PAPER.measurement_ns / CYCLE_NS;
                     self.schedule_measurement(id, qubit, commit.cycle, latency);
                 }
                 Bound::Reset(qubit) => {
-                    let duration = self.config.durations.reset_ns;
+                    let duration = GateDurations::PAPER.reset_ns;
                     self.exposure.record_span(
                         qubit,
                         commit.cycle * CYCLE_NS,
@@ -692,12 +680,6 @@ impl System {
                     self.quantum_ops.resets += 1;
                     self.qubit_ops_mut(qubit).resets += 1;
                     self.replay(commit.cycle, ReplayAction::Reset(qubit));
-                }
-                Bound::MeasPort {
-                    qubit,
-                    result_latency,
-                } => {
-                    self.schedule_measurement(id, qubit, commit.cycle, result_latency);
                 }
                 Bound::None => {}
             }
@@ -862,33 +844,22 @@ impl System {
                             };
                             relay.extend_from_slice(router.children());
                         }
+                        // The §4.4 zero-latency downlink: every child
+                        // hears the max time at once, bypassing the
+                        // wire (and hence any contention).
+                        let router_addr = self.addrs[to as usize];
                         for &child in &relay {
-                            let payload = Payload::MaxTime { t_m, target };
-                            if self.config.idealize_downlink {
-                                // The §4.4 idealization bypasses the
-                                // wire (and hence any contention).
-                                let Some(dest) = self.resolve(child) else {
-                                    continue;
-                                };
-                                let router_addr = self.addrs[to as usize];
-                                self.push_event(
-                                    deliver_at,
-                                    EventKind::Deliver {
-                                        from: router_addr,
-                                        to: dest,
-                                        payload,
-                                    },
-                                );
-                            } else {
-                                // Latency first: an unknown child
-                                // must still count a routing
-                                // warning before being dropped.
-                                let latency = self.link_latency(to, child);
-                                let Some(dest) = self.resolve(child) else {
-                                    continue;
-                                };
-                                self.send(to, dest, payload, deliver_at, latency);
-                            }
+                            let Some(dest) = self.resolve(child) else {
+                                continue;
+                            };
+                            self.push_event(
+                                deliver_at,
+                                EventKind::Deliver {
+                                    from: router_addr,
+                                    to: dest,
+                                    payload: Payload::MaxTime { t_m, target },
+                                },
+                            );
                         }
                         self.relay_scratch = relay;
                     }
@@ -1020,13 +991,16 @@ impl System {
                         .fingerprint()
                     })?;
                     self.apply_gates_through(trigger_cycle);
-                    let outcome = self.backend.measure(qubit);
-                    if let Some(ctrl_node) = self.nodes[node as usize].as_controller_mut() {
-                        ctrl_node
-                            .ctrl
-                            .deliver_classical(MEAS_FIFO_ADDR, u32::from(outcome), at);
+                    let outcome = u32::from(self.backend.measure(qubit));
+                    // The same step gate as `deliver`: a result that
+                    // cannot unblock the controller is banked.
+                    let ctrl = &mut self.nodes[node as usize]
+                        .as_controller_mut()
+                        .expect("measurements resolve on controllers")
+                        .ctrl;
+                    if ctrl.offer_classical(MEAS_FIFO_ADDR, outcome, at) {
+                        self.step_controller(node);
                     }
-                    self.step_controller(node);
                 }
             }
         }

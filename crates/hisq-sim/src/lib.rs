@@ -26,8 +26,8 @@
 //! (Figure 13) can be answered exactly.
 //!
 //! Links can also *contend* and *lose* messages: every directed link
-//! runs a [`LinkModel`] (declared on the spec or the topology, swept
-//! via the harness's system parameters). The default model is
+//! runs a [`LinkModel`] (declared on the spec, swept via the harness's
+//! system parameters). The default model is
 //! transparent — pure `sent_at + latency` delivery, byte-identical to
 //! the historical engine — while a contended model serializes
 //! packetized messages through per-link capacity slots and applies a
@@ -56,10 +56,8 @@
 //! ## Modelled idealizations (documented deviations)
 //!
 //! - **Downlink broadcasts** of the region max-time are delivered with
-//!   zero latency by default, matching the paper's §4.4 accounting where
-//!   the synchronization overhead of Figure 7 is exactly `L₂ − D₂`.
-//!   Disable [`SimConfig::idealize_downlink`] to model real down-hops
-//!   (an ablation the paper does not evaluate).
+//!   zero latency, matching the paper's §4.4 accounting where the
+//!   synchronization overhead of Figure 7 is exactly `L₂ − D₂`.
 //! - **Measurement outcomes** resolve at result-delivery time, with
 //!   gates replayed in commit-cycle order into the quantum backend; the
 //!   [`SimReport::causality_warnings`] counter verifies the replay
@@ -110,7 +108,7 @@ pub use config::{LinkReport, SimConfig, SimError, SimReport};
 pub use engine::System;
 pub use hisq_net::{DropPolicy, FabricMap, LinkModel, RouterError};
 pub use hisq_quantum::{NoiseMap, NoiseModel, OpCounts};
-pub use nodes::{Hub, MeasBinding, QuantumAction};
+pub use nodes::{Hub, QuantumAction};
 pub use queue::{CalendarQueue, EventQueue, HeapQueue};
 pub use spec::{BackendSpec, SystemSpec};
 pub use sweep::{Metric, MetricSummary, SweepRecord, SweepReport, SweepRunner};

@@ -29,7 +29,8 @@ pub enum QuantumAction {
     },
     /// Trigger a measurement; the discrimination result is delivered to
     /// the committing controller's measurement FIFO after the
-    /// measurement duration.
+    /// measurement duration
+    /// ([`GateDurations::PAPER`](hisq_quantum::GateDurations::PAPER)).
     Measure {
         /// Measured qubit.
         qubit: usize,
@@ -39,18 +40,6 @@ pub enum QuantumAction {
         /// The reset qubit.
         qubit: usize,
     },
-}
-
-/// A port-level measurement binding: *any* codeword committed to the
-/// port triggers a measurement of `qubit` (the DQCtrl readout boards
-/// trigger acquisition per channel, §6.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MeasBinding {
-    /// The measured qubit.
-    pub qubit: usize,
-    /// Cycles from trigger to result delivery (readout + integration +
-    /// discrimination).
-    pub result_latency: u64,
 }
 
 /// A broadcast hub: any classical message sent to the hub's address is
@@ -78,8 +67,6 @@ pub(crate) struct ControllerNode {
     pub watermark: usize,
     /// `(port, codeword)` → quantum action.
     pub bindings: BTreeMap<(u32, u32), QuantumAction>,
-    /// Port-level measurement triggers.
-    pub meas_ports: BTreeMap<u32, MeasBinding>,
 }
 
 impl ControllerNode {
@@ -90,7 +77,6 @@ impl ControllerNode {
             ctrl: Controller::new(config, program),
             watermark: 0,
             bindings: BTreeMap::new(),
-            meas_ports: BTreeMap::new(),
         }
     }
 }

@@ -49,7 +49,7 @@ use crate::backend::{
 };
 use crate::config::{SimConfig, SimError};
 use crate::engine::System;
-use crate::nodes::{ControllerNode, Hub, HubNode, MeasBinding, NodeId, QuantumAction, SimNode};
+use crate::nodes::{ControllerNode, Hub, HubNode, NodeId, QuantumAction, SimNode};
 
 /// Declarative choice of the quantum backend a built system starts
 /// with. Custom backend instances (e.g. a scripted
@@ -160,7 +160,6 @@ pub struct SystemSpec {
     pub(crate) topology: Option<Topology>,
     pub(crate) fabric: FabricMap,
     pub(crate) bindings: Vec<(NodeAddr, u32, u32, QuantumAction)>,
-    pub(crate) meas_ports: Vec<(NodeAddr, u32, MeasBinding)>,
 }
 
 impl SystemSpec {
@@ -195,7 +194,6 @@ impl SystemSpec {
             spec.controller(config, program);
         }
         spec.topology = Some(topology.clone());
-        spec.fabric = topology.fabric().clone();
         spec
     }
 
@@ -214,26 +212,15 @@ impl SystemSpec {
 
     /// Attaches the topology used for multi-hop latency derivation
     /// (pre-set by [`SystemSpec::from_topology`]).
-    ///
-    /// A contention fabric configured on the topology
-    /// ([`TopologyBuilder::link_model`](hisq_net::TopologyBuilder::link_model)
-    /// /
-    /// [`TopologyBuilder::link_model_for`](hisq_net::TopologyBuilder::link_model_for))
-    /// is adopted — call [`SystemSpec::link_model`] or
-    /// [`SystemSpec::link_model_for`] *after* this to override it.
     pub fn topology(&mut self, topology: Topology) -> &mut Self {
-        if *topology.fabric() != FabricMap::default() {
-            self.fabric = topology.fabric().clone();
-        }
         self.topology = Some(topology);
         self
     }
 
     /// Replaces the contention model every directed link runs by
-    /// default (the transparent pure-latency model unless overridden;
-    /// pre-set from the topology's fabric by
-    /// [`SystemSpec::from_topology`]). Per-edge overrides set earlier
-    /// are kept unless they now equal the new default.
+    /// default (the transparent pure-latency model unless set). The
+    /// spec is the only place a fabric is declared. Per-edge overrides
+    /// set earlier are kept unless they now equal the new default.
     pub fn link_model(&mut self, model: LinkModel) -> &mut Self {
         self.fabric.set_default(model);
         self
@@ -282,17 +269,6 @@ impl SystemSpec {
         self
     }
 
-    /// Binds every commit on `(node, port)` to a measurement trigger.
-    pub fn bind_measurement_port(
-        &mut self,
-        node: NodeAddr,
-        port: u32,
-        binding: MeasBinding,
-    ) -> &mut Self {
-        self.meas_ports.push((node, port, binding));
-        self
-    }
-
     /// Number of controllers described so far.
     pub fn num_controllers(&self) -> usize {
         self.controllers.len()
@@ -310,8 +286,8 @@ impl SystemSpec {
     ///   (routers and hubs are registered before controllers, so a
     ///   program colliding with infrastructure reports the
     ///   infrastructure address);
-    /// - [`SimError::UnknownAddr`] if a hub subscriber, binding, or
-    ///   measurement port names an address that is not a controller.
+    /// - [`SimError::UnknownAddr`] if a hub subscriber or binding names
+    ///   an address that is not a controller.
     pub fn build(self) -> Result<System, SimError> {
         // Intern addresses in registration order: routers, hubs,
         // controllers. The arena vectors come from this thread's
@@ -398,13 +374,6 @@ impl SystemSpec {
                 .expect("resolved as controller");
             node.bindings.insert((port, codeword), action);
         }
-        for (addr, port, binding) in self.meas_ports {
-            let id = resolve_controller(&addr_to_id, &nodes, addr, "measurement port node")?;
-            let node = nodes[id as usize]
-                .as_controller_mut()
-                .expect("resolved as controller");
-            node.meas_ports.insert(port, binding);
-        }
 
         // Controllers step in ascending address order (the engine's
         // deterministic scheduling contract).
@@ -458,7 +427,7 @@ impl Arena {
 }
 
 /// Resolves `addr` to the arena id of a *controller*, the only node
-/// kind bindings, measurement ports, and hub subscriptions may target.
+/// kind bindings and hub subscriptions may target.
 fn resolve_controller(
     addr_to_id: &[NodeId],
     nodes: &[SimNode],
@@ -547,20 +516,6 @@ mod tests {
                 role: "binding node"
             }
         );
-        let mut spec = SystemSpec::new();
-        spec.controller(NodeConfig::new(0), asm("stop"));
-        spec.bind_measurement_port(
-            6,
-            4,
-            MeasBinding {
-                qubit: 0,
-                result_latency: 75,
-            },
-        );
-        assert!(matches!(
-            spec.build().unwrap_err(),
-            SimError::UnknownAddr { addr: 6, .. }
-        ));
     }
 
     #[test]

@@ -12,8 +12,8 @@ use hisq_isa::{Assembler, Inst};
 use hisq_net::{Router, RouterError, TopologyBuilder};
 use hisq_quantum::Gate;
 use hisq_sim::{
-    DropPolicy, FixedBackend, Hub, LinkModel, MeasBinding, QuantumAction, SimConfig, SimError,
-    SimReport, StabilizerBackend, SystemSpec,
+    DropPolicy, FixedBackend, Hub, LinkModel, QuantumAction, SimConfig, SimError, SimReport,
+    StabilizerBackend, SystemSpec,
 };
 
 fn asm(src: &str) -> Vec<Inst> {
@@ -91,14 +91,7 @@ fn feedback_loop_with_scripted_measurement() {
             stop
         "),
     );
-    spec.bind_measurement_port(
-        0,
-        4,
-        MeasBinding {
-            qubit: 3,
-            result_latency: 75,
-        },
-    );
+    spec.bind(0, 4, 1, QuantumAction::Measure { qubit: 3 });
     let mut system = spec.build().unwrap();
     let mut backend = FixedBackend::new(false);
     backend.script(3, [true]);
@@ -128,19 +121,57 @@ fn feedback_branch_not_taken() {
             stop
         "),
     );
-    spec.bind_measurement_port(
-        0,
-        4,
-        MeasBinding {
-            qubit: 3,
-            result_latency: 75,
-        },
-    );
+    spec.bind(0, 4, 1, QuantumAction::Measure { qubit: 3 });
     let mut system = spec.build().unwrap();
     system.set_backend(FixedBackend::new(false));
     let report = system.run().unwrap();
     assert!(report.all_halted);
     assert!(system.telf().channel(0, 1).is_empty());
+}
+
+#[test]
+fn measurement_result_is_banked_while_blocked_on_a_peer() {
+    // Controller 0 measures, then waits on controller 1 before reading
+    // the result. Controller 1 sends only after its own measurement
+    // resolves, so 0's result (trigger 10 + 75 = 85) lands while 0 is
+    // blocked on the peer's `recv`: it is banked without a step, and
+    // the later `recv t0, 0xFFF` reads it.
+    let mut spec = SystemSpec::new();
+    spec.controller(
+        NodeConfig::new(0),
+        asm("
+            waiti 10
+            cw.i.i 4, 1
+            recv t1, 1
+            recv t0, 0xFFF
+            stop
+        "),
+    );
+    spec.controller(
+        NodeConfig::new(1),
+        asm("
+            waiti 100
+            cw.i.i 4, 1
+            recv t0, 0xFFF
+            li t1, 5
+            send 0, t1
+            stop
+        "),
+    );
+    spec.bind(0, 4, 1, QuantumAction::Measure { qubit: 3 });
+    spec.bind(1, 4, 1, QuantumAction::Measure { qubit: 5 });
+    let mut system = spec.build().unwrap();
+    let mut backend = FixedBackend::new(false);
+    backend.script(3, [true]);
+    system.set_backend(backend);
+    let report = system.run().unwrap();
+    assert!(report.all_halted, "{:?}", report.blocked);
+    let ctrl = system.controller(0).unwrap();
+    assert_eq!(ctrl.reg(hisq_isa::Reg::T1), 5, "the peer's value");
+    assert_eq!(ctrl.reg(hisq_isa::Reg::T0), 1, "the banked measurement");
+    // The peer's value left after its result (100 + 75) and crossed
+    // the 25-cycle default link, long after 0's result arrived at 85.
+    assert!(ctrl.now_wall() >= 175 + 25, "{}", ctrl.now_wall());
 }
 
 #[test]

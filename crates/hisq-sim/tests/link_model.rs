@@ -8,7 +8,6 @@ use proptest::prelude::*;
 
 use hisq_core::NodeConfig;
 use hisq_isa::{Assembler, Inst};
-use hisq_net::TopologyBuilder;
 use hisq_sim::{DropPolicy, Hub, LinkModel, SimReport, SystemSpec};
 
 fn asm(src: &str) -> Vec<Inst> {
@@ -181,30 +180,6 @@ fn lossy_links_retransmit_and_still_deliver() {
     assert!(link.retransmits > 0, "50% loss must retransmit");
     assert_eq!(link.dropped, 0);
     assert_eq!(link.messages, 12 + link.retransmits);
-}
-
-#[test]
-fn topology_setter_adopts_the_topology_link_model() {
-    // A contention model configured on the topology must survive the
-    // incremental spec path (`spec.topology(...)`), not just
-    // `SystemSpec::from_topology`.
-    let topo = TopologyBuilder::linear(2)
-        .neighbor_latency(6)
-        .link_model(LinkModel::serialized(16))
-        .build();
-    let mut spec = SystemSpec::new();
-    spec.controller(topo.node_config(0), asm("li t0, 7\nsend 1, t0\nstop"));
-    spec.controller(topo.node_config(1), asm("recv t1, 0\nstop"));
-    spec.topology(topo);
-    let mut system = spec.build().unwrap();
-    let report = system.run().unwrap();
-    assert!(report.all_halted);
-    assert_eq!(
-        report.link_stats.len(),
-        1,
-        "the topology's contention model must be in force"
-    );
-    assert_eq!(report.link_stats[0].messages, 1);
 }
 
 #[test]

@@ -815,9 +815,8 @@ fn instantiate(
             noise: noise.clone(),
         }
     });
-    // The run-stage fabric: overrides whatever the description
-    // inherited (the lock-step star has no topology to inherit from,
-    // and the cached BISP description carries the default).
+    // The run-stage fabric: the spec is its only owner, and the cached
+    // description carries the default.
     spec.link_model(fabric.default_model());
     for (from, to, model) in fabric.overrides() {
         spec.link_model_for(from, to, model);
@@ -875,10 +874,9 @@ fn run_and_score(
         // Analytic gate-error scoring: expected infidelity from the
         // committed operation counts plus per-nanosecond idle error
         // charged from the same exposure ledger the T1/T2 metric
-        // reads. A uniform map scores through the exact closed-form
-        // global-count path (byte-identical to the historical single
-        // model); a heterogeneous map charges each qubit its own rates
-        // from the engine's per-qubit operation counts.
+        // reads. A uniform map scores the global counts, a heterogeneous
+        // one each qubit's counts at its own rates. The split is a byte
+        // contract: per-qubit sums round differently in pinned reports.
         let noise_infidelity = if noise.is_uniform() {
             noise
                 .default_model()

@@ -1,7 +1,7 @@
-//! Shared test-support utilities: the dependency-free FNV-1a byte pin
-//! the determinism suites (`tests/sweep_determinism.rs`,
-//! `tests/noise_determinism.rs`, and the bench crate's contention and
-//! scale determinism tests) use to freeze report JSON byte-for-byte.
+//! Shared test-support utilities: the dependency-free FNV-1a digest
+//! and the byte pin that `tests/noise_determinism.rs` and the bench
+//! crate's `scale_determinism` test use to freeze report JSON
+//! byte-for-byte.
 //!
 //! Pinning lives in one place so engine work that legitimately changes
 //! report bytes (it should not — the sweep contract is byte identity)

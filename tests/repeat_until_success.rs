@@ -8,7 +8,7 @@
 
 use distributed_hisq::core::{NodeConfig, MEAS_FIFO_ADDR};
 use distributed_hisq::isa::{Assembler, Reg};
-use distributed_hisq::sim::{FixedBackend, MeasBinding, System, SystemSpec};
+use distributed_hisq::sim::{FixedBackend, QuantumAction, System, SystemSpec};
 
 /// Builds the two-controller RUS system: controller 0 retries a
 /// heralded preparation until the measurement reads 1, then fires the
@@ -45,14 +45,7 @@ fn rus_system(outcomes: Vec<bool>) -> System {
         NodeConfig::new(1).with_neighbor(0, 6),
         Assembler::new().assemble(partner).unwrap().insts().to_vec(),
     );
-    spec.bind_measurement_port(
-        0,
-        4,
-        MeasBinding {
-            qubit: 0,
-            result_latency: 75,
-        },
-    );
+    spec.bind(0, 4, 1, QuantumAction::Measure { qubit: 0 });
     let mut system = spec.build().expect("builds");
     let mut backend = FixedBackend::new(true);
     backend.script(0, outcomes);

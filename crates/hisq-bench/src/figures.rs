@@ -1,5 +1,5 @@
 //! Data producers for every figure of the paper's evaluation. The
-//! `src/bin/` harnesses print these; the criterion benches measure
+//! `src/bin/` harnesses print these and the unit tests below check
 //! them. The scenario-driven figures (15, 16, and the contention,
 //! noise and heterogeneous-fabric extensions) read their grids from
 //! committed scenario files (see [`crate::grids`]); the functions here

@@ -1,8 +1,8 @@
 //! # hisq-bench — experiment regeneration for every table and figure
 //!
 //! Each evaluation artifact of the paper maps to a binary in `src/bin/`
-//! and a data-producing function here (shared with the criterion
-//! benches):
+//! and a data-producing function here (checked by this crate's unit
+//! tests):
 //!
 //! | Paper artifact | Function | Binary |
 //! |---|---|---|

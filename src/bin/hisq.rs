@@ -34,9 +34,6 @@ options (run):
                     the expanded grid may not exceed 100000 scenarios)
   --threads T       worker threads (default 1; output is identical for any T)
   --json            print the raw sweep report as JSON
-  --quick           smoke pass: one repetition, single-shot scenarios,
-                    collapsed grid points deduplicated (conflicts with
-                    --repetitions)
 
 options (validate):
   (none)
@@ -68,7 +65,6 @@ struct RunArgs {
     repetitions: Option<u64>,
     threads: usize,
     json: bool,
-    quick: bool,
 }
 
 fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
@@ -76,11 +72,9 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     let mut repetitions = None;
     let mut threads = 1usize;
     let mut json = false;
-    let mut quick = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
             "--repetitions" => {
                 let value = iter
                     .next()
@@ -116,15 +110,11 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
         }
     }
     let file = file.ok_or_else(|| "missing scenario file".to_string())?;
-    if quick && repetitions.is_some() {
-        return Err("--quick conflicts with --repetitions".to_string());
-    }
     Ok(RunArgs {
         file,
         repetitions,
         threads,
         json,
-        quick,
     })
 }
 
@@ -153,11 +143,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             ));
         }
     }
-    let scenarios = if args.quick {
-        file.expand_quick()
-    } else {
-        file.expand(args.repetitions)
-    };
+    let scenarios = file.expand(args.repetitions);
     eprintln!(
         "[hisq] {}: {} scenario(s) on {} thread(s)...",
         file.name,

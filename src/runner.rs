@@ -3,10 +3,10 @@
 //!
 //! Every scenario runs the same three stages:
 //!
-//! 1. **compile** — surgery fold, workload build, topology, placement,
-//!    compilation, and the system description ([`CompiledArtifact`]),
-//!    served through a [`CompileCache`] keyed by
-//!    [`Scenario::compile_key`], so grid points that differ only in
+//! 1. **compile** — workload build, topology and its surgery,
+//!    placement, compilation, and the system description
+//!    ([`CompiledArtifact`]), served through a [`CompileCache`] keyed
+//!    by [`Scenario::compile_key`], so grid points that differ only in
 //!    run-stage fields share one compile;
 //! 2. **instantiate** — clone the description, seed the backend,
 //!    install the effective fabric ([`effective_maps`]), build the
@@ -57,7 +57,7 @@ use hisq_compiler::{
     compile_bisp, compile_lockstep, Binding, BindingAction, BispOptions, CompiledSystem,
     LockstepOptions, Scheme, PORT_READOUT,
 };
-use hisq_core::{NodeAddr, NodeConfig};
+use hisq_core::NodeConfig;
 use hisq_net::{FabricMap, LinkModel, Topology, TopologyBuilder};
 use hisq_quantum::{CoherenceParams, ExposureLedger, NoiseMap};
 use hisq_sim::{
@@ -326,34 +326,10 @@ impl Scenario {
     /// grid points that differ only in seed, noise, coherence time, or
     /// link model — the axes the paper figures actually sweep.
     pub fn compile_key(&self) -> CompileKey {
-        // Scenario-level surgery folds into the effective inputs the
-        // same way `compile_scenario` applies it: the last workload
-        // swap wins; link-model and noise overrides are run-stage
-        // parameters the compiler never sees. The load block is
-        // run-stage too (the job engine schedules *instances* of the
-        // compiled program), so a load sweep's grid points share one
-        // artifact with their unloaded twin.
-        let mut workload = self.workload.clone();
-        for op in &self.surgery {
-            if let SurgeryOp::SwapWorkload { workload: w } = op {
-                workload = w.clone();
-            }
-        }
-        let topology_surgery = self
-            .surgery
-            .iter()
-            .filter_map(|op| match op {
-                SurgeryOp::DropRouterLevel => Some(TopologySurgeryKey::DropRouterLevel),
-                SurgeryOp::RewireSubtree {
-                    subtree,
-                    new_parent,
-                } => Some(TopologySurgeryKey::RewireSubtree {
-                    subtree: *subtree,
-                    new_parent: *new_parent,
-                }),
-                _ => None,
-            })
-            .collect();
+        // The load block is run-stage (the job engine schedules
+        // *instances* of the compiled program), so a load sweep's grid
+        // points share one artifact with their unloaded twin.
+        //
         // The lock-step compiler is the only reader of the star
         // latencies; zeroing them under BISP lets BISP grid points
         // that sweep the baseline's star share one artifact.
@@ -377,7 +353,7 @@ impl Scenario {
             None
         };
         CompileKey {
-            workload_json: workload.to_json().to_string_compact(),
+            workload_json: self.workload.to_json().to_string_compact(),
             scheme: match self.scheme {
                 Scheme::Bisp => 0,
                 Scheme::Lockstep => 1,
@@ -387,20 +363,15 @@ impl Scenario {
             router_latency: self.params.router_latency,
             router_arity: self.params.router_arity,
             star_latencies,
-            topology_surgery,
+            surgery: self.surgery.clone(),
             fabric,
         }
     }
 }
 
 /// The effective heterogeneity maps of a scenario: the parameter-level
-/// defaults and override lists, with the scenario's surgery ops folded
-/// on top in list order. The resolution order is **default →
-/// per-edge/per-qubit override → surgery override**:
-/// [`SurgeryOp::OverrideLinkModel`]/[`SurgeryOp::OverrideNoise`]
-/// replace the *default* (keeping distinct per-edge/per-qubit entries),
-/// while [`SurgeryOp::HeatEdge`]/[`SurgeryOp::HeatQubit`] push one more
-/// override (last write to an edge/qubit wins).
+/// defaults with the per-edge/per-qubit override lists on top (last
+/// write to an edge/qubit wins).
 ///
 /// This is the single source of truth both the compile stage (under
 /// fabric-aware placement) and the run stage (engine link queues,
@@ -415,24 +386,6 @@ pub fn effective_maps(scenario: &Scenario) -> (FabricMap, NoiseMap) {
     let mut noise = NoiseMap::uniform(p.noise);
     for over in &p.noise_overrides {
         noise.set_qubit(over.qubit, over.noise);
-    }
-    for op in &scenario.surgery {
-        match op {
-            SurgeryOp::OverrideLinkModel { link_model } => fabric.set_default(*link_model),
-            SurgeryOp::OverrideNoise { noise: model } => noise.set_default(*model),
-            SurgeryOp::HeatEdge {
-                from,
-                to,
-                link_model,
-            } => fabric.set_edge(*from, *to, *link_model),
-            SurgeryOp::HeatQubit {
-                qubit,
-                noise: model,
-            } => noise.set_qubit(*qubit, *model),
-            SurgeryOp::SwapWorkload { .. }
-            | SurgeryOp::DropRouterLevel
-            | SurgeryOp::RewireSubtree { .. } => {}
-        }
     }
     (fabric, noise)
 }
@@ -449,9 +402,8 @@ pub fn effective_maps(scenario: &Scenario) -> (FabricMap, NoiseMap) {
 /// additionally key on the maps' canonical encoding.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CompileKey {
-    /// Effective workload (post scenario surgery), in its canonical
-    /// JSON form — the only total encoding
-    /// [`WorkloadSpec`](hisq_workloads::WorkloadSpec) has.
+    /// The workload in its canonical JSON form — the only total
+    /// encoding [`WorkloadSpec`](hisq_workloads::WorkloadSpec) has.
     workload_json: String,
     /// Scheme tag (0 = BISP, 1 = lock-step).
     scheme: u8,
@@ -463,25 +415,15 @@ pub struct CompileKey {
     router_arity: usize,
     /// Star up/down latencies; zeroed under BISP (unread there).
     star_latencies: (u64, u64),
-    /// Topology surgery ops in application order (validity and effect
-    /// both depend on the tree they apply to, so they are part of the
+    /// Surgery ops in application order (validity and effect both
+    /// depend on the tree they apply to, so they are part of the
     /// compile identity even when a later op fails).
-    topology_surgery: Vec<TopologySurgeryKey>,
+    surgery: Vec<SurgeryOp>,
     /// Canonical JSON of the effective fabric and noise maps when the
     /// scenario compiles fabric-aware (placement reads them); `None`
     /// for oblivious scenarios, which share artifacts across the
     /// link-model and noise axes exactly as before.
     fabric: Option<String>,
-}
-
-/// Hashable mirror of the topology-mutating [`SurgeryOp`]s.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum TopologySurgeryKey {
-    DropRouterLevel,
-    RewireSubtree {
-        subtree: NodeAddr,
-        new_parent: NodeAddr,
-    },
 }
 
 /// The reusable output of a scenario's compile stage: the validated
@@ -587,9 +529,9 @@ impl CompileCache {
     }
 }
 
-/// Runs `scenario`'s compile stage fresh, outside any cache: surgery
-/// fold, workload build, topology construction + surgery, placement,
-/// compilation, and the system description — everything
+/// Runs `scenario`'s compile stage fresh, outside any cache: workload
+/// build, topology construction + surgery, placement, compilation, and
+/// the system description — everything
 /// [`run_scenario`] does before seeding a backend. Exposed for the
 /// cache-equivalence suite; sweep callers get this transparently
 /// through [`run_sweep`].
@@ -697,16 +639,8 @@ fn compile(
 /// [`Scenario::compile_key`] hashes; errors carry no scenario id (the
 /// consumer stamps its own on, so cached errors replay verbatim).
 fn compile_stage(scenario: &Scenario) -> Result<CompiledArtifact, RunnerError> {
-    // Scenario-level surgery first: the effective workload feeds
-    // everything downstream (link-model/noise overrides are run-stage
-    // and folded by `instantiate` instead).
-    let mut workload = scenario.workload.clone();
-    for op in &scenario.surgery {
-        if let SurgeryOp::SwapWorkload { workload: w } = op {
-            workload = w.clone();
-        }
-    }
-    let built = workload
+    let built = scenario
+        .workload
         .build()
         .ok_or_else(|| RunnerError::UnknownWorkload { id: String::new() })?;
     let p = &scenario.params;
@@ -721,16 +655,15 @@ fn compile_stage(scenario: &Scenario) -> Result<CompiledArtifact, RunnerError> {
         .router_latency(p.router_latency)
         .router_arity(p.router_arity)
         .build();
-    // Topology surgery second, so the compiler places region syncs
+    // Surgery before compiling, so the compiler places region syncs
     // against the surgered tree.
     for op in &scenario.surgery {
-        let result = match op {
+        let result = match *op {
             SurgeryOp::DropRouterLevel => topology.drop_router_level(),
             SurgeryOp::RewireSubtree {
                 subtree,
                 new_parent,
-            } => topology.rewire_subtree(*subtree, *new_parent),
-            _ => Ok(()),
+            } => topology.rewire_subtree(subtree, new_parent),
         };
         result.map_err(|message| RunnerError::Surgery {
             id: String::new(),
@@ -741,18 +674,17 @@ fn compile_stage(scenario: &Scenario) -> Result<CompiledArtifact, RunnerError> {
     let mut data_sites = built.data_sites;
     // Fabric-aware placement: under BISP, remap circuit qubits onto
     // the grid automorphism that minimizes heated-edge traffic and
-    // heated-qubit exposure. A flat fabric plans the identity, so the
-    // flag alone never changes a uniform scenario's programs;
-    // lock-step has no placement freedom and compiles obliviously.
+    // heated-qubit exposure. A flat fabric plans the identity, and
+    // every workload fills its grid, so the flag alone never changes a
+    // uniform scenario's programs; lock-step has no placement freedom
+    // and compiles obliviously.
     if p.fabric_aware && matches!(scenario.scheme, Scheme::Bisp) {
         let (fabric, noise) = effective_maps(scenario);
         let costs = FabricCosts::from_maps(&topology, &fabric, &noise);
-        if !costs.is_flat() {
-            let placement = plan_placement(&circuit, &data_sites, &topology, &costs);
-            let (placed, sites) = apply_placement(&circuit, &data_sites, &placement);
-            circuit = placed;
-            data_sites = sites;
-        }
+        let placement = plan_placement(&circuit, &data_sites, &topology, &costs);
+        let (placed, sites) = apply_placement(&circuit, &data_sites, &placement);
+        circuit = placed;
+        data_sites = sites;
     }
     let (compiled, topology) = match scenario.scheme {
         Scheme::Bisp => {

@@ -53,7 +53,7 @@
 //!   exceed [`MAX_SCENARIOS`]; a larger file is rejected at parse
 //!   time, before anything is allocated for it.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use hisq_compiler::Scheme;
 use hisq_core::NodeAddr;
@@ -79,25 +79,15 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// fails at parse time instead of running until killed.
 pub const MAX_SCENARIOS: u64 = 100_000;
 
-/// A spec-surgery transform: a declarative edit applied to a scenario
-/// before it runs, making "the same experiment, with one structural
-/// change" expressible as a first-class sweep axis (and a scenario-file
-/// field) instead of a forked binary.
+/// A spec-surgery transform: a declarative edit of the router tree,
+/// making "the same experiment, with one structural change"
+/// expressible as a first-class sweep axis (and a scenario-file field)
+/// instead of a forked binary. Surgery holds only the edits no other
+/// scenario field can express.
 ///
-/// Topology ops ([`DropRouterLevel`](SurgeryOp::DropRouterLevel),
-/// [`RewireSubtree`](SurgeryOp::RewireSubtree)) mutate the built
-/// router tree *before* compilation, so the BISP compiler places
-/// region syncs against the surgered tree. Scenario ops
-/// ([`SwapWorkload`](SurgeryOp::SwapWorkload),
-/// [`OverrideLinkModel`](SurgeryOp::OverrideLinkModel),
-/// [`OverrideNoise`](SurgeryOp::OverrideNoise)) replace the
-/// corresponding scenario field, and the heat ops
-/// ([`HeatEdge`](SurgeryOp::HeatEdge),
-/// [`HeatQubit`](SurgeryOp::HeatQubit)) push one per-edge/per-qubit
-/// override on top of whatever the parameters declare (see
-/// [`effective_maps`](crate::runner::effective_maps) for the resolution
-/// order). Ops apply in list order.
-#[derive(Debug, Clone, PartialEq)]
+/// Ops edit the built tree *before* compilation, in list order, so the
+/// BISP compiler places region syncs against the surgered tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SurgeryOp {
     /// Remove the bottom router level, splicing its children into
     /// their grandparents (see
@@ -114,41 +104,6 @@ pub enum SurgeryOp {
         /// The router that adopts it.
         new_parent: NodeAddr,
     },
-    /// Run a different workload with otherwise identical parameters.
-    SwapWorkload {
-        /// The replacement workload.
-        workload: WorkloadSpec,
-    },
-    /// Replace the classical link contention model.
-    OverrideLinkModel {
-        /// The replacement model.
-        link_model: LinkModel,
-    },
-    /// Replace the quantum noise model.
-    OverrideNoise {
-        /// The replacement model.
-        noise: NoiseModel,
-    },
-    /// Heat one directed fabric edge: run `link_model` on the
-    /// `from → to` link while every other link keeps the scenario's
-    /// default — "the same machine, with one degraded cable".
-    HeatEdge {
-        /// Source endpoint of the heated link.
-        from: NodeAddr,
-        /// Destination endpoint of the heated link.
-        to: NodeAddr,
-        /// The model the heated link runs.
-        link_model: LinkModel,
-    },
-    /// Heat one physical qubit: score (and sample) `noise` on that
-    /// qubit while every other qubit keeps the scenario's default —
-    /// "the same device, with one lossy transmon".
-    HeatQubit {
-        /// The heated physical qubit (= controller index).
-        qubit: usize,
-        /// The model the heated qubit runs.
-        noise: NoiseModel,
-    },
 }
 
 impl SurgeryOp {
@@ -160,19 +115,6 @@ impl SurgeryOp {
                 subtree,
                 new_parent,
             } => format!("rewire{subtree}-{new_parent}"),
-            SurgeryOp::SwapWorkload { workload } => format!("swap-{}", workload.label()),
-            SurgeryOp::OverrideLinkModel { link_model } => {
-                format!("lm-{}", link_model_fragment(link_model))
-            }
-            SurgeryOp::OverrideNoise { noise } => format!("noise-{}", noise_fragment(noise)),
-            SurgeryOp::HeatEdge {
-                from,
-                to,
-                link_model,
-            } => format!("heatedge{from}-{to}.{}", link_model_fragment(link_model)),
-            SurgeryOp::HeatQubit { qubit, noise } => {
-                format!("heatqubit{qubit}.{}", noise_fragment(noise))
-            }
         }
     }
 
@@ -190,33 +132,6 @@ impl SurgeryOp {
                 ("op".into(), Json::str("rewire_subtree")),
                 ("subtree".into(), (*subtree).into()),
                 ("new_parent".into(), (*new_parent).into()),
-            ]),
-            SurgeryOp::SwapWorkload { workload } => Json::Object(vec![
-                ("op".into(), Json::str("swap_workload")),
-                ("workload".into(), workload.to_json()),
-            ]),
-            SurgeryOp::OverrideLinkModel { link_model } => Json::Object(vec![
-                ("op".into(), Json::str("override_link_model")),
-                ("link_model".into(), link_model.to_json()),
-            ]),
-            SurgeryOp::OverrideNoise { noise } => Json::Object(vec![
-                ("op".into(), Json::str("override_noise")),
-                ("noise".into(), noise.to_json()),
-            ]),
-            SurgeryOp::HeatEdge {
-                from,
-                to,
-                link_model,
-            } => Json::Object(vec![
-                ("op".into(), Json::str("heat_edge")),
-                ("from".into(), (*from).into()),
-                ("to".into(), (*to).into()),
-                ("link_model".into(), link_model.to_json()),
-            ]),
-            SurgeryOp::HeatQubit { qubit, noise } => Json::Object(vec![
-                ("op".into(), Json::str("heat_qubit")),
-                ("qubit".into(), (*qubit).into()),
-                ("noise".into(), noise.to_json()),
             ]),
         }
     }
@@ -241,40 +156,12 @@ impl SurgeryOp {
                     .required("new_parent")?
                     .as_u16(&obj.field_path("new_parent"))?,
             },
-            "swap_workload" => SurgeryOp::SwapWorkload {
-                workload: WorkloadSpec::from_json(
-                    obj.required("workload")?,
-                    &obj.field_path("workload"),
-                )?,
-            },
-            "override_link_model" => SurgeryOp::OverrideLinkModel {
-                link_model: LinkModel::from_json(
-                    obj.required("link_model")?,
-                    &obj.field_path("link_model"),
-                )?,
-            },
-            "override_noise" => SurgeryOp::OverrideNoise {
-                noise: NoiseModel::from_json(obj.required("noise")?, &obj.field_path("noise"))?,
-            },
-            "heat_edge" => SurgeryOp::HeatEdge {
-                from: obj.required("from")?.as_u16(&obj.field_path("from"))?,
-                to: obj.required("to")?.as_u16(&obj.field_path("to"))?,
-                link_model: LinkModel::from_json(
-                    obj.required("link_model")?,
-                    &obj.field_path("link_model"),
-                )?,
-            },
-            "heat_qubit" => SurgeryOp::HeatQubit {
-                qubit: obj.required("qubit")?.as_usize(&obj.field_path("qubit"))?,
-                noise: NoiseModel::from_json(obj.required("noise")?, &obj.field_path("noise"))?,
-            },
             other => {
                 return Err(JsonError::decode(
                     tag_path,
                     format!(
-                        "unknown surgery op \"{other}\" (expected \"drop_router_level\", \
-                         \"rewire_subtree\", \"swap_workload\", \"override_link_model\", \
-                         \"override_noise\", \"heat_edge\", or \"heat_qubit\")"
+                        "unknown surgery op \"{other}\" (expected \"drop_router_level\" or \
+                         \"rewire_subtree\")"
                     ),
                 ))
             }
@@ -552,7 +439,7 @@ pub struct Scenario {
     pub shots: u32,
     /// Link latencies and baseline star parameters.
     pub params: SystemParams,
-    /// Spec-surgery transforms applied before the run (usually empty).
+    /// Router-tree surgery applied before compilation (usually empty).
     pub surgery: Vec<SurgeryOp>,
     /// Optional multi-tenant load block: when set, the scenario runs
     /// the [`crate::load`] job engine (arrival streams multiplexed
@@ -1274,21 +1161,6 @@ impl ScenarioFile {
         }
         scenarios
     }
-
-    /// The `--quick` expansion (`hisq run --quick`, mirroring the
-    /// `fig*` binaries' flag): one repetition, every scenario clamped
-    /// to a single shot, and grid points that collapse onto the same
-    /// id (e.g. along a `shots` axis) deduplicated in grid order — a
-    /// smoke pass over the file's structure at a fraction of the work.
-    pub fn expand_quick(&self) -> Vec<Scenario> {
-        let mut scenarios = self.expand(Some(1));
-        for scenario in &mut scenarios {
-            scenario.shots = 1;
-        }
-        let mut seen = HashSet::new();
-        scenarios.retain(|s| seen.insert(s.id()));
-        scenarios
-    }
 }
 
 #[cfg(test)]
@@ -1382,24 +1254,6 @@ mod tests {
         assert_eq!(seeds, [1, 2, 3, 1, 2, 3]);
         // The flag overrides the file.
         assert_eq!(file.expand(Some(1)).len(), 2);
-    }
-
-    #[test]
-    fn quick_expansion_clamps_shots_and_reps_and_dedups() {
-        let mut file = quick_file();
-        file.repetitions = 5;
-        file.axes.push(Axis::Shots(vec![1, 8]));
-        // Full expansion: 2 schemes × 2 seeds × 2 shots × 5 reps.
-        assert_eq!(file.expand(None).len(), 40);
-        let quick = file.expand_quick();
-        // Quick: one rep, shots clamped to 1, and the collapsed shots
-        // axis deduplicated — back to the 2×2 core grid.
-        assert_eq!(quick.len(), 4);
-        assert!(quick.iter().all(|s| s.shots == 1));
-        let ids: Vec<String> = quick.iter().map(Scenario::id).collect();
-        let mut unique = ids.clone();
-        unique.dedup();
-        assert_eq!(ids, unique, "quick ids stay unique");
     }
 
     #[test]

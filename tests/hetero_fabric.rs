@@ -3,14 +3,15 @@
 //! segments, thread-count independent), visible only where heated
 //! (one heated element perturbs exactly the scenarios routing through
 //! it), and every distinguishing knob — drop policies included — must
-//! reach the scenario id.
+//! reach the scenario id. Every workload fills its grid, so placement
+//! on a flat fabric is the identity.
 
 use distributed_hisq::runner::{effective_maps, run_sweep};
-use distributed_hisq::scenario::{LinkOverride, NoiseOverride, Scenario, ScenarioFile, SurgeryOp};
+use distributed_hisq::scenario::{LinkOverride, NoiseOverride, Scenario, ScenarioFile};
 use hisq_compiler::Scheme;
 use hisq_net::{DropPolicy, LinkModel};
 use hisq_quantum::NoiseModel;
-use hisq_workloads::WorkloadSpec;
+use hisq_workloads::{SuiteScale, WorkloadSpec};
 use proptest::prelude::*;
 
 fn hot_link(seed: u64) -> LinkModel {
@@ -21,18 +22,17 @@ fn hot_link(seed: u64) -> LinkModel {
     })
 }
 
-/// Two `OverrideLinkModel` surgeries differing *only* in their drop
-/// policy must yield distinct scenario ids — the sweep engine requires
-/// unique ids, and a drop policy changes every downstream byte.
+/// Two link models differing *only* in their drop policy must yield
+/// distinct scenario ids — the sweep engine requires unique ids, and a
+/// drop policy changes every downstream byte.
 #[test]
-fn override_link_model_ids_distinguish_drop_policies() {
-    let base = || Scenario::new(WorkloadSpec::suite("w_state_n12"), Scheme::Bisp).with_seed(3);
+fn link_model_ids_distinguish_drop_policies() {
     let with_drop = |drop: Option<DropPolicy>| {
-        let mut model = LinkModel::serialized(8);
-        model.drop = drop;
-        base()
-            .with_surgery(SurgeryOp::OverrideLinkModel { link_model: model })
-            .id()
+        let mut scenario =
+            Scenario::new(WorkloadSpec::suite("w_state_n12"), Scheme::Bisp).with_seed(3);
+        scenario.params.link_model = LinkModel::serialized(8);
+        scenario.params.link_model.drop = drop;
+        scenario.id()
     };
     let policy = DropPolicy {
         loss_ppm: 1000,
@@ -127,6 +127,56 @@ fn aware_flag_alone_never_changes_uniform_metrics() {
         strip_id(&awr.to_json(), &awr.id),
         "aware flag must be metric-invisible on a uniform fabric"
     );
+}
+
+/// Every workload fills its controller grid. Fabric-aware compilation
+/// plans and applies a placement even on a flat fabric, where the plan
+/// is the identity and `apply_placement` could only change a circuit
+/// narrower than its grid (by widening it). Checked for every suite
+/// instance at both scales and every `long_range_cnots` shape a
+/// committed scenario file names, so a narrower workload fails here
+/// first.
+#[test]
+fn every_workload_fills_its_grid() {
+    let mut workloads: Vec<WorkloadSpec> = [SuiteScale::Quick, SuiteScale::Paper]
+        .into_iter()
+        .flat_map(WorkloadSpec::suite_specs)
+        .collect();
+    let suite_len = workloads.len();
+    for dir in ["scenarios", "scenarios/full"] {
+        let dir = format!("{}/{dir}", env!("CARGO_MANIFEST_DIR"));
+        for entry in std::fs::read_dir(&dir).expect("corpus directory exists") {
+            let path = entry.expect("readable dir entry").path();
+            if path.extension().and_then(|e| e.to_str()) != Some("json") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("readable scenario file");
+            let file = ScenarioFile::parse(&text).expect("committed scenario file parses");
+            for scenario in file.expand(Some(1)) {
+                let shape = scenario.workload;
+                if matches!(shape, WorkloadSpec::LongRangeCnots { .. })
+                    && !workloads.contains(&shape)
+                {
+                    workloads.push(shape);
+                }
+            }
+        }
+    }
+    assert_eq!(suite_len, 18, "both suite scales");
+    assert!(
+        workloads.len() > suite_len,
+        "no long_range_cnots shape found"
+    );
+    for workload in &workloads {
+        let built = workload.build().expect("known workload");
+        let (width, height) = built.grid;
+        assert_eq!(
+            built.circuit.num_qubits(),
+            width * height,
+            "{}: the circuit must fill its {width}x{height} grid",
+            workload.label()
+        );
+    }
 }
 
 /// One heated *edge* perturbs exactly the scenario routing through it:

@@ -61,14 +61,10 @@ fn surgery_of(kind: u8) -> Vec<SurgeryOp> {
             new_parent: u16::from(kind) + 1,
         }],
         _ => vec![
-            SurgeryOp::SwapWorkload {
-                workload: WorkloadSpec::suite("bv_n16"),
-            },
-            SurgeryOp::OverrideNoise {
-                noise: NoiseModel::NOISELESS.with_gate_errors(0.002, 0.02),
-            },
-            SurgeryOp::OverrideLinkModel {
-                link_model: LinkModel::serialized(8),
+            SurgeryOp::DropRouterLevel,
+            SurgeryOp::RewireSubtree {
+                subtree: u16::from(kind),
+                new_parent: u16::from(kind) + 2,
             },
         ],
     }
@@ -311,6 +307,24 @@ fn malformed_scenario_files_fail_readably() {
                 "base": {"workload": {"suite": "a"}, "scheme": "bisp",
                          "surgery": [{"op": "teleport"}]}}"#,
             "scenario.base.surgery[0].op",
+        ),
+        // Surgery holds only router-tree edits: an op that repeated a
+        // scenario field is an unknown op, in `base` and in an axis.
+        (
+            r#"{"schema_version": 1, "name": "x",
+                "base": {"workload": {"suite": "a"}, "scheme": "bisp",
+                         "surgery": [{"op": "heat_qubit", "qubit": 19,
+                                      "noise": {"p_meas": 0.03}}]}}"#,
+            "scenario.base.surgery[0].op: unknown surgery op \"heat_qubit\" \
+             (expected \"drop_router_level\" or \"rewire_subtree\")",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x",
+                "base": {"workload": {"suite": "a"}, "scheme": "bisp"},
+                "axes": [{"axis": "surgery", "values": [[], [
+                    {"op": "swap_workload", "workload": {"suite": "bv_n16"}}
+                ]]}]}"#,
+            "scenario.axes[0].values[1][0].op: unknown surgery op \"swap_workload\"",
         ),
         (
             r#"{"schema_version": 1, "name": "x",

@@ -1,33 +1,24 @@
 #!/usr/bin/env bash
-# Committed-baseline gate for the paper-figure binaries.
+# Thread-count spot-check and wall-clock gates for the paper-figure
+# binaries.
 #
-# The one figure whose systems are hand-assembled rather than built
-# from scenario files, fig_scale, commits its quick report to the repo
-# root (BENCH_fig_scale.json); it is regenerated with the shared
-# `--quick --threads 2 --json` flags and byte-compared, so the baseline
-# can never drift silently. The scenario-driven figures (fig15, fig16,
-# fig_contention, fig_hetero, fig_load, fig_noise) keep their quick
-# grids in the golden corpus instead: ci/check_scenarios.sh and
-# `cargo test` compare them against scenarios/reports/. Regenerated
-# copies of mismatching reports are left under $DIFF_DIR (default
+# Every figure whose report is deterministic and built from scenario
+# files (fig15, fig16, fig_contention, fig_hetero, fig_load, fig_noise,
+# fig_scale) keeps its quick grid in the golden corpus:
+# ci/check_scenarios.sh and `cargo test` compare those reports against
+# scenarios/reports/ on 1 and 4 threads. The experiment harnesses
+# fig11 and fig13 are not scenario-driven, so this script checks that
+# they emit byte-identical `--quick --json` reports on 1 and 4 worker
+# threads. Mismatching pairs are left under $DIFF_DIR (default
 # target/baseline-diff/) for CI to upload as an artifact.
 #
-# Next, the thread-count spot-check: the binaries whose output is not a
-# golden-corpus report (fig_scale, and the experiment harnesses fig11
-# and fig13) must emit byte-identical `--quick --json` reports on 1 and
-# 4 worker threads. Mismatching pairs are kept under $DIFF_DIR too.
-# (ci/check_scenarios.sh replays the scenario-driven figures on 1 and
-# 4 threads.)
-#
-# After the figure baseline, the wall-clock regression gates run:
-# `event_engine --gate` re-measures the simulator hot loop and fails if
-# any row of the committed BENCH_event_engine.json regressed by more
-# than 15% ns/event, and `fig_sweep_throughput --gate` re-times the
-# full cached sweep grid and fails if any thread-count row's
-# scenarios/sec fell more than 15% below the committed
-# BENCH_sweep_throughput.json. Both reports carry wall time, so they
-# are gated — never byte-compared like the deterministic figure
-# baseline above.
+# Then the wall-clock regression gates run: `event_engine --gate`
+# re-measures the simulator hot loop and fails if any row of the
+# committed BENCH_event_engine.json regressed by more than 15%
+# ns/event, and `fig_sweep_throughput --gate` re-times the full cached
+# sweep grid and fails if any thread-count row's scenarios/sec fell
+# more than 15% below the committed BENCH_sweep_throughput.json. Both
+# reports carry wall time, so they are gated, never byte-compared.
 #
 # Usage: ci/check_baselines.sh           (uses cargo run --release)
 set -euo pipefail
@@ -36,29 +27,11 @@ cd "$(dirname "$0")/.."
 
 DIFF_DIR="${DIFF_DIR:-target/baseline-diff}"
 
-BASELINED_BINS=(fig_scale)
-
 rm -rf "$DIFF_DIR"
 mkdir -p "$DIFF_DIR"
 
 status=0
-for bin in "${BASELINED_BINS[@]}"; do
-    golden="BENCH_$bin.json"
-    out="$DIFF_DIR/$bin.json"
-    cargo run --release -p hisq-bench --bin "$bin" -- --quick --threads 2 --json \
-        > "$out"
-    if cmp -s "$out" "$golden"; then
-        rm "$out"
-        echo "ok   $bin ($golden)"
-    else
-        echo "FAIL $bin: regenerated report differs from $golden" >&2
-        echo "     regenerated copy kept at $out" >&2
-        echo "     to accept the new baseline: cp $out $golden" >&2
-        status=1
-    fi
-done
-
-for bin in fig11 fig13 fig_scale; do
+for bin in fig11 fig13; do
     t1="$DIFF_DIR/$bin.t1.json"
     t4="$DIFF_DIR/$bin.t4.json"
     cargo run --release -p hisq-bench --bin "$bin" -- --quick --threads 4 --json > "$t4"

@@ -7,9 +7,11 @@
 # also proves the parallel sweep engine is deterministic on the whole
 # corpus. The corpus includes the --quick grids of the scenario-driven
 # figure binaries (fig15, fig16, fig_contention, fig_hetero, fig_load,
-# fig_noise), so their reports are pinned here too; their full grids
-# live in scenarios/full/, which the scenarios/*.json glob does not
-# match. `cargo test` runs the same single-thread comparison
+# fig_noise, fig_scale), so their reports are pinned here too; their
+# full grids live in scenarios/full/, which the scenarios/*.json glob
+# does not match. fig_scale's quick grid reaches a BISP root router at
+# node address 4094, the top of the 12-bit node field. `cargo test`
+# runs the same comparison, uncached on 1 thread and cached on 1 and 4
 # (tests/compile_cache_equivalence.rs). One file additionally runs
 # with `--repetitions` to pin the
 # seed++ expansion semantics, and the load_saturation report is

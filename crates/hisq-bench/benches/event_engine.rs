@@ -3,8 +3,7 @@
 //! and writes `BENCH_event_engine.json` — the repo's perf trajectory
 //! for the discrete-event core.
 //!
-//! The systems are the shared [`hisq_bench::scale`] builders (the same
-//! workloads `fig_scale` sweeps at 256–4096 controllers), synthesized
+//! The systems ([`build_bisp`], [`build_lockstep`]) are synthesized
 //! directly as HISQ programs so the measurement isolates the event
 //! engine: queue push/pop, node dispatch, link-latency lookup, commit
 //! harvesting, and TELF attribution.
@@ -17,12 +16,15 @@
 //! ns/event, and the process exits 1 if any row regressed by more than
 //! 15%. Gate mode never overwrites the committed baseline.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use hisq_bench::scale::{build_bisp, build_lockstep};
+use hisq_core::NodeConfig;
+use hisq_isa::Assembler;
 use hisq_json::{Json, ObjReader};
-use hisq_sim::System;
+use hisq_net::TopologyBuilder;
+use hisq_sim::{System, SystemSpec};
 
 /// Controller counts of the scaling axis.
 const SIZES: [usize; 3] = [8, 32, 128];
@@ -50,47 +52,177 @@ const BASELINE: &[(&str, usize, f64)] = &[
 /// Workspace-root path of the committed benchmark report.
 const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_event_engine.json");
 
-struct Measurement {
-    scheme: &'static str,
-    controllers: usize,
-    events: u64,
-    ns_per_event: f64,
-    ns_per_run: f64,
+/// Each row's iterations are split over this many passes, and every
+/// pass times all six rows in turn, so a slow spell of the host lands
+/// in a few passes of every row instead of in all of one row.
+const PASSES: u32 = 10;
+
+fn asm(src: &str) -> Vec<hisq_isa::Inst> {
+    Assembler::new()
+        .assemble(src)
+        .expect("bench program assembles")
+        .insts()
+        .to_vec()
 }
 
-/// Times `run()` (build excluded) over enough iterations to amortize
-/// timer noise; returns per-event and per-run wall time.
+/// A BISP system of `n` controllers on a linear mesh under an arity-4
+/// router tree: every round pairs nearby syncs, exchanges a classical
+/// value, and region-syncs through the root, `rounds` times.
+fn build_bisp(n: usize, rounds: u32) -> System {
+    let topo = TopologyBuilder::linear(n)
+        .neighbor_latency(5)
+        .router_latency(10)
+        .router_arity(4)
+        .build();
+    let root = topo.root_router().unwrap();
+    let mut programs = BTreeMap::new();
+    for i in 0..n as u16 {
+        let partner = i ^ 1;
+        let exchange = if i % 2 == 0 {
+            format!("send {partner}, t1\nrecv t2, {partner}")
+        } else {
+            format!("recv t2, {partner}\nsend {partner}, t2")
+        };
+        let src = format!(
+            "
+            li t1, {rounds}
+        loop:
+            waiti 10
+            sync {partner}
+            waiti 6
+            cw.i.i 0, 1
+            {exchange}
+            li t0, 40
+            sync {root}, t0
+            waiti 40
+            cw.i.i 1, 1
+            addi t1, t1, -1
+            bnez t1, loop
+            stop
+            "
+        );
+        programs.insert(i, asm(&src));
+    }
+    SystemSpec::from_topology(&topo, programs)
+        .build()
+        .expect("bench system builds")
+}
+
+/// A lock-step system of `n` controllers on a star: controller 0
+/// publishes a value to the hub every round; every controller consumes
+/// the broadcast, `rounds` times.
+fn build_lockstep(n: usize, rounds: u32) -> System {
+    let hub = n as u16;
+    let mut spec = SystemSpec::new();
+    spec.hub(
+        hub,
+        hisq_sim::Hub {
+            subscribers: (0..n as u16).collect(),
+            down_latency: 25,
+        },
+    );
+    for i in 0..n as u16 {
+        let publish = if i == 0 {
+            format!("send {hub}, t1\n")
+        } else {
+            String::new()
+        };
+        let src = format!(
+            "
+            li t1, {rounds}
+        loop:
+            {publish}recv t2, {hub}
+            waiti 10
+            cw.i.i 0, 1
+            addi t1, t1, -1
+            bnez t1, loop
+            stop
+            "
+        );
+        spec.controller(NodeConfig::new(i).with_pipeline_headroom(32), asm(&src));
+    }
+    spec.build().expect("bench system builds")
+}
+
+/// One row under measurement: its system builder, its event count,
+/// its iteration budget and the fastest run so far.
+struct Row {
+    scheme: &'static str,
+    controllers: usize,
+    build: fn(usize, u32) -> System,
+    events: u64,
+    iters: u32,
+    best_ns: u128,
+}
+
+impl Row {
+    /// Builds and runs the row once to warm allocator and caches, and
+    /// sizes its iteration budget from the event count.
+    fn new(scheme: &'static str, controllers: usize, build: fn(usize, u32) -> System) -> Row {
+        let mut warm = build(controllers, ROUNDS);
+        let report = warm.run().expect("bench run completes");
+        assert!(
+            report.all_halted,
+            "{scheme}/{controllers}: bench workload deadlocked"
+        );
+        let events = report.events_processed;
+        Row {
+            scheme,
+            controllers,
+            build,
+            events,
+            iters: (2_000_000 / events.max(1)).clamp(3, 200) as u32,
+            best_ns: u128::MAX,
+        }
+    }
+
+    /// Times `run()` (build excluded) for pass `pass`'s share of the
+    /// iteration budget; the shares of all [`PASSES`] sum to `iters`.
+    fn time_pass(&mut self, pass: u32) {
+        let share = self.iters / PASSES + u32::from(pass < self.iters % PASSES);
+        for _ in 0..share {
+            let mut system = (self.build)(self.controllers, ROUNDS);
+            let start = Instant::now();
+            let report = system.run().expect("bench run completes");
+            self.best_ns = self.best_ns.min(start.elapsed().as_nanos());
+            assert_eq!(
+                report.events_processed, self.events,
+                "runs must be identical"
+            );
+        }
+    }
+
+    fn ns_per_run(&self) -> f64 {
+        self.best_ns as f64
+    }
+
+    fn ns_per_event(&self) -> f64 {
+        self.ns_per_run() / self.events as f64
+    }
+}
+
+/// Times every row; each returned row holds its fastest run.
 ///
 /// The statistic is the **minimum** iteration time, not the mean: the
 /// runs are deterministic and identical, so the minimum estimates the
 /// code's uncontended cost while the mean smears in whatever else the
 /// machine was doing during the measurement window. On a shared box
 /// the mean scatters well past the gate's 15% tolerance; the minimum
-/// is stable run-to-run, which is what a regression gate needs.
-fn measure(scheme: &'static str, n: usize, build: impl Fn(usize, u32) -> System) -> Measurement {
-    // Warm up allocator and caches.
-    let mut warm = build(n, ROUNDS);
-    let report = warm.run().expect("bench run completes");
-    assert!(report.all_halted, "{scheme}/{n}: bench workload deadlocked");
-    let events = report.events_processed;
-
-    let iters = (2_000_000 / events.max(1)).clamp(3, 200) as u32;
-    let mut best_ns = u128::MAX;
-    for _ in 0..iters {
-        let mut system = build(n, ROUNDS);
-        let start = Instant::now();
-        let report = system.run().expect("bench run completes");
-        best_ns = best_ns.min(start.elapsed().as_nanos());
-        assert_eq!(report.events_processed, events, "runs must be identical");
+/// is stable run-to-run, which is what a regression gate needs. The
+/// iterations run in [`PASSES`] interleaved passes, so the minimum
+/// is taken across passes spread over the whole measurement.
+fn measure() -> Vec<Row> {
+    let mut rows = Vec::new();
+    for &n in &SIZES {
+        rows.push(Row::new("bisp", n, build_bisp));
+        rows.push(Row::new("lockstep", n, build_lockstep));
     }
-    let ns_per_run = best_ns as f64;
-    Measurement {
-        scheme,
-        controllers: n,
-        events,
-        ns_per_event: ns_per_run / events as f64,
-        ns_per_run,
+    for pass in 0..PASSES {
+        for row in &mut rows {
+            row.time_pass(pass);
+        }
     }
+    rows
 }
 
 fn json_f64(v: f64) -> String {
@@ -152,11 +284,7 @@ fn main() {
     // non-gate run overwrites the file).
     let committed = if gate { committed_rows() } else { Vec::new() };
 
-    let mut results = Vec::new();
-    for &n in &SIZES {
-        results.push(measure("bisp", n, build_bisp));
-        results.push(measure("lockstep", n, build_lockstep));
-    }
+    let results = measure();
 
     println!("event engine: ns per processed event (lower is better)");
     println!("{:-<72}", "");
@@ -175,7 +303,11 @@ fn main() {
             .unwrap_or(f64::NAN);
         println!(
             "{:<10} {:>12} {:>12} {:>14.1} {:>14.1}",
-            m.scheme, m.controllers, m.events, m.ns_per_event, baseline
+            m.scheme,
+            m.controllers,
+            m.events,
+            m.ns_per_event(),
+            baseline
         );
         if i > 0 {
             json.push(',');
@@ -187,8 +319,8 @@ fn main() {
             m.scheme,
             m.controllers,
             m.events,
-            json_f64(m.ns_per_event),
-            json_f64(m.ns_per_run),
+            json_f64(m.ns_per_event()),
+            json_f64(m.ns_per_run()),
             json_f64(baseline)
         );
     }
@@ -209,18 +341,18 @@ fn main() {
                 continue;
             };
             let limit = committed_ns * GATE_TOLERANCE;
-            if m.ns_per_event > limit {
+            if m.ns_per_event() > limit {
                 println!(
                     "gate FAIL {scheme}/{controllers}: {:.1} ns/event exceeds \
                      committed {committed_ns:.1} by more than {:.0}% (limit {limit:.1})",
-                    m.ns_per_event,
+                    m.ns_per_event(),
                     (GATE_TOLERANCE - 1.0) * 100.0
                 );
                 failed = true;
             } else {
                 println!(
                     "gate ok   {scheme}/{controllers}: {:.1} ns/event (committed {committed_ns:.1}, limit {limit:.1})",
-                    m.ns_per_event
+                    m.ns_per_event()
                 );
             }
         }

@@ -9,7 +9,7 @@
 use distributed_hisq::compiler::{compile_bisp, BispOptions, Scheme};
 use distributed_hisq::quantum::Circuit;
 use distributed_hisq::runner::Scenario;
-use distributed_hisq::workloads::WorkloadSpec;
+use distributed_hisq::workloads::{long_range_controllers, WorkloadSpec};
 use hisq_core::NodeConfig;
 use hisq_isa::Assembler;
 use hisq_net::TopologyBuilder;
@@ -497,7 +497,7 @@ pub fn fig_contention_rows(scenarios: &[Scenario], report: &SweepReport) -> Vec<
         let WorkloadSpec::LongRangeCnots { parallel, span } = scenario.workload else {
             panic!("contention scenarios run the long-range CNOT workload");
         };
-        let controllers = 2 * parallel * (span + 1) - 1;
+        let controllers = long_range_controllers(parallel, span).expect("a parsed shape fits");
         let scheme = match scenario.scheme {
             Scheme::Bisp => "bisp",
             Scheme::Lockstep => "lockstep",

@@ -44,6 +44,9 @@ pub const FIG_NOISE: FigureGrid = figure_grid!("fig_noise");
 pub const FIG_HETERO: FigureGrid = figure_grid!("fig_hetero");
 /// Multi-tenant saturation: one load block per (partitions, ρ) point.
 pub const FIG_LOAD: FigureGrid = figure_grid!("fig_load");
+/// Scaling: simultaneous long-range CNOTs up to the address space's
+/// top, under both schemes.
+pub const FIG_SCALE: FigureGrid = figure_grid!("fig_scale");
 
 impl FigureGrid {
     /// The expanded `--quick` or full grid.

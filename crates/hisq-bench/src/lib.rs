@@ -18,10 +18,10 @@
 //! | Gate noise (beyond the paper) | [`grids::FIG_NOISE`], [`figures::fig_noise_points`] | `fig_noise` |
 //! | Heterogeneous fabric (beyond the paper) | [`grids::FIG_HETERO`], [`figures::fig_hetero_points`] | `fig_hetero` |
 //! | Multi-tenant saturation (beyond the paper) | [`grids::FIG_LOAD`], [`load::fig_load_points`] | `fig_load` |
-//! | Scaling (beyond the paper) | [`scale::scale_points`] | `fig_scale` |
+//! | Scaling (beyond the paper) | [`grids::FIG_SCALE`], [`figures::fig15_rows`] | `fig_scale` |
 //! | Sweep throughput (beyond the paper) | [`sweep_throughput::throughput_scenarios`] | `fig_sweep_throughput` |
 //!
-//! The six scenario-driven figures read their grids from committed
+//! The seven scenario-driven figures read their grids from committed
 //! scenario files (`scenarios/<fig>.json` for `--quick`,
 //! `scenarios/full/<fig>.json` otherwise), embedded by [`grids`]; the
 //! functions above turn a sweep report back into table rows.
@@ -38,5 +38,4 @@ pub mod figures;
 pub mod grids;
 pub mod load;
 pub mod resources;
-pub mod scale;
 pub mod sweep_throughput;

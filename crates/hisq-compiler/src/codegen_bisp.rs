@@ -102,8 +102,9 @@ fn wire(circuit: &Circuit) -> Result<Wiring, CompileError> {
 /// # Errors
 ///
 /// Returns [`CompileError`] when the circuit does not fit the topology,
-/// a two-qubit gate spans non-adjacent controllers, or a condition
-/// guards a multi-qubit operation.
+/// the topology's highest address is not below [`MEAS_FIFO_ADDR`], a
+/// two-qubit gate spans non-adjacent controllers, or a condition guards
+/// a multi-qubit operation.
 pub fn compile_bisp(
     circuit: &Circuit,
     topology: &Topology,
@@ -117,6 +118,15 @@ pub fn compile_bisp(
         });
     }
     let root = topology.root_router().ok_or(CompileError::NoRootRouter)?;
+    // Routers are numbered after the controllers, root last, so the
+    // root holds the topology's highest address.
+    if root >= MEAS_FIFO_ADDR {
+        return Err(CompileError::AddrOutOfRange {
+            node: "root router",
+            addr: usize::from(root),
+            limit: MEAS_FIFO_ADDR,
+        });
+    }
     let wiring = wire(circuit)?;
 
     let mut builders: BTreeMap<NodeAddr, StreamBuilder> = (0..topology.num_controllers() as u16)

@@ -105,13 +105,23 @@ impl Item {
 ///
 /// # Errors
 ///
-/// Returns [`CompileError`] for conditions on multi-qubit operations or
-/// conditions referencing unwritten clbits.
+/// Returns [`CompileError`] when the hub's address (one past the last
+/// controller) is not below [`MEAS_FIFO_ADDR`], for conditions on
+/// multi-qubit operations, or for conditions referencing unwritten
+/// clbits.
 pub fn compile_lockstep(
     circuit: &Circuit,
     options: &LockstepOptions,
 ) -> Result<CompiledSystem, CompileError> {
     let n = circuit.num_qubits();
+    // The hub takes the address after the last controller.
+    if n >= usize::from(MEAS_FIFO_ADDR) {
+        return Err(CompileError::AddrOutOfRange {
+            node: "hub",
+            addr: n,
+            limit: MEAS_FIFO_ADDR,
+        });
+    }
     let hub_addr = n as NodeAddr;
     let d = options.durations;
     let broadcast_latency = options.star_up_latency + options.star_down_latency;

@@ -188,9 +188,13 @@ impl CompiledSystem {
     /// therefore emitted bit-identical programs for the same
     /// controllers — the property the sweep compile cache's
     /// equivalence suite checks (equal cache keys ⇒ equal
-    /// fingerprints). Instructions outside the encodable ISA (none are
-    /// compiler-emitted today) hash a sentinel plus their debug form
-    /// instead of a word, keeping the fingerprint total.
+    /// fingerprints).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an instruction does not encode. The compilers reject
+    /// node addresses outside the 12-bit field before they emit, and
+    /// bound every other field as they emit it.
     pub fn fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -208,13 +212,8 @@ impl CompiledSystem {
         for (&addr, program) in &self.programs {
             eat(&addr.to_le_bytes());
             for inst in program.insts() {
-                match hisq_isa::encode::encode(inst) {
-                    Ok(word) => eat(&word.to_le_bytes()),
-                    Err(_) => {
-                        eat(&[0xff]);
-                        eat(format!("{inst:?}").as_bytes());
-                    }
-                }
+                let word = hisq_isa::encode::encode(inst).expect("compiled instructions encode");
+                eat(&word.to_le_bytes());
             }
         }
         hash
@@ -253,6 +252,18 @@ pub enum CompileError {
     },
     /// The topology has no router to coordinate region synchronization.
     NoRootRouter,
+    /// A node the scheme needs sits at or above `limit`
+    /// ([`hisq_core::MEAS_FIFO_ADDR`]), where the ISA's 12-bit node
+    /// field cannot name it apart from the measurement FIFO.
+    AddrOutOfRange {
+        /// The node: BISP's `"root router"` (the topology's highest
+        /// address) or the lock-step `"hub"`.
+        node: &'static str,
+        /// Its address.
+        addr: usize,
+        /// The first address no node may take.
+        limit: NodeAddr,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -281,6 +292,11 @@ impl fmt::Display for CompileError {
             CompileError::NoRootRouter => {
                 write!(f, "topology has no router for region synchronization")
             }
+            CompileError::AddrOutOfRange { node, addr, limit } => write!(
+                f,
+                "{node} address {addr} is at or above the limit of {limit} \
+                 (the measurement FIFO's address in the 12-bit node field)"
+            ),
         }
     }
 }

@@ -64,5 +64,7 @@ pub use hisq_isa::{CYCLE_NS, MAX_WAITI_CYCLES};
 
 /// Reserved node address for the local measurement-result FIFO: `recv`
 /// from this address reads the discrimination output of the local
-/// readout chain (delivered by the analog front-end model).
-pub const MEAS_FIFO_ADDR: NodeAddr = 0xFFF;
+/// readout chain (delivered by the analog front-end model). It is the
+/// largest address the ISA's 12-bit node field holds, 0xFFF, so every
+/// router, hub and controller sits below it.
+pub const MEAS_FIFO_ADDR: NodeAddr = hisq_isa::MAX_NODE_ADDR;

@@ -3,8 +3,9 @@
 
 use std::fmt;
 
-/// Network address of a node (controller or router). 12 bits are
-/// encodable in the `sync`/`send`/`recv` instructions.
+/// Network address of a node (controller, router or hub). The
+/// `sync`/`send`/`recv` instructions encode 12 bits, and nodes sit
+/// below [`crate::MEAS_FIFO_ADDR`], the top of that field.
 pub type NodeAddr = u16;
 
 /// A message emitted by a controller, to be routed by the network

@@ -30,7 +30,7 @@ use crate::error::AsmError;
 use crate::inst::{AluOp, BranchOp, CwOperand, Inst, LoadOp, StoreOp};
 use crate::program::Program;
 use crate::reg::Reg;
-use crate::MAX_WAITI_CYCLES;
+use crate::{MAX_NODE_ADDR, MAX_WAITI_CYCLES};
 
 /// The HISQ two-pass assembler.
 ///
@@ -377,9 +377,18 @@ impl Stmt {
         }
     }
 
-    fn u16_at(&self, i: usize) -> Result<u16, AsmError> {
+    /// A `sync`/`send`/`recv` node operand, bounded by the 12-bit field.
+    fn node_at(&self, i: usize) -> Result<u16, AsmError> {
         let v = self.imm_at(i)?;
-        u16::try_from(v).map_err(|_| self.err(format!("value {v} does not fit 16 bits")))
+        u16::try_from(v)
+            .ok()
+            .filter(|v| *v <= MAX_NODE_ADDR)
+            .ok_or_else(|| {
+                self.err(format!(
+                    "`{}` node {v} does not fit 12 bits (at most {MAX_NODE_ADDR})",
+                    self.mnemonic
+                ))
+            })
     }
 
     /// Emits the concrete instruction(s) for this statement.
@@ -637,11 +646,11 @@ impl Stmt {
             }
             "sync" => match self.operands.len() {
                 1 => Inst::Sync {
-                    target: self.u16_at(0)?,
+                    target: self.node_at(0)?,
                     horizon: Reg::X0,
                 },
                 2 => Inst::Sync {
-                    target: self.u16_at(0)?,
+                    target: self.node_at(0)?,
                     horizon: self.reg_at(1)?,
                 },
                 n => return Err(self.err(format!("`sync` expects 1 or 2 operands, found {n}"))),
@@ -649,7 +658,7 @@ impl Stmt {
             "send" => {
                 self.expect_len(2)?;
                 Inst::Send {
-                    target: self.u16_at(0)?,
+                    target: self.node_at(0)?,
                     rs1: self.reg_at(1)?,
                 }
             }
@@ -657,7 +666,7 @@ impl Stmt {
                 self.expect_len(2)?;
                 Inst::Recv {
                     rd: self.reg_at(0)?,
-                    source: self.u16_at(1)?,
+                    source: self.node_at(1)?,
                 }
             }
             "stop" => {
@@ -919,6 +928,25 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.line, 3);
         assert!(err.message.contains("bogus"));
+    }
+
+    #[test]
+    fn node_operands_are_bounded_by_the_12_bit_field() {
+        for src in ["sync 4096", "send 4096, t0", "recv t0, 4096"] {
+            let err = Assembler::new()
+                .assemble(&format!("nop\n{src}\n"))
+                .unwrap_err();
+            assert_eq!(err.line, 2, "{src}");
+            assert!(err.message.contains("node 4096"), "{src}: {err}");
+            assert!(err.message.contains("at most 4095"), "{src}: {err}");
+        }
+        assert_eq!(
+            asm("recv t0, 0xFFF").insts()[0],
+            Inst::Recv {
+                rd: Reg::T0,
+                source: MAX_NODE_ADDR
+            }
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::error::EncodeError;
 use crate::inst::{AluOp, BranchOp, CwOperand, Inst, LoadOp, StoreOp};
 use crate::reg::Reg;
-use crate::MAX_WAITI_CYCLES;
+use crate::{MAX_NODE_ADDR, MAX_WAITI_CYCLES};
 
 /// Major opcode of the RV32I `lui` instruction.
 pub const OPC_LUI: u32 = 0b011_0111;
@@ -295,16 +295,16 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
             }
         },
         Inst::Sync { target, horizon } => {
-            imm_range("sync", i64::from(target), 0, (1 << 12) - 1)?;
+            imm_range("sync", i64::from(target), 0, i64::from(MAX_NODE_ADDR))?;
             Ok(OPC_HISQ | funct3(0b110) | rs1(horizon) | (u32::from(target) << 20))
         }
         Inst::Stop => Ok(OPC_HISQ | funct3(0b111)),
         Inst::Send { target, rs1: src } => {
-            imm_range("send", i64::from(target), 0, (1 << 12) - 1)?;
+            imm_range("send", i64::from(target), 0, i64::from(MAX_NODE_ADDR))?;
             Ok(OPC_MSG | funct3(0b000) | rs1(src) | (u32::from(target) << 20))
         }
         Inst::Recv { rd: dst, source } => {
-            imm_range("recv", i64::from(source), 0, (1 << 12) - 1)?;
+            imm_range("recv", i64::from(source), 0, i64::from(MAX_NODE_ADDR))?;
             Ok(OPC_MSG | funct3(0b001) | rd(dst) | (u32::from(source) << 20))
         }
     }

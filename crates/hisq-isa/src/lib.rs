@@ -85,6 +85,11 @@ pub const CYCLE_NS: u64 = 1_000_000_000 / TCU_CLOCK_HZ;
 /// waits are emitted as several `waiti`s.
 pub const MAX_WAITI_CYCLES: u32 = (1 << 22) - 1;
 
+/// The largest node address a `sync`/`send`/`recv` target holds: the
+/// 12-bit field's maximum, 4095. `hisq_core::MEAS_FIFO_ADDR` reserves
+/// it for the local measurement-result FIFO, so nodes sit at 0..=4094.
+pub const MAX_NODE_ADDR: u16 = (1 << 12) - 1;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,4 +43,4 @@ pub use message::Payload;
 pub use router::{Router, RouterAction, RouterError};
 pub use topology::{DropPolicy, FabricMap, LinkModel, Topology, TopologyBuilder};
 
-pub use hisq_core::NodeAddr;
+pub use hisq_core::{NodeAddr, MEAS_FIFO_ADDR};

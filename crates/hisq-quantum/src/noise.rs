@@ -234,13 +234,6 @@ impl NoiseMap {
         self.default
     }
 
-    /// Replaces the uniform default; overrides that now equal the new
-    /// default are dropped.
-    pub fn set_default(&mut self, default: NoiseModel) {
-        self.default = default;
-        self.overrides.retain(|_, m| *m != default);
-    }
-
     /// Overrides one qubit's model. Setting a qubit back to the default
     /// removes the override.
     pub fn set_qubit(&mut self, qubit: usize, model: NoiseModel) {
@@ -495,11 +488,7 @@ mod tests {
         // Setting a qubit back to the default removes the override.
         map.set_qubit(3, default);
         assert!(map.is_uniform());
-        // Changing the default drops overrides that now match it.
-        map.set_qubit(5, hot);
-        map.set_default(hot);
-        assert!(map.is_uniform());
-        assert_eq!(map.default_model(), hot);
+        assert_eq!(map.default_model(), default);
         assert_eq!(NoiseMap::from(default).model_for(7), default);
         assert!(NoiseMap::default().is_noiseless());
     }

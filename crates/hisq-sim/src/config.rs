@@ -41,6 +41,15 @@ pub enum SimError {
     },
     /// A node address was used twice.
     DuplicateAddr(NodeAddr),
+    /// A router, hub or controller sits at or above `limit`
+    /// ([`MEAS_FIFO_ADDR`](hisq_core::MEAS_FIFO_ADDR)), where the ISA's
+    /// 12-bit node field cannot name it apart from the measurement FIFO.
+    AddrOutOfRange {
+        /// The offending (highest) node address.
+        addr: NodeAddr,
+        /// The first address no node may take.
+        limit: NodeAddr,
+    },
     /// A spec referenced an address that is not a registered
     /// controller (dangling hub subscriber or binding).
     UnknownAddr {
@@ -68,6 +77,11 @@ impl fmt::Display for SimError {
                 write!(f, "event budget of {budget} exceeded (runaway program?)")
             }
             SimError::DuplicateAddr(a) => write!(f, "node address {a} registered twice"),
+            SimError::AddrOutOfRange { addr, limit } => write!(
+                f,
+                "node address {addr} is at or above the limit of {limit} \
+                 (the measurement FIFO's address in the 12-bit node field)"
+            ),
             SimError::UnknownAddr { addr, role } => {
                 write!(f, "{role} references unknown controller address {addr}")
             }

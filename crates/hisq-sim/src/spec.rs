@@ -39,7 +39,7 @@
 
 use std::collections::BTreeMap;
 
-use hisq_core::{NodeAddr, NodeConfig};
+use hisq_core::{NodeAddr, NodeConfig, MEAS_FIFO_ADDR};
 use hisq_isa::Inst;
 use hisq_net::{FabricMap, LinkModel, Router, Topology};
 
@@ -286,6 +286,8 @@ impl SystemSpec {
     ///   (routers and hubs are registered before controllers, so a
     ///   program colliding with infrastructure reports the
     ///   infrastructure address);
+    /// - [`SimError::AddrOutOfRange`] if any node sits at or above
+    ///   [`MEAS_FIFO_ADDR`] (the error names the highest address);
     /// - [`SimError::UnknownAddr`] if a hub subscriber or binding names
     ///   an address that is not a controller.
     pub fn build(self) -> Result<System, SimError> {
@@ -302,6 +304,12 @@ impl SystemSpec {
             .chain(self.hubs.iter().map(|&(addr, _)| addr))
             .chain(self.controllers.iter().map(|(c, _)| c.addr))
             .max();
+        if let Some(addr) = max_addr.filter(|&a| a >= MEAS_FIFO_ADDR) {
+            return Err(SimError::AddrOutOfRange {
+                addr,
+                limit: MEAS_FIFO_ADDR,
+            });
+        }
         let table_len = max_addr.map_or(0, |a| a as usize + 1);
         let mut addr_table = std::mem::take(&mut scratch.arena.addr_to_id);
         addr_table.clear();
@@ -457,6 +465,25 @@ mod tests {
         spec.controller(NodeConfig::new(3), asm("stop"));
         spec.controller(NodeConfig::new(3), asm("stop"));
         assert_eq!(spec.build().unwrap_err(), SimError::DuplicateAddr(3));
+    }
+
+    #[test]
+    fn nodes_sit_below_the_measurement_fifo_address() {
+        let mut spec = SystemSpec::new();
+        spec.controller(NodeConfig::new(MEAS_FIFO_ADDR - 1), asm("stop"));
+        assert!(spec.build().is_ok(), "4094 is the highest node address");
+        let mut spec = SystemSpec::new();
+        spec.controller(NodeConfig::new(0), asm("stop"));
+        spec.controller(NodeConfig::new(0xFFF), asm("stop"));
+        let err = spec.build().unwrap_err();
+        assert_eq!(
+            err,
+            SimError::AddrOutOfRange {
+                addr: 4095,
+                limit: 4095
+            }
+        );
+        assert!(err.to_string().contains("4095"), "{err}");
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! their scenario's index regardless of which worker ran them, and the
 //! aggregate statistics are folded in that fixed order, so a sweep's
 //! JSON output is byte-identical whether it ran on one thread or
-//! sixteen. The CI determinism guard
-//! (`tests/sweep_determinism.rs`) asserts exactly that.
+//! sixteen. The golden-corpus test
+//! (`tests/compile_cache_equivalence.rs`) asserts exactly that on
+//! every committed scenario file, against its committed report.
 //!
 //! # Example
 //!

@@ -7,8 +7,9 @@
 //! sweep grids do.
 
 use hisq_json::{Json, JsonError, ObjReader};
+use hisq_net::MEAS_FIFO_ADDR;
 
-use crate::suite::WorkloadSpec;
+use crate::suite::{long_range_controllers, WorkloadSpec};
 
 impl WorkloadSpec {
     /// Serializes the workload selector:
@@ -39,7 +40,10 @@ impl WorkloadSpec {
     /// # Errors
     ///
     /// Returns a [`JsonError`] at `path` when the object does not
-    /// carry exactly one known selector key, or for wrong types.
+    /// carry exactly one known selector key, or for wrong types. A
+    /// `long_range_cnots` selector also fails when `parallel` or `span`
+    /// is zero, or when its controllers would not all sit below
+    /// [`MEAS_FIFO_ADDR`].
     pub fn from_json(value: &Json, path: &str) -> Result<WorkloadSpec, JsonError> {
         let mut obj = ObjReader::new(value, path)?;
         let suite = obj.optional("suite").cloned();
@@ -59,7 +63,29 @@ impl WorkloadSpec {
                     .required("span")?
                     .as_usize(&params.field_path("span"))?;
                 params.reject_unknown()?;
-                Ok(WorkloadSpec::LongRangeCnots { parallel, span })
+                for (field, value) in [("parallel", parallel), ("span", span)] {
+                    if value == 0 {
+                        return Err(JsonError::decode(
+                            format!("{params_path}.{field}"),
+                            format!("{field} must be at least 1"),
+                        ));
+                    }
+                }
+                let limit = usize::from(MEAS_FIFO_ADDR);
+                match long_range_controllers(parallel, span) {
+                    Some(controllers) if controllers <= limit => {
+                        Ok(WorkloadSpec::LongRangeCnots { parallel, span })
+                    }
+                    controllers => Err(JsonError::decode(
+                        params_path,
+                        format!(
+                            "{} controllers are over the limit of {limit}: \
+                             node addresses end below the measurement FIFO at {limit}",
+                            controllers
+                                .map_or(format!("more than {}", usize::MAX), |n| n.to_string()),
+                        ),
+                    )),
+                }
             }
             (None, None) => Err(JsonError::decode(
                 path,
@@ -85,6 +111,11 @@ mod tests {
                 parallel: 4,
                 span: 3,
             },
+            // 4095 controllers, addresses 0..=4094: the largest shape.
+            WorkloadSpec::LongRangeCnots {
+                parallel: 256,
+                span: 7,
+            },
         ] {
             let text = spec.to_json().to_string_compact();
             let back = WorkloadSpec::from_json(&Json::parse(&text).unwrap(), "w").unwrap();
@@ -104,6 +135,22 @@ mod tests {
             (
                 r#"{"long_range_cnots": {"parallel": 1}}"#,
                 "missing field `span`",
+            ),
+            (
+                r#"{"long_range_cnots": {"parallel": 0, "span": 7}}"#,
+                "w.long_range_cnots.parallel: parallel must be at least 1",
+            ),
+            (
+                r#"{"long_range_cnots": {"parallel": 1, "span": 0}}"#,
+                "w.long_range_cnots.span: span must be at least 1",
+            ),
+            (
+                r#"{"long_range_cnots": {"parallel": 257, "span": 7}}"#,
+                "w.long_range_cnots: 4111 controllers are over the limit of 4095",
+            ),
+            (
+                r#"{"long_range_cnots": {"parallel": 18446744073709551615, "span": 1}}"#,
+                "more than 18446744073709551615 controllers",
             ),
         ] {
             let err = WorkloadSpec::from_json(&Json::parse(text).unwrap(), "w").unwrap_err();

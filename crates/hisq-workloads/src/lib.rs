@@ -39,7 +39,7 @@ pub use bv::bernstein_vazirani;
 pub use logical_t::{logical_t, LogicalTConfig, LogicalTInstance};
 pub use qft::qft;
 pub use suite::{
-    benchmark, fig15_suite, simultaneous_long_range_cnots, suite_names, Benchmark, BuiltWorkload,
-    SuiteScale, WorkloadSpec, PAPER_SUITE, QUICK_SUITE,
+    benchmark, fig15_suite, long_range_controllers, simultaneous_long_range_cnots, suite_names,
+    Benchmark, BuiltWorkload, SuiteScale, WorkloadSpec, PAPER_SUITE, QUICK_SUITE,
 };
 pub use w_state::w_state;

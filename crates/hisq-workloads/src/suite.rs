@@ -197,6 +197,17 @@ pub fn simultaneous_long_range_cnots(parallel: usize, span: usize) -> (Circuit, 
     (physical.circuit, data_sites)
 }
 
+/// Controllers (physical sites) of [`simultaneous_long_range_cnots`]:
+/// each gadget's `span + 1` logical qubits interleave with ancillas,
+/// `2 · parallel · (span + 1) − 1` sites in all. `None` if the count
+/// overflows or `parallel` is zero.
+pub fn long_range_controllers(parallel: usize, span: usize) -> Option<usize> {
+    parallel
+        .checked_mul(span.checked_add(1)?)?
+        .checked_mul(2)?
+        .checked_sub(1)
+}
+
 /// A workload named by its parameters — the unit the sweep engine's
 /// grid expansion enumerates. Building the circuit is deferred to
 /// [`WorkloadSpec::build`], so expanding a grid over hundreds of
@@ -288,6 +299,20 @@ pub struct BuiltWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn long_range_controllers_counts_the_physical_sites() {
+        for (parallel, span) in [(1, 1), (1, 7), (2, 3), (3, 2), (4, 7)] {
+            let (circuit, _) = simultaneous_long_range_cnots(parallel, span);
+            assert_eq!(
+                long_range_controllers(parallel, span),
+                Some(circuit.num_qubits()),
+                "parallel {parallel}, span {span}"
+            );
+        }
+        assert_eq!(long_range_controllers(0, 7), None);
+        assert_eq!(long_range_controllers(usize::MAX, 1), None);
+    }
 
     #[test]
     fn quick_suite_builds_and_fits_its_grids() {

@@ -14,7 +14,8 @@
 //!
 //! Unknown flags and malformed inputs exit nonzero with a usage
 //! message; nothing is silently ignored. Output stops quietly, with
-//! exit 0, when the reader closes stdout (`hisq validate f.json | head`).
+//! exit 0, when the reader closes stdout (`hisq validate f.json | head`),
+//! and a closed stderr loses the diagnostics but never the exit code.
 
 use std::io::{self, StdoutLock, Write};
 use std::process::ExitCode;
@@ -48,15 +49,20 @@ fn emit(print: impl FnOnce(&mut StdoutLock<'static>) -> io::Result<()>) -> ExitC
         Ok(()) => ExitCode::SUCCESS,
         Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("hisq: stdout: {e}");
+            note(format_args!("hisq: stdout: {e}"));
             ExitCode::FAILURE
         }
     }
 }
 
+/// Writes one line to stderr. Write errors are ignored: with stderr
+/// closed, the exit code is all that is left to report.
+fn note(line: std::fmt::Arguments) {
+    let _ = writeln!(io::stderr(), "{line}");
+}
+
 fn fail(message: &str) -> ExitCode {
-    eprintln!("hisq: {message}");
-    eprintln!("{USAGE}");
+    note(format_args!("hisq: {message}\n{USAGE}"));
     ExitCode::from(2)
 }
 
@@ -131,7 +137,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let file = match load(&args.file) {
         Ok(file) => file,
         Err(message) => {
-            eprintln!("hisq: {message}");
+            note(format_args!("hisq: {message}"));
             return ExitCode::FAILURE;
         }
     };
@@ -144,16 +150,16 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     }
     let scenarios = file.expand(args.repetitions);
-    eprintln!(
+    note(format_args!(
         "[hisq] {}: {} scenario(s) on {} thread(s)...",
         file.name,
         scenarios.len(),
         args.threads
-    );
+    ));
     let report = match run_sweep(&scenarios, args.threads) {
         Ok(report) => report,
         Err(e) => {
-            eprintln!("hisq: {e}");
+            note(format_args!("hisq: {e}"));
             return ExitCode::FAILURE;
         }
     };
@@ -188,7 +194,7 @@ fn cmd_validate(args: &[String]) -> ExitCode {
     let file = match load(path) {
         Ok(file) => file,
         Err(message) => {
-            eprintln!("hisq: {message}");
+            note(format_args!("hisq: {message}"));
             return ExitCode::FAILURE;
         }
     };

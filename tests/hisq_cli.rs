@@ -1,10 +1,11 @@
 //! CLI-contract regression tests for the `hisq` binary, run against
 //! the real executable (`CARGO_BIN_EXE_hisq`): unknown flags must exit
 //! 2 with a usage message — never run a sweep with a silently ignored
-//! option — grids past the expansion limit or time-valued parameters
-//! past one `waiti` must fail fast with a message instead of hanging,
-//! aborting or panicking, and a reader closing stdout early ends the
-//! output quietly.
+//! option — grids past the expansion limit, time-valued parameters
+//! past one `waiti` or workloads past the node-address space must fail
+//! fast with a message instead of hanging, aborting or panicking, a
+//! reader closing stdout early ends the output quietly, and a closed
+//! stderr keeps the exit code.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -192,4 +193,63 @@ fn closed_stdout_ends_output_quietly() {
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(out.stderr.is_empty(), "{stderr}");
+}
+
+#[test]
+fn long_range_cnots_past_the_address_space_fail_validation() {
+    // Run, the first two would panic in the circuit and topology
+    // builders and the third would try to allocate 2.4 GB.
+    for (params, message) in [
+        (
+            r#"{"parallel": 0, "span": 7}"#,
+            "scenario.base.workload.long_range_cnots.parallel: parallel must be at least 1",
+        ),
+        (
+            r#"{"parallel": 1, "span": 0}"#,
+            "scenario.base.workload.long_range_cnots.span: span must be at least 1",
+        ),
+        (
+            r#"{"parallel": 100000000, "span": 7}"#,
+            "scenario.base.workload.long_range_cnots: 1599999999 controllers are over \
+             the limit of 4095",
+        ),
+    ] {
+        let text = format!(
+            r#"{{"schema_version": 1, "name": "wide",
+                "base": {{"workload": {{"long_range_cnots": {params}}}, "scheme": "bisp"}}}}"#
+        );
+        let path = temp_scenario("hisq_cli_wide.json", &text);
+        assert_rejected(&hisq_bounded(&["validate", &path]), 1, message);
+    }
+}
+
+/// The write end of a pipe whose reader has already exited, so every
+/// write to it fails with `BrokenPipe`, as under `2>&1 | head -c 0`.
+/// The reader is `hisq --help`, which never reads its stdin.
+fn closed_pipe() -> Stdio {
+    let mut reader = Command::new(env!("CARGO_BIN_EXE_hisq"))
+        .arg("--help")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("hisq binary runs");
+    let writer = reader.stdin.take().expect("piped stdin");
+    reader.wait().expect("reader exits");
+    Stdio::from(writer)
+}
+
+#[test]
+fn closed_stderr_keeps_the_exit_code() {
+    for (args, code) in [
+        (&["run", SCENARIO, "--turbo"][..], 2),
+        (&["validate", "/nonexistent.json"][..], 1),
+    ] {
+        let status = Command::new(env!("CARGO_BIN_EXE_hisq"))
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(closed_pipe())
+            .status()
+            .expect("hisq binary runs");
+        assert_eq!(status.code(), Some(code), "hisq {args:?}");
+    }
 }

@@ -363,6 +363,31 @@ fn malformed_scenario_files_fail_readably() {
                 ]]}]}"#,
             "scenario.axes[0].values[0][1]: duplicate override for qubit 2",
         ),
+        // A `long_range_cnots` shape needs a gadget, a span, and
+        // controllers that all sit below the measurement FIFO's
+        // address, in `base` and in an axis.
+        (
+            r#"{"schema_version": 1, "name": "x",
+                "base": {"workload": {"long_range_cnots": {"parallel": 0, "span": 7}},
+                         "scheme": "bisp"}}"#,
+            "scenario.base.workload.long_range_cnots.parallel: parallel must be at least 1",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x",
+                "base": {"workload": {"long_range_cnots": {"parallel": 1, "span": 0}},
+                         "scheme": "bisp"}}"#,
+            "scenario.base.workload.long_range_cnots.span: span must be at least 1",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x",
+                "base": {"workload": {"suite": "a"}, "scheme": "bisp"},
+                "axes": [{"axis": "workload", "values": [
+                    {"long_range_cnots": {"parallel": 256, "span": 7}},
+                    {"long_range_cnots": {"parallel": 100000000, "span": 7}}
+                ]}]}"#,
+            "scenario.axes[0].values[1].long_range_cnots: 1599999999 controllers are over \
+             the limit of 4095",
+        ),
         // A base array must name at least one base, and each entry
         // carries its index in the path.
         (

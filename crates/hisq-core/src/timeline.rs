@@ -29,7 +29,8 @@
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Timeline {
-    /// `(raw_position, cumulative_shift)`, strictly increasing in both.
+    /// `(raw_position, cumulative_shift)`: positions never decrease
+    /// (two syncs may gate the same position), shifts strictly increase.
     gates: Vec<(u64, u64)>,
 }
 
@@ -90,21 +91,28 @@ impl Timeline {
     /// Inverse mapping: the smallest raw position whose effective time
     /// is at least `wall`. Used to re-base the grid after
     /// non-deterministic pipeline events (e.g. `recv`).
+    ///
+    /// A binary search over the gates' resume times, so the cost grows
+    /// with the log of the gate count: a program re-bases on every
+    /// feedback `recv` and adds a gate on every sync that stalls, so
+    /// both grow with the shot count.
     pub fn raw_for_wall(&self, wall: u64) -> u64 {
         // Gates partition raw time into segments of constant shift;
-        // within a segment, effective = raw + shift. Wall times that fall
-        // inside a stall window map to the gate position itself.
-        let mut seg_start = 0u64;
-        let mut shift = 0;
-        for &(pos, s) in &self.gates {
-            let raw_in_seg = wall.saturating_sub(shift);
-            if raw_in_seg < pos {
-                return raw_in_seg.max(seg_start);
-            }
-            seg_start = pos;
-            shift = s;
+        // within a segment, effective = raw + shift. Gate `i` resumes at
+        // wall time `pos + shift` (exact: `add_gate` derived the shift
+        // from it), and resume times strictly increase. `wall` belongs
+        // to the first gate that resumes at or after it: either to the
+        // segment before that gate or, inside its stall window, to the
+        // gate position itself.
+        let next = self
+            .gates
+            .partition_point(|&(pos, shift)| pos + shift < wall);
+        let shift = next.checked_sub(1).map_or(0, |prev| self.gates[prev].1);
+        let raw = wall.saturating_sub(shift);
+        match self.gates.get(next) {
+            Some(&(pos, _)) => raw.min(pos),
+            None => raw,
         }
-        wall.saturating_sub(shift).max(seg_start)
     }
 }
 
@@ -172,5 +180,50 @@ mod tests {
         }
         // Wall times inside a stall window map to the gate position.
         assert_eq!(t.effective(t.raw_for_wall(50)), 50 + 10); // 50 is inside the 44→60 stall
+    }
+
+    /// Reference for `raw_for_wall`: a linear scan for the first
+    /// segment whose raw span reaches past `wall`.
+    fn raw_for_wall_by_scan(gates: &[(u64, u64)], wall: u64) -> u64 {
+        let mut seg_start = 0u64;
+        let mut shift = 0;
+        for &(pos, s) in gates {
+            let raw_in_seg = wall.saturating_sub(shift);
+            if raw_in_seg < pos {
+                return raw_in_seg.max(seg_start);
+            }
+            seg_start = pos;
+            shift = s;
+        }
+        wall.saturating_sub(shift).max(seg_start)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The binary search answers every wall time exactly as the
+        /// scan does, on program-ordered timelines with repeated gate
+        /// positions (position delta 0) and no-op gates (resume delta
+        /// 0). Every wall time up to past the last resume is probed, so
+        /// each stall window is covered.
+        #[test]
+        fn raw_for_wall_matches_the_scan(
+            start in 0u64..3,
+            gates in proptest::collection::vec((0u64..4, 0u64..24), 0..12),
+        ) {
+            let mut t = Timeline::new();
+            let mut raw = start;
+            for (pos_delta, resume_delta) in gates {
+                raw += pos_delta;
+                t.add_gate(raw, t.effective(raw) + resume_delta);
+            }
+            for wall in 0..=t.effective(raw) + 4 {
+                proptest::prop_assert_eq!(
+                    t.raw_for_wall(wall),
+                    raw_for_wall_by_scan(&t.gates, wall),
+                    "wall {} over gates {:?}", wall, t.gates
+                );
+            }
+        }
     }
 }

@@ -5,7 +5,10 @@
 //! feedback branches, so they use [`RandomBackend`] or [`FixedBackend`].
 //! Correctness verification replays every committed gate into a real
 //! simulator ([`StabilizerBackend`] or [`StateVectorBackend`]) so that
-//! measurement results are quantum-mechanically consistent.
+//! measurement results are quantum-mechanically consistent. A backend
+//! whose outcomes no gate can change says so through
+//! [`QuantumBackend::reads_gates`], and the engine then replays nothing
+//! into it.
 //!
 //! The noise-aware variants extend both families with a declarative
 //! per-qubit [`NoiseMap`]: [`NoisyStabilizerBackend`] samples Pauli
@@ -34,6 +37,23 @@ pub trait QuantumBackend {
 
     /// Resets `qubit` to |0⟩ (no-op for statistical backends).
     fn reset(&mut self, qubit: usize);
+
+    /// `false` when no sequence of [`apply_gate`](Self::apply_gate) and
+    /// [`reset`](Self::reset) calls can change what
+    /// [`measure`](Self::measure) returns, so the engine may skip
+    /// replaying committed gates into this backend.
+    ///
+    /// [`System::run`](crate::System::run) reads it once, when the run
+    /// starts. Under a backend that reads no gates the engine still
+    /// records exposure spans and operation counts, but buffers and
+    /// replays nothing, so [`SimReport::causality_warnings`] stays 0.
+    /// The default is `true`: a backend that tracks state gets every
+    /// gate in commit-cycle order.
+    ///
+    /// [`SimReport::causality_warnings`]: crate::SimReport::causality_warnings
+    fn reads_gates(&self) -> bool {
+        true
+    }
 }
 
 /// Statistically independent outcomes with probability `p_one` of 1.
@@ -70,6 +90,10 @@ impl QuantumBackend for RandomBackend {
     }
 
     fn reset(&mut self, _qubit: usize) {}
+
+    fn reads_gates(&self) -> bool {
+        false
+    }
 }
 
 /// Scripted outcomes: per-qubit FIFO with a default for exhaustion.
@@ -105,6 +129,10 @@ impl QuantumBackend for FixedBackend {
     }
 
     fn reset(&mut self, _qubit: usize) {}
+
+    fn reads_gates(&self) -> bool {
+        false
+    }
 }
 
 /// Stabilizer-tableau backend for Clifford workloads at QEC scale.
@@ -391,6 +419,14 @@ impl QuantumBackend for LeakyRandomBackend {
     fn reset(&mut self, qubit: usize) {
         self.leaked.remove(&qubit);
     }
+
+    /// `true` only if some qubit's model has `p_leak > 0`. With every
+    /// rate at or below zero no leak draw can succeed, so no qubit ever
+    /// leaks and gates and resets cannot change a readout.
+    fn reads_gates(&self) -> bool {
+        self.noise.default_model().p_leak > 0.0
+            || self.noise.overrides().any(|(_, model)| model.p_leak > 0.0)
+    }
 }
 
 #[cfg(test)]
@@ -476,6 +512,27 @@ mod tests {
             assert_eq!(plain.measure(q % 4), leaky.measure(q % 4));
         }
         assert_eq!(leaky.leaked_count(), 0);
+    }
+
+    #[test]
+    fn only_backends_whose_readouts_gates_can_change_read_gates() {
+        assert!(!RandomBackend::new(1, 0.5).reads_gates());
+        assert!(!FixedBackend::new(true).reads_gates());
+        assert!(StabilizerBackend::new(2, 1).reads_gates());
+        assert!(StateVectorBackend::new(2, 1).reads_gates());
+        assert!(NoisyStabilizerBackend::new(2, 1, NoiseModel::default()).reads_gates());
+
+        let leaky = |noise: NoiseMap| LeakyRandomBackend::new(1, 0.5, noise).reads_gates();
+        let no_leak = NoiseModel::default()
+            .with_gate_errors(0.1, 0.1)
+            .with_meas_error(0.1);
+        assert!(!leaky(no_leak.into()));
+        assert!(!leaky(NoiseModel::default().with_leak(-0.5).into()));
+        assert!(leaky(NoiseModel::default().with_leak(1e-9).into()));
+        // One leaking qubit is enough, and it may be an override.
+        let mut one_qubit = NoiseMap::uniform(no_leak);
+        one_qubit.set_qubit(3, no_leak.with_leak(0.01));
+        assert!(leaky(one_qubit));
     }
 
     #[test]

@@ -128,7 +128,14 @@ pub struct SimReport {
     pub makespan_ns: u64,
     /// Events processed by the engine.
     pub events_processed: u64,
-    /// Gate-replay ordering violations (0 for well-formed programs).
+    /// Gate-replay ordering violations: gates or resets harvested after
+    /// a measurement at a later cycle had already resolved, so they
+    /// reached the backend late. 0 for well-formed programs: it reads 0
+    /// on every quick-suite and paper-size instance under both schemes
+    /// at 1 and 3 shots, replayed into a backend that reads gates. It
+    /// is always 0 under a backend that reads no gates
+    /// ([`QuantumBackend::reads_gates`](crate::QuantumBackend::reads_gates)),
+    /// because nothing is replayed.
     pub causality_warnings: u64,
     /// Sends whose latency had to fall back to
     /// [`SimConfig::default_classical_latency`] even though a topology

@@ -144,6 +144,10 @@ pub struct System {
     /// items index `gate_store`.
     gate_queue: CalendarQueue<usize>,
     gate_store: Vec<ReplayAction>,
+    /// Whether committed gates and resets are replayed into the backend:
+    /// its [`QuantumBackend::reads_gates`], read when [`System::run`]
+    /// starts. When `false`, nothing reaches `gate_store`.
+    replay_gates: bool,
     /// Reused controller-step outbox (see [`Scratch`]).
     outbox_scratch: Vec<hisq_core::OutboundMessage>,
     /// Reused commit-harvest staging buffer.
@@ -240,6 +244,7 @@ impl System {
             queue: scratch.events,
             gate_queue: scratch.gates,
             gate_store: scratch.gate_store,
+            replay_gates: true,
             outbox_scratch: scratch.outbox,
             commit_scratch: scratch.commits,
             relay_scratch: scratch.relay,
@@ -590,7 +595,8 @@ impl System {
     }
 
     /// Harvests commits a controller produced during its last step:
-    /// exposure accounting, gate replay buffering, measurement triggers.
+    /// exposure accounting, gate replay buffering (for a backend that
+    /// reads gates), measurement triggers.
     fn harvest_commits(&mut self, id: NodeId) {
         let mut staged = mem::take(&mut self.commit_scratch);
         staged.clear();
@@ -689,7 +695,11 @@ impl System {
 
     /// Buffers a backend operation for in-order replay; stragglers
     /// behind the replay frontier are applied immediately and counted.
+    /// A backend that reads no gates gets nothing.
     fn replay(&mut self, cycle: u64, action: ReplayAction) {
+        if !self.replay_gates {
+            return;
+        }
         if cycle < self.applied_through {
             self.causality_warnings += 1;
             match action {
@@ -953,6 +963,7 @@ impl System {
     /// messages), or [`SimError::Router`] if a router detects a
     /// routing-invariant violation (e.g. a mis-rooted tree).
     pub fn run(&mut self) -> Result<SimReport, SimError> {
+        self.replay_gates = self.backend.reads_gates();
         let ids = self.controller_ids.clone();
         for id in ids {
             self.step_controller(id);

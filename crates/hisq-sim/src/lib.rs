@@ -59,9 +59,13 @@
 //!   zero latency, matching the paper's §4.4 accounting where the
 //!   synchronization overhead of Figure 7 is exactly `L₂ − D₂`.
 //! - **Measurement outcomes** resolve at result-delivery time, with
-//!   gates replayed in commit-cycle order into the quantum backend; the
+//!   gates replayed in commit-cycle order into a quantum backend that
+//!   reads them ([`QuantumBackend::reads_gates`]); the
 //!   [`SimReport::causality_warnings`] counter verifies the replay
-//!   ordering was sound.
+//!   ordering was sound. The random and fixed backends, and the leaky
+//!   one while no qubit's `p_leak` is above zero, read no gates: the
+//!   engine buffers and replays nothing for them, which changes no
+//!   outcome, and still records exposure spans and operation counts.
 //!
 //! # Example
 //!

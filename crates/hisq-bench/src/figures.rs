@@ -1,64 +1,59 @@
-//! Data producers for every figure of the paper's evaluation. The
-//! `src/bin/` harnesses print these and the unit tests below check
-//! them. The scenario-driven figures (15, 16, and the contention,
-//! noise and heterogeneous-fabric extensions) read their grids from
-//! committed scenario files (see [`crate::grids`]); the functions here
-//! distill the aggregated sweep records back into figure rows/points,
-//! reading grid coordinates from the expanded [`Scenario`]s.
+//! Data producers for every figure of the paper's evaluation; the
+//! renderers in [`crate::render`] print them and the unit tests below
+//! check them. Each experiment figure (5, 6, 7, 11 and 12/13) has one
+//! function that runs its points in order. The scenario-driven figures
+//! (15, 16, and the contention, noise and heterogeneous-fabric
+//! extensions) read their grids from committed scenario files (see
+//! [`crate::grids`]); the functions here distill the aggregated sweep
+//! records back into figure rows/points, reading grid coordinates from
+//! the expanded [`Scenario`]s.
 
 use distributed_hisq::compiler::{compile_bisp, BispOptions, Scheme};
 use distributed_hisq::quantum::Circuit;
 use distributed_hisq::runner::Scenario;
 use distributed_hisq::workloads::{long_range_controllers, WorkloadSpec};
+use hisq_analog::experiments::{
+    circle_experiment, rabi_experiment, spectroscopy_experiment, t1_experiment, CircleConfig,
+    CircleResult, RabiConfig, RabiResult, SpectroscopyConfig, SpectroscopyResult, T1Config,
+    T1Result,
+};
 use hisq_core::NodeConfig;
 use hisq_isa::Assembler;
 use hisq_net::TopologyBuilder;
-use hisq_sim::{SweepRecord, SweepReport, SweepRunner, SystemSpec, Telf};
+use hisq_sim::{SweepRecord, SweepReport, SystemSpec, Telf};
 
-/// Figure 5(a): nearby BISP synchronization timing.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig05Nearby {
-    /// C0's booking cycle (B₀).
-    pub booking0: u64,
-    /// C1's booking cycle (B₁).
-    pub booking1: u64,
-    /// Link latency (the calibrated countdown N = L).
-    pub link_latency: u64,
-    /// C0's synchronous-task commit cycle.
-    pub commit0: u64,
-    /// C1's synchronous-task commit cycle.
-    pub commit1: u64,
-    /// Synchronization overhead in cycles (0 = the paper's zero-cycle
-    /// claim).
-    pub overhead: u64,
+/// Figure 5: BISP synchronization timing as two records, `nearby`
+/// (5a) and `remote` (5b).
+pub fn fig05_report() -> SweepReport {
+    SweepReport::from_records(vec![fig05_nearby(), fig05_remote()])
 }
 
-/// Runs the Figure 5(a) scenario: two controllers with different-length
-/// deterministic prologues synchronize; both must commit at
-/// `max(T₀, T₁)` with zero overhead.
-pub fn fig05_nearby() -> Fig05Nearby {
-    let latency = 6;
-    let asm = |pad: u64| {
+/// Figure 5(a): two controllers with different-length deterministic
+/// prologues synchronize; both must commit at `max(T₀, T₁)` with zero
+/// overhead. Records the booking cycles B₀/B₁, the link latency (the
+/// calibrated countdown N = L), both commit cycles, and the overhead
+/// in cycles (0 = the paper's zero-cycle claim).
+fn fig05_nearby() -> SweepRecord {
+    let latency: u64 = 6;
+    let (booking0, booking1) = (40, 90);
+    let program = |pad: u64, partner: u16| {
         Assembler::new()
             .assemble(&format!(
-                "waiti {pad}\nsync {}\nwaiti {latency}\ncw.i.i 0, 1\nstop",
-                1
+                "waiti {pad}\nsync {partner}\nwaiti {latency}\ncw.i.i 0, 1\nstop"
             ))
-            .unwrap()
+            .expect("assembles")
             .insts()
             .to_vec()
     };
     let mut spec = SystemSpec::new();
-    spec.controller(NodeConfig::new(0).with_neighbor(1, latency), asm(40));
-    // Controller 1's program must target address 0.
-    let b = Assembler::new()
-        .assemble(&format!(
-            "waiti 90\nsync 0\nwaiti {latency}\ncw.i.i 0, 1\nstop"
-        ))
-        .unwrap()
-        .insts()
-        .to_vec();
-    spec.controller(NodeConfig::new(1).with_neighbor(0, latency), b);
+    spec.controller(
+        NodeConfig::new(0).with_neighbor(1, latency),
+        program(booking0, 1),
+    );
+    spec.controller(
+        NodeConfig::new(1).with_neighbor(0, latency),
+        program(booking1, 0),
+    );
     let mut system = spec.build().expect("builds");
     let report = system.run().expect("runs");
     assert!(report.all_halted);
@@ -67,76 +62,84 @@ pub fn fig05_nearby() -> Fig05Nearby {
     let commit1 = telf.commits_of(1)[0].cycle;
     // Natural readiness: T_i = booking + countdown; the later controller
     // (booking 90) dictates.
-    let t_late = 90 + latency;
-    Fig05Nearby {
-        booking0: 40,
-        booking1: 90,
-        link_latency: latency,
-        commit0,
-        commit1,
-        overhead: commit0.max(commit1) - t_late,
+    let t_late = booking1 + latency;
+    SweepRecord::new("nearby")
+        .with("booking0", booking0)
+        .with("booking1", booking1)
+        .with("link_latency", latency)
+        .with("commit0", commit0)
+        .with("commit1", commit1)
+        .with("overhead", commit0.max(commit1) - t_late)
+        .with("aligned", commit0 == commit1)
+}
+
+/// Figure 5(b): region-level synchronization through the router tree.
+/// Three controllers each book a time-point with the root router and
+/// all commit together. Records each controller's booking cycle B_i
+/// and horizon, the common commit cycle, and whether all committed at
+/// that cycle.
+fn fig05_remote() -> SweepRecord {
+    let work = [(40, 30), (90, 30), (60, 30)];
+    let commits = region_sync_commits(10, &work);
+    let mut record = SweepRecord::new("remote")
+        .with("commit", commits[0])
+        .with("aligned", commits.iter().all(|&c| c == commits[0]));
+    for (i, (booking, horizon)) in work.into_iter().enumerate() {
+        record.set(format!("booking_c{i}"), booking);
+        record.set(format!("horizon_c{i}"), horizon);
     }
+    record
 }
 
-/// Figure 5(b)/7: region-level synchronization through the router tree.
-#[derive(Debug, Clone)]
-pub struct Fig05Remote {
-    /// Per-controller booked time-points T_i (wall cycles).
-    pub bookings: Vec<(u64, u64)>, // (booking cycle B_i, horizon)
-    /// The common commit cycle of the synchronous task.
-    pub commit: u64,
-    /// All controllers committed at the same cycle.
-    pub aligned: bool,
-}
-
-/// Runs a three-controller region sync (Figure 5(b)): every controller
-/// books a time-point with the root router and all commit together.
-pub fn fig05_remote() -> Fig05Remote {
-    let topo = TopologyBuilder::linear(3)
+/// Region-level synchronization through the router tree (Figures 5(b)
+/// and 7) on a linear mesh under one root router: controller `i` does
+/// `work[i].0` cycles of deterministic work, then books a time-point
+/// `work[i].1` cycles ahead with the root and commits a pulse there.
+/// Returns every controller's commit cycle.
+fn region_sync_commits(router_latency: u64, work: &[(u64, u64)]) -> Vec<u64> {
+    let topo = TopologyBuilder::linear(work.len())
         .neighbor_latency(5)
-        .router_latency(10)
+        .router_latency(router_latency)
         .build();
-    let root = topo.root_router().unwrap();
-    let pads = [40u64, 90, 60];
-    let horizon = 30u64;
-    let mut programs = std::collections::BTreeMap::new();
-    for (i, pad) in pads.iter().enumerate() {
+    let root = topo.root_router().expect("a mesh has a root router");
+    let programs = (0..).zip(work).map(|(i, (pad, horizon))| {
         let src = format!(
             "li t0, {horizon}\nwaiti {pad}\nsync {root}, t0\nwaiti {horizon}\ncw.i.i 0, 1\nstop"
         );
-        programs.insert(
-            i as u16,
-            Assembler::new().assemble(&src).unwrap().insts().to_vec(),
-        );
-    }
-    let mut system = SystemSpec::from_topology(&topo, programs)
+        let program = Assembler::new().assemble(&src).expect("assembles");
+        (i, program.insts().to_vec())
+    });
+    let mut system = SystemSpec::from_topology(&topo, programs.collect())
         .build()
         .expect("builds");
     let report = system.run().expect("runs");
     assert!(report.all_halted, "{:?}", report.blocked);
     let telf = system.telf();
-    let commits: Vec<u64> = (0..3u16).map(|a| telf.commits_of(a)[0].cycle).collect();
-    Fig05Remote {
-        bookings: pads.iter().map(|&p| (p, horizon)).collect(),
-        commit: commits[0],
-        aligned: commits.iter().all(|&c| c == commits[0]),
-    }
+    (0..work.len() as u16)
+        .map(|a| telf.commits_of(a)[0].cycle)
+        .collect()
 }
 
-/// Figure 7: synchronization overhead when deterministic work cannot
-/// cover the booking communication latency.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig07 {
-    /// The short controller's deterministic horizon D₂ (cycles).
-    pub d2: u64,
-    /// The booking uplink latency L₂ (cycles).
-    pub l2: u64,
-    /// Commit cycle with real latency.
-    pub commit_real: u64,
-    /// Commit cycle with zero-latency links (the theoretical earliest).
-    pub commit_ideal: u64,
-    /// Measured overhead = real − ideal; expected `L₂ − D₂`.
-    pub overhead: u64,
+/// Figure 6: the generated per-controller listings for a synchronized
+/// two-qubit gate, as one record holding both listings and whether
+/// controller 0's `sync` is hoisted ahead of its last codeword.
+pub fn fig06_report() -> SweepReport {
+    let topo = TopologyBuilder::linear(2).neighbor_latency(5).build();
+    let mut circuit = Circuit::new(2, 1);
+    circuit.h(0);
+    circuit.h(0);
+    circuit.cz(0, 1);
+    let compiled = compile_bisp(&circuit, &topo, &BispOptions::default()).expect("compiles");
+    let listing = |node| compiled.listing(node).expect("compiled");
+    let (c0, c1) = (listing(0), listing(1));
+    let hoisted = match (c0.find("sync"), c0.rfind("cw.i.i")) {
+        (Some(sync), Some(last_cw)) => sync < last_cw,
+        _ => false,
+    };
+    SweepReport::from_records(vec![SweepRecord::new("nearby_cz")
+        .with("controller_0", c0)
+        .with("controller_1", c1)
+        .with("sync_hoisted", hoisted)])
 }
 
 /// The Figure 7 booking-uplink latency L₂ (cycles).
@@ -144,108 +147,73 @@ const FIG07_L2: u64 = 10;
 /// The Figure 7 deterministic horizon D₂ (cycles).
 const FIG07_D2: u64 = 4;
 
-/// One Figure 7 execution: three controllers where C2's deterministic
-/// work (D₂) cannot cover the booking latency; returns C2's commit.
-fn fig07_commit(router_latency: u64) -> u64 {
-    let topo = TopologyBuilder::linear(3)
-        .neighbor_latency(5)
-        .router_latency(router_latency)
-        .build();
-    let root = topo.root_router().unwrap();
-    let mut programs = std::collections::BTreeMap::new();
-    // C0 and C1 finish early with generous horizons; C2 is the
-    // bottleneck with only D2 cycles of deterministic work.
-    for (i, (pad, horizon)) in [(10u64, 40u64), (20, 40), (60, FIG07_D2)]
-        .iter()
-        .enumerate()
-    {
-        let src = format!(
-            "li t0, {horizon}\nwaiti {pad}\nsync {root}, t0\nwaiti {horizon}\ncw.i.i 0, 1\nstop"
-        );
-        programs.insert(
-            i as u16,
-            Assembler::new().assemble(&src).unwrap().insts().to_vec(),
-        );
+/// Figure 7: synchronization overhead when deterministic work cannot
+/// cover the booking communication latency. Two records, `real` (the
+/// router latency L₂) and `ideal` (zero-latency links, the theoretical
+/// earliest); their `commit_c2` differ by the overhead `L₂ − D₂`. C0
+/// and C1 finish early with generous horizons; C2 is the bottleneck
+/// with only D₂ cycles of deterministic work.
+pub fn fig07_report() -> SweepReport {
+    let work = [(10, 40), (20, 40), (60, FIG07_D2)];
+    SweepReport::from_records(
+        [("real", FIG07_L2), ("ideal", 0)]
+            .into_iter()
+            .map(|(label, latency)| {
+                SweepRecord::new(label)
+                    .with("router_latency", latency)
+                    .with("d2", FIG07_D2)
+                    .with("l2", FIG07_L2)
+                    .with("commit_c2", region_sync_commits(latency, &work)[2])
+            })
+            .collect(),
+    )
+}
+
+/// The Figure 11 calibration experiments, in the order the figure runs
+/// them.
+pub const FIG11_EXPERIMENTS: [&str; 4] = ["circle", "freq", "rabi", "t1"];
+
+/// One Figure 11 calibration experiment's result.
+#[derive(Debug, Clone)]
+pub enum Calibration {
+    /// (a) Draw circle: the readout phase sweep.
+    Circle(CircleResult),
+    /// (b) Qubit spectroscopy: the frequency sweep.
+    Freq(SpectroscopyResult),
+    /// (c) Rabi oscillation: the amplitude sweep.
+    Rabi(RabiResult),
+    /// (d) Relaxation time: the delay sweep.
+    T1(T1Result),
+}
+
+/// Figure 11: runs the calibration experiments end to end through HISQ
+/// programs, in [`FIG11_EXPERIMENTS`] order, or only the one `only`
+/// names (a name outside that list selects none). `quick` trims the
+/// sweep axes and shot counts; the fits stay well-conditioned.
+pub fn fig11_calibrations(quick: bool, only: Option<&str>) -> Vec<Calibration> {
+    let mut circle = CircleConfig::default();
+    let mut freq = SpectroscopyConfig::default();
+    let mut rabi = RabiConfig::default();
+    let mut t1 = T1Config::default();
+    if quick {
+        circle.points = 16;
+        freq.points = 21;
+        freq.shots = 64;
+        rabi.points = 21;
+        rabi.shots = 64;
+        t1.points = 16;
+        t1.shots = 64;
     }
-    let mut system = SystemSpec::from_topology(&topo, programs)
-        .build()
-        .expect("builds");
-    let report = system.run().expect("runs");
-    assert!(report.all_halted, "{:?}", report.blocked);
-    system.telf().commits_of(2)[0].cycle
-}
-
-/// The Figure 7 sweep: the router-latency axis {L₂, 0} (real vs ideal
-/// links) executed on the given runner.
-pub fn fig07_report(runner: &SweepRunner) -> SweepReport {
-    let points = [("real", FIG07_L2), ("ideal", 0)];
-    runner.run(&points, |_, &(label, latency)| {
-        SweepRecord::new(label)
-            .with("router_latency", latency)
-            .with("d2", FIG07_D2)
-            .with("l2", FIG07_L2)
-            .with("commit_c2", fig07_commit(latency))
-    })
-}
-
-/// Runs the Figure 7 scenario twice (real vs zero-latency links) and
-/// reports the overhead.
-pub fn fig07_overhead() -> Fig07 {
-    let report = fig07_report(&SweepRunner::new(1));
-    let commit = |id: &str| {
-        report
-            .record(id)
-            .and_then(|r| r.counter("commit_c2"))
-            .expect("both points ran")
-    };
-    let (commit_real, commit_ideal) = (commit("real"), commit("ideal"));
-    Fig07 {
-        d2: FIG07_D2,
-        l2: FIG07_L2,
-        commit_real,
-        commit_ideal,
-        overhead: commit_real - commit_ideal,
-    }
-}
-
-/// The Figure 5 sweep: both synchronization experiments (nearby,
-/// remote) executed on the given runner, as metric records.
-pub fn fig05_report(runner: &SweepRunner) -> SweepReport {
-    runner.run(&["nearby", "remote"], |_, &kind| {
-        if kind == "nearby" {
-            let r = fig05_nearby();
-            SweepRecord::new(kind)
-                .with("booking0", r.booking0)
-                .with("booking1", r.booking1)
-                .with("link_latency", r.link_latency)
-                .with("commit0", r.commit0)
-                .with("commit1", r.commit1)
-                .with("overhead", r.overhead)
-                .with("aligned", r.commit0 == r.commit1)
-        } else {
-            let r = fig05_remote();
-            let mut record = SweepRecord::new(kind)
-                .with("commit", r.commit)
-                .with("aligned", r.aligned);
-            for (i, &(booking, horizon)) in r.bookings.iter().enumerate() {
-                record.set(format!("booking_c{i}"), booking);
-                record.set(format!("horizon_c{i}"), horizon);
-            }
-            record
-        }
-    })
-}
-
-/// Figure 6: the generated per-controller listings for a synchronized
-/// two-qubit gate, showing the hoisted `sync` placement.
-pub fn fig06_listing() -> (String, String) {
-    let topo = TopologyBuilder::linear(2).neighbor_latency(5).build();
-    let mut circuit = Circuit::new(2, 1);
-    circuit.h(0);
-    circuit.h(0);
-    circuit.cz(0, 1);
-    let compiled = compile_bisp(&circuit, &topo, &BispOptions::default()).unwrap();
-    (compiled.listing(0).unwrap(), compiled.listing(1).unwrap())
+    FIG11_EXPERIMENTS
+        .into_iter()
+        .filter(|&name| only.is_none_or(|only| only == name))
+        .map(|name| match name {
+            "circle" => Calibration::Circle(circle_experiment(&circle)),
+            "freq" => Calibration::Freq(spectroscopy_experiment(&freq)),
+            "rabi" => Calibration::Rabi(rabi_experiment(&rabi)),
+            _ => Calibration::T1(t1_experiment(&t1)),
+        })
+        .collect()
 }
 
 /// Figures 12/13: the paper's electronics-level synchronization
@@ -262,20 +230,15 @@ pub struct Fig13 {
     pub control_pulses: Vec<u64>,
 }
 
-/// Runs the paper's Figure 12 programs (bounded to three inner-loop
-/// iterations) on a two-board system.
-pub fn fig13_waveforms() -> Fig13 {
-    fig13_waveforms_iterations(3)
-}
-
-/// [`fig13_waveforms`] with a configurable inner-loop bound (the
-/// `--quick` twin runs two iterations; the figure default is three).
+/// Runs the paper's Figure 12 programs on a two-board system, with the
+/// inner loop bounded to `iterations` (the figure runs three, its
+/// `--quick` twin two).
 ///
 /// # Panics
 ///
 /// Panics if `iterations` is zero (the alignment check needs at least
 /// one synchronized pulse pair).
-pub fn fig13_waveforms_iterations(iterations: usize) -> Fig13 {
+pub fn fig13_waveforms(iterations: usize) -> Fig13 {
     assert!(iterations > 0, "fig13 needs at least one iteration");
     let latency = 4;
     // The control board of Figure 12, with the infinite outer loop
@@ -675,6 +638,7 @@ mod tests {
     use super::*;
     use crate::grids::{FIG15, FIG16, FIG_HETERO, FIG_NOISE};
     use distributed_hisq::runner::run_sweep;
+    use hisq_sim::Metric;
 
     #[test]
     fn fig_hetero_quick_aware_beats_oblivious_on_both_grids() {
@@ -701,34 +665,69 @@ mod tests {
 
     #[test]
     fn fig05_nearby_zero_overhead() {
-        let r = fig05_nearby();
-        assert_eq!(r.commit0, r.commit1, "cycle-level alignment");
-        assert_eq!(r.overhead, 0, "zero-cycle overhead");
+        let report = fig05_report();
+        let r = report.record("nearby").expect("nearby point ran");
+        assert_eq!(
+            r.counter("commit0"),
+            r.counter("commit1"),
+            "cycle-level alignment"
+        );
+        assert_eq!(r.counter("overhead"), Some(0), "zero-cycle overhead");
     }
 
     #[test]
     fn fig05_remote_aligns_region() {
-        let r = fig05_remote();
-        assert!(r.aligned);
+        let report = fig05_report();
+        let r = report.record("remote").expect("remote point ran");
+        assert_eq!(r.value("aligned"), Some(1.0));
     }
 
     #[test]
     fn fig07_overhead_is_l2_minus_d2() {
-        let r = fig07_overhead();
-        assert_eq!(r.overhead, r.l2 - r.d2, "{r:?}");
+        let report = fig07_report();
+        let n = |id: &str, key: &str| {
+            report
+                .record(id)
+                .and_then(|r| r.counter(key))
+                .expect("both points ran")
+        };
+        let overhead = n("real", "commit_c2") - n("ideal", "commit_c2");
+        assert_eq!(overhead, n("real", "l2") - n("real", "d2"), "{report}");
     }
 
     #[test]
     fn fig06_sync_is_hoisted() {
-        let (src0, _) = fig06_listing();
+        let report = fig06_report();
+        let record = report.record("nearby_cz").expect("listing generated");
+        let Some(Metric::Str(src0)) = record.metric("controller_0") else {
+            panic!("listings are string metrics");
+        };
         let sync_pos = src0.find("sync").unwrap();
         let last_cw = src0.rfind("cw.i.i").unwrap();
         assert!(sync_pos < last_cw, "{src0}");
+        assert_eq!(record.value("sync_hoisted"), Some(1.0));
+    }
+
+    #[test]
+    fn fig11_runs_all_experiments_in_order_or_the_one_named() {
+        let kinds = |only| {
+            fig11_calibrations(true, only)
+                .iter()
+                .map(|c| match c {
+                    Calibration::Circle(_) => "circle",
+                    Calibration::Freq(_) => "freq",
+                    Calibration::Rabi(_) => "rabi",
+                    Calibration::T1(_) => "t1",
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(kinds(None), FIG11_EXPERIMENTS);
+        assert_eq!(kinds(Some("t1")), ["t1"]);
     }
 
     #[test]
     fn fig13_pulses_stay_aligned_despite_waitr_drift() {
-        let r = fig13_waveforms();
+        let r = fig13_waveforms(3);
         assert_eq!(r.alignment.len(), 3, "three inner-loop iterations");
         assert!(
             r.alignment.windows(2).all(|w| w[0] == w[1]),

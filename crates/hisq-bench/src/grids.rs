@@ -4,19 +4,16 @@
 //! (`scenarios/<fig>.json`, its report pinned in
 //! `scenarios/reports/<fig>.json`), and its full grid sits in
 //! `scenarios/full/<fig>.json`. Both files are embedded at build time,
-//! so a grid has exactly one definition — the file — and a figure
+//! so a grid has exactly one definition — the file — and the `figure`
 //! binary needs no checkout to run.
 
-use distributed_hisq::runner::{run_sweep, Scenario};
+use distributed_hisq::runner::Scenario;
 use distributed_hisq::scenario::ScenarioFile;
-use hisq_sim::SweepReport;
-
-use crate::cli::FigArgs;
 
 /// One figure's grid: its `--quick` and full scenario files.
 #[derive(Debug, Clone, Copy)]
 pub struct FigureGrid {
-    /// The figure's name: its binary and both files' stem.
+    /// The figure's name: its `figure` argument and both files' stem.
     pub name: &'static str,
     quick: &'static str,
     full: &'static str,
@@ -60,23 +57,5 @@ impl FigureGrid {
         ScenarioFile::parse(text)
             .unwrap_or_else(|e| panic!("{}: {e}", self.name))
             .expand(None)
-    }
-
-    /// Expands the grid `args` selects and runs it on `args.threads`
-    /// workers, reporting progress on stderr. A failing scenario exits
-    /// the process with its message.
-    pub fn run(&self, args: &FigArgs) -> (Vec<Scenario>, SweepReport) {
-        let scenarios = self.scenarios(args.quick);
-        eprintln!(
-            "[{}] running {} scenarios on {} thread(s)...",
-            self.name,
-            scenarios.len(),
-            args.threads
-        );
-        let report = run_sweep(&scenarios, args.threads).unwrap_or_else(|e| {
-            eprintln!("{}: {e}", self.name);
-            std::process::exit(1);
-        });
-        (scenarios, report)
     }
 }

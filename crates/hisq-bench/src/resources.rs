@@ -14,6 +14,8 @@
 //! The model regenerates Table 1 and extrapolates to other channel
 //! counts (e.g. the multi-core configurations of §7.1).
 
+use hisq_sim::{SweepRecord, SweepReport};
+
 /// FPGA resource usage (LUTs, block RAMs of 32 Kb, flip-flops).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Resources {
@@ -79,6 +81,26 @@ pub const CONTROL_BOARD_CHANNELS: u64 = 28;
 
 /// Channel count of the readout board: 4 input + 4 output pairs.
 pub const READOUT_BOARD_CHANNELS: u64 = 8;
+
+/// Table 1 and its extrapolation: one `channels_<n>` record per
+/// channel count, from the readout board's 8 through the multi-core
+/// configurations of §7.1.
+pub fn table1_report() -> SweepReport {
+    SweepReport::from_records(
+        [8u64, 16, 28, 56, 112]
+            .into_iter()
+            .map(|n| {
+                let r = board_resources(n);
+                SweepRecord::new(format!("channels_{n}"))
+                    .with("channels", n)
+                    .with("luts", r.luts)
+                    .with("bram_blocks", r.bram_blocks)
+                    .with("ffs", r.ffs)
+                    .with("bram_mb", r.bram_blocks * 32.0 / 1024.0)
+            })
+            .collect(),
+    )
+}
 
 #[cfg(test)]
 mod tests {

@@ -9,8 +9,8 @@
 # Both reports carry wall time, so they are gated, never byte-compared.
 #
 # The figures' deterministic bytes are checked elsewhere: the seven
-# sweep figures' quick grids are golden-corpus reports, compared on 1
-# and 4 threads by ci/check_scenarios.sh and `cargo test`, and the
+# sweep figures' quick grids are golden-corpus reports, compared by
+# ci/check_scenarios.sh and, on 1 and 4 threads, by `cargo test`, and the
 # fig11/fig13 JSON is byte-pinned by crates/hisq-bench/tests/figure_cli.rs.
 #
 # Usage: ci/check_baselines.sh           (uses cargo run --release)

@@ -1,19 +1,19 @@
 #!/usr/bin/env bash
-# Golden-corpus replay gate.
+# Golden-corpus replay gate for the release `hisq` binary.
 #
-# Replays every scenario file in scenarios/ through `hisq run` and
-# byte-compares the output against the committed report in
-# scenarios/reports/ — once on 1 thread and once on 4, so the gate
-# also proves the parallel sweep engine is deterministic on the whole
-# corpus. The corpus includes the --quick grids of the scenario-driven
-# figure binaries (fig15, fig16, fig_contention, fig_hetero, fig_load,
-# fig_noise, fig_scale), so their reports are pinned here too; their
-# full grids live in scenarios/full/, which the scenarios/*.json glob
-# does not match. fig_scale's quick grid reaches a BISP root router at
-# node address 4094, the top of the 12-bit node field. `cargo test`
-# runs the same comparison, uncached on 1 thread and cached on 1 and 4
-# (tests/compile_cache_equivalence.rs). One file additionally runs
-# with `--repetitions` to pin the
+# Replays every scenario file in scenarios/ once through `hisq run
+# --threads 4` and byte-compares the output against the committed
+# report in scenarios/reports/. The corpus includes the --quick grids
+# of the `figure` binary's seven sweep figures (fig15, fig16,
+# fig_contention, fig_hetero, fig_load, fig_noise, fig_scale), so
+# their reports are pinned here too; their full grids live in
+# scenarios/full/, which the scenarios/*.json glob does not match.
+# fig_scale's quick grid reaches a BISP root router at node address
+# 4094, the top of the 12-bit node field. The thread-count comparison
+# is `cargo test`'s (tests/compile_cache_equivalence.rs): every file,
+# uncached on 1 thread and cached on 1 and 4, against the same
+# committed report; `hisq run` is that cached sweep on a fresh cache.
+# One file additionally runs with `--repetitions` to pin the
 # seed++ expansion semantics, and the load_saturation report is
 # grepped for the job-engine metric surface (latency percentiles) so
 # the multi-tenant path can't silently degrade to a plain replay.
@@ -47,18 +47,16 @@ for file in scenarios/*.json; do
         status=1
         continue
     fi
-    for threads in 1 4; do
-        out="$DIFF_DIR/$stem.t$threads.json"
-        "$HISQ" run "$file" --threads "$threads" --json > "$out" 2> /dev/null
-        if cmp -s "$out" "$golden"; then
-            rm "$out"
-        else
-            echo "FAIL $stem: --threads $threads output differs from $golden" >&2
-            echo "     regenerated copy kept at $out" >&2
-            status=1
-        fi
-    done
-    echo "ok   $stem"
+    out="$DIFF_DIR/$stem.json"
+    "$HISQ" run "$file" --threads 4 --json > "$out" 2> /dev/null
+    if cmp -s "$out" "$golden"; then
+        rm "$out"
+        echo "ok   $stem"
+    else
+        echo "FAIL $stem: output differs from $golden" >&2
+        echo "     regenerated copy kept at $out" >&2
+        status=1
+    fi
 done
 
 # --repetitions N must expand every grid point N times with

@@ -10,7 +10,6 @@
 //! programs name addresses, and unknown destinations are dropped at
 //! routing time, surfacing as a deadlocked sender in the report).
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::mem;
@@ -24,77 +23,9 @@ use crate::backend::QuantumBackend;
 use crate::config::{LinkReport, SimConfig, SimError, SimReport};
 use crate::events::{EventKind, LinkQueue, QubitList, ReplayAction};
 use crate::nodes::{HubNode, NodeId, QuantumAction, SimNode};
-use crate::queue::{CalendarQueue, EventQueue};
+use crate::queue::CalendarQueue;
 use crate::spec::Arena;
 use crate::telf::Telf;
-
-/// Hot-loop buffers a [`System`] reuses across its lifetime and — via
-/// the per-thread pool below — across *systems* on the same thread, so
-/// a [`SweepRunner`](crate::sweep::SweepRunner) worker builds and runs
-/// thousands of scenarios without re-growing the calendar rings or the
-/// step/commit scratch vectors each time.
-#[derive(Default)]
-pub(crate) struct Scratch {
-    /// The production event queue (pre-sized ring buckets + slab).
-    events: CalendarQueue<EventKind>,
-    /// The gate-replay queue (items index `gate_store`).
-    gates: CalendarQueue<usize>,
-    /// Controller-step outbox, drained after every step.
-    outbox: Vec<hisq_core::OutboundMessage>,
-    /// Commit-harvest staging (copied out so the arena borrow ends).
-    commits: Vec<hisq_core::CommitRecord>,
-    /// Router broadcast relay staging (child addresses).
-    relay: Vec<NodeAddr>,
-    /// Backend operations buffered for in-order replay.
-    gate_store: Vec<ReplayAction>,
-    /// Arena-side vectors, recycled across built systems.
-    pub(crate) arena: ArenaBuffers,
-}
-
-/// The arena vectors a retired [`System`] hands back through the
-/// scratch pool, so [`SystemSpec::build`](crate::SystemSpec::build) on
-/// the same thread re-fills already-grown allocations instead of
-/// re-growing the address table, node arena, and link tables for every
-/// sweep scenario. All vectors come back *cleared* — only capacity is
-/// recycled, never contents.
-#[derive(Default)]
-pub(crate) struct ArenaBuffers {
-    /// address → id interning table (`NodeId::MAX` sentinel filled).
-    pub(crate) addr_to_id: Vec<NodeId>,
-    /// id → address.
-    pub(crate) addrs: Vec<NodeAddr>,
-    /// The node arena itself (elements are dropped on retire; the
-    /// backing allocation is what survives).
-    pub(crate) nodes: Vec<SimNode>,
-    /// Controller ids in stepping order.
-    pub(crate) controller_ids: Vec<NodeId>,
-    /// Per-node tree parent.
-    pub(crate) tree_parent: Vec<NodeAddr>,
-    /// Per-node direct-link fast path.
-    pub(crate) node_links: Vec<Vec<(NodeAddr, u64)>>,
-}
-
-/// How many retired [`Scratch`] sets a thread keeps. Sweep workers run
-/// one system at a time, so one would do; a little slack covers nested
-/// or interleaved systems in tests.
-const SCRATCH_POOL_CAP: usize = 4;
-
-thread_local! {
-    /// Retired scratch sets, reused by the next [`System`] built on
-    /// this thread (see [`take_scratch`] / [`Drop`]).
-    static SCRATCH_POOL: RefCell<Vec<Scratch>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Pops a retired scratch set off this thread's pool (or starts a
-/// fresh one). Called at the head of
-/// [`SystemSpec::build`](crate::SystemSpec::build) so the arena
-/// buffers are available while the spec lowers, then handed whole to
-/// [`System::from_parts`].
-pub(crate) fn take_scratch() -> Scratch {
-    SCRATCH_POOL
-        .with(|pool| pool.borrow_mut().pop())
-        .unwrap_or_default()
-}
 
 /// The full Distributed-HISQ system under simulation, built from a
 /// [`SystemSpec`](crate::SystemSpec).
@@ -110,12 +41,6 @@ pub struct System {
     /// Controller ids in ascending address order (the deterministic
     /// stepping order).
     controller_ids: Vec<NodeId>,
-    /// Per-node direct-link table for non-controller senders (routers:
-    /// the parent edge at the tree-edge latency). Precomputed from the
-    /// topology so a router forwarding a booking up skips the
-    /// topology's map walks; misses fall through to the full lookup, so
-    /// the table is purely an equivalent fast path.
-    node_links: Vec<Vec<(NodeAddr, u64)>>,
     /// Per-node tree parent (`NodeAddr::MAX` = none / no topology),
     /// the first hop of every controller booking.
     tree_parent: Vec<NodeAddr>,
@@ -140,15 +65,14 @@ pub struct System {
 
     /// The future-event queue.
     queue: CalendarQueue<EventKind>,
-    /// Gate-replay ordering folded onto the same queue structure;
-    /// items index `gate_store`.
-    gate_queue: CalendarQueue<usize>,
-    gate_store: Vec<ReplayAction>,
+    /// Committed gates and resets awaiting in-order replay into the
+    /// backend, on the same queue structure.
+    gate_queue: CalendarQueue<ReplayAction>,
     /// Whether committed gates and resets are replayed into the backend:
     /// its [`QuantumBackend::reads_gates`], read when [`System::run`]
-    /// starts. When `false`, nothing reaches `gate_store`.
+    /// starts. When `false`, nothing reaches `gate_queue`.
     replay_gates: bool,
-    /// Reused controller-step outbox (see [`Scratch`]).
+    /// Reused controller-step outbox, drained after every step.
     outbox_scratch: Vec<hisq_core::OutboundMessage>,
     /// Reused commit-harvest staging buffer.
     commit_scratch: Vec<hisq_core::CommitRecord>,
@@ -191,7 +115,6 @@ impl System {
         topology: Option<Topology>,
         backend: Box<dyn QuantumBackend>,
         fabric: FabricMap,
-        mut scratch: Scratch,
     ) -> System {
         let fabric_transparent = fabric.is_transparent();
         let link_default = fabric.default_model();
@@ -208,32 +131,20 @@ impl System {
                 edge_models.insert((from_id, to_id), model);
             }
         }
-        let mut tree_parent = mem::take(&mut scratch.arena.tree_parent);
-        debug_assert!(tree_parent.is_empty());
-        match &topology {
-            Some(topo) => tree_parent.extend(
-                arena
-                    .addrs
-                    .iter()
-                    .map(|&addr| topo.parent_of(addr).unwrap_or(NodeAddr::MAX)),
-            ),
-            None => tree_parent.resize(arena.addrs.len(), NodeAddr::MAX),
-        }
-        let mut node_links = mem::take(&mut scratch.arena.node_links);
-        debug_assert!(node_links.is_empty());
-        node_links.extend(arena.nodes.iter().map(|node| match (node, &topology) {
-            (SimNode::Router(router), Some(topo)) => {
-                Vec::from_iter(router.parent().map(|up| (up, topo.router_latency())))
-            }
-            _ => Vec::new(),
-        }));
+        let tree_parent = match &topology {
+            Some(topo) => arena
+                .addrs
+                .iter()
+                .map(|&addr| topo.parent_of(addr).unwrap_or(NodeAddr::MAX))
+                .collect(),
+            None => vec![NodeAddr::MAX; arena.addrs.len()],
+        };
         System {
             config,
             nodes: arena.nodes,
             addrs: arena.addrs,
             addr_to_id: arena.addr_to_id,
             controller_ids,
-            node_links,
             tree_parent,
             topology,
             backend,
@@ -241,13 +152,12 @@ impl System {
             edge_models,
             fabric_transparent,
             link_queues: BTreeMap::new(),
-            queue: scratch.events,
-            gate_queue: scratch.gates,
-            gate_store: scratch.gate_store,
+            queue: CalendarQueue::new(),
+            gate_queue: CalendarQueue::new(),
             replay_gates: true,
-            outbox_scratch: scratch.outbox,
-            commit_scratch: scratch.commits,
-            relay_scratch: scratch.relay,
+            outbox_scratch: Vec::new(),
+            commit_scratch: Vec::new(),
+            relay_scratch: Vec::new(),
             trace: None,
             applied_through: 0,
             causality_warnings: 0,
@@ -365,9 +275,9 @@ impl System {
         self.queue.push(at, kind);
     }
 
-    /// One-way latency from node `from` to address `to`: the sender's
-    /// calibrated link if one exists, else a topology-derived latency,
-    /// else the configured default.
+    /// One-way latency from node `from` to address `to`: a controller's
+    /// calibrated link or a router's parent edge if one exists, else a
+    /// topology-derived latency, else the configured default.
     ///
     /// The default is legitimate only when no topology is attached
     /// (e.g. the lock-step star, where it models the uplink). With a
@@ -382,14 +292,16 @@ impl System {
                     return latency;
                 }
             }
-            _ => {
-                // Routers resolve their tree edges from the precomputed
-                // table; a miss falls through to the full lookup.
-                let links = &self.node_links[from as usize];
-                if let Ok(i) = links.binary_search_by_key(&to, |&(addr, _)| addr) {
-                    return links[i].1;
+            // A router sends only `ForwardUp` bookings to its parent,
+            // over the tree edge (the §4.4 downlink bypasses the wire).
+            SimNode::Router(router) => {
+                if let Some(topo) = &self.topology {
+                    if router.parent() == Some(to) {
+                        return topo.router_latency();
+                    }
                 }
             }
+            SimNode::Hub(_) => {}
         }
         let from_addr = self.addrs[from as usize];
         if let Some(topo) = &self.topology {
@@ -581,14 +493,12 @@ impl System {
 
     /// Applies buffered gates with commit cycle ≤ `cycle` to the backend.
     fn apply_gates_through(&mut self, cycle: u64) {
-        while let Some((commit_cycle, gate_index)) = self.gate_queue.pop_through(cycle) {
-            // Disjoint field borrows: the store is read, the backend
-            // written — no per-gate clone of the qubit list.
-            match &self.gate_store[gate_index] {
+        while let Some((commit_cycle, action)) = self.gate_queue.pop_through(cycle) {
+            match action {
                 ReplayAction::Gate(gate, qubits) => {
-                    self.backend.apply_gate(*gate, qubits.as_slice())
+                    self.backend.apply_gate(gate, qubits.as_slice())
                 }
-                ReplayAction::Reset(qubit) => self.backend.reset(*qubit),
+                ReplayAction::Reset(qubit) => self.backend.reset(qubit),
             }
             self.applied_through = self.applied_through.max(commit_cycle);
         }
@@ -710,9 +620,7 @@ impl System {
             }
             return;
         }
-        let gate_index = self.gate_store.len();
-        self.gate_store.push(action);
-        self.gate_queue.push(cycle, gate_index);
+        self.gate_queue.push(cycle, action);
     }
 
     fn schedule_measurement(
@@ -1090,56 +998,5 @@ impl System {
             quantum_ops: self.quantum_ops,
             link_stats,
         }
-    }
-}
-
-impl Drop for System {
-    /// Retires the hot-loop buffers to the per-thread pool so the next
-    /// system built on this thread (the common [`SweepRunner`]
-    /// worker pattern) starts with pre-grown rings and scratch vectors.
-    ///
-    /// [`SweepRunner`]: crate::sweep::SweepRunner
-    fn drop(&mut self) {
-        let mut events = mem::take(&mut self.queue);
-        events.clear();
-        let mut gates = mem::take(&mut self.gate_queue);
-        gates.clear();
-        let mut gate_store = mem::take(&mut self.gate_store);
-        gate_store.clear();
-        let mut outbox = mem::take(&mut self.outbox_scratch);
-        outbox.clear();
-        let mut commits = mem::take(&mut self.commit_scratch);
-        commits.clear();
-        let mut relay = mem::take(&mut self.relay_scratch);
-        relay.clear();
-        let mut arena = ArenaBuffers {
-            addr_to_id: mem::take(&mut self.addr_to_id),
-            addrs: mem::take(&mut self.addrs),
-            nodes: mem::take(&mut self.nodes),
-            controller_ids: mem::take(&mut self.controller_ids),
-            tree_parent: mem::take(&mut self.tree_parent),
-            node_links: mem::take(&mut self.node_links),
-        };
-        arena.addr_to_id.clear();
-        arena.addrs.clear();
-        arena.nodes.clear();
-        arena.controller_ids.clear();
-        arena.tree_parent.clear();
-        arena.node_links.clear();
-        let scratch = Scratch {
-            events,
-            gates,
-            outbox,
-            commits,
-            relay,
-            gate_store,
-            arena,
-        };
-        SCRATCH_POOL.with(|pool| {
-            let mut pool = pool.borrow_mut();
-            if pool.len() < SCRATCH_POOL_CAP {
-                pool.push(scratch);
-            }
-        });
     }
 }

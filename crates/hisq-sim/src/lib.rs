@@ -16,7 +16,10 @@
 //! - [`engine`] — the arena-indexed discrete-event core: addresses are
 //!   interned into dense node ids at build time, so the hot loop (pop
 //!   event → dispatch → route) indexes `Vec`s instead of walking
-//!   `BTreeMap`s.
+//!   `BTreeMap`s;
+//! - [`queue`] — the one future-event queue, a [`CalendarQueue`] that
+//!   pops by cycle and push order within a cycle (its heap reference
+//!   lives in the `queue_equivalence` test).
 //!
 //! The engine advances each controller until it blocks on an external
 //! input (sync pulse, region max-time, classical message), routes the
@@ -36,10 +39,10 @@
 //! [`SimReport::link_stats`]. See the link-model section of
 //! `docs/ARCHITECTURE.md` for the queue semantics.
 //!
-//! The quantum substrate can be noisy too: the backend choice is
-//! declarative ([`BackendSpec`]), and the noise-aware variants —
-//! [`NoisyStabilizerBackend`] (sampled Pauli channels + readout
-//! flips) and [`LeakyRandomBackend`] (sticky leakage) — take a
+//! The quantum substrate can be noisy too: [`NoisyStabilizerBackend`]
+//! (sampled Pauli channels + readout flips, installed with
+//! [`System::set_backend`]) and [`LeakyRandomBackend`] (sticky
+//! leakage, which a sweep selects as [`BackendSpec::Leaky`]) take a
 //! [`NoiseModel`] of per-operation error rates. The engine counts
 //! committed quantum operations ([`SimReport::quantum_ops`]) next to
 //! its exposure ledger, so schedules can be scored analytically in the
@@ -113,7 +116,7 @@ pub use engine::System;
 pub use hisq_net::{DropPolicy, FabricMap, LinkModel, RouterError};
 pub use hisq_quantum::{NoiseMap, NoiseModel, OpCounts};
 pub use nodes::{Hub, QuantumAction};
-pub use queue::{CalendarQueue, EventQueue, HeapQueue};
+pub use queue::CalendarQueue;
 pub use spec::{BackendSpec, SystemSpec};
 pub use sweep::{Metric, MetricSummary, SweepRecord, SweepReport, SweepRunner};
 pub use telf::{Telf, TelfRecord};

@@ -1,20 +1,17 @@
-//! The event-queue abstraction of the discrete-event core: a small
-//! [`EventQueue`] trait with two implementations — the production
+//! The future-event queue of the discrete-event core: one concrete
 //! [`CalendarQueue`] (a bucketed calendar queue / timing wheel) that
-//! the engine runs on, and the [`HeapQueue`] reference (the historical
-//! `BinaryHeap<Reverse<_>>` ordering), kept as the differential oracle
-//! the calendar queue is tested against.
+//! the engine and the job engine run on.
 //!
 //! # Ordering contract
 //!
-//! Both queues pop strictly by `(at, seq)`: ascending schedule cycle,
+//! The queue pops strictly by `(at, seq)`: ascending schedule cycle,
 //! and *push order within a cycle* (the `seq` tie-break is assigned
 //! internally at push time). FIFO-within-cycle is load-bearing — the
 //! sweep engine's byte-identical JSON contract rests on same-cycle
-//! events replaying in exactly the order they were scheduled, so a
-//! queue swap must preserve pop order bit-for-bit, which is what
-//! `crates/hisq-sim/tests/queue_equivalence.rs` (proptest differential
-//! oracle) proves, and the engine's pop-trace pins in
+//! events replaying in exactly the order they were scheduled. The
+//! historical `BinaryHeap<Reverse<(at, seq)>>` ordering survives as a
+//! test-local reference in `crates/hisq-sim/tests/queue_equivalence.rs`
+//! (proptest differential oracle), and the engine's pop-trace pins in
 //! `tests/queue_trace_replay.rs` (recorded under the heap) hold end to
 //! end.
 //!
@@ -38,11 +35,10 @@
 //! panics instead (see [`CalendarQueue::with_seq_base`] for the
 //! regression-test hook at the boundary).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
-/// Panic message shared by both queues when the `seq` counter would
-/// wrap (a wrapped counter would silently break FIFO-within-cycle).
+/// Panic message for a `seq` counter that would wrap (a wrapped
+/// counter would silently break FIFO-within-cycle).
 const SEQ_OVERFLOW: &str =
     "event-queue seq counter exhausted u64: same-cycle FIFO order can no longer be guaranteed";
 
@@ -52,55 +48,6 @@ const HORIZON: u64 = 256;
 const MASK: u64 = HORIZON - 1;
 /// Words of the occupancy bitmap (one bit per bucket).
 const WORDS: usize = (HORIZON / 64) as usize;
-
-/// A deterministic future-event queue ordered by `(at, seq)` with
-/// `seq` assigned at push.
-///
-/// `len`/`is_empty` report the resident event count; `next_at` may
-/// reorganize internal storage (it takes `&mut self`) but never
-/// changes the observable pop order.
-pub trait EventQueue<T> {
-    /// Schedules `item` at cycle `at`, behind every event already
-    /// scheduled at `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal `seq` counter is exhausted (after
-    /// `u64::MAX` pushes) — wrapping would silently reorder same-cycle
-    /// events, so the failure is loud instead.
-    fn push(&mut self, at: u64, item: T);
-
-    /// Removes and returns the earliest event as `(at, item)`;
-    /// same-cycle ties pop in push order.
-    fn pop(&mut self) -> Option<(u64, T)>;
-
-    /// The cycle of the event [`pop`](EventQueue::pop) would return,
-    /// without removing it.
-    fn next_at(&mut self) -> Option<u64>;
-
-    /// Number of events resident in the queue.
-    fn len(&self) -> usize;
-
-    /// Empties the queue and resets the `seq` counter, retaining
-    /// allocated storage for reuse.
-    fn clear(&mut self);
-
-    /// `true` when no events are resident.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Pops the earliest event only if it is scheduled at or before
-    /// `cycle` — the batched-drain primitive (`pop_through(u64::MAX)`
-    /// is a plain pop).
-    fn pop_through(&mut self, cycle: u64) -> Option<(u64, T)> {
-        if self.next_at()? <= cycle {
-            self.pop()
-        } else {
-            None
-        }
-    }
-}
 
 /// Slab-index sentinel: "no slot" in the free list and bucket chains.
 const NIL: u32 = u32::MAX;
@@ -216,6 +163,110 @@ impl<T> CalendarQueue<T> {
         CalendarQueue {
             seq,
             ..CalendarQueue::new()
+        }
+    }
+
+    /// Schedules `item` at cycle `at`, behind every event already
+    /// scheduled at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the internal `seq` counter is exhausted (after
+    /// `u64::MAX` pushes) — wrapping would silently reorder same-cycle
+    /// events, so the failure is loud instead.
+    pub fn push(&mut self, at: u64, item: T) {
+        let seq = self.next_seq();
+        if at < self.current {
+            self.late.insert((at, seq), item);
+        } else if at - self.current < HORIZON {
+            self.insert_near(at, item);
+        } else {
+            self.overflow.entry(at).or_default().push((seq, item));
+            self.overflow_len += 1;
+            self.overflow_min = self.overflow_min.min(at);
+        }
+    }
+
+    /// Removes and returns the earliest event as `(at, item)`;
+    /// same-cycle ties pop in push order.
+    pub fn pop(&mut self) -> Option<(u64, T)> {
+        // Fast path: an active batch, or the window's own bucket still
+        // holding events. That bucket can only hold cycle `current`
+        // (the one in-window cycle congruent to its index), the
+        // overflow minimum is strictly above `current` whenever the
+        // rung is non-empty (pushes land `>= current + HORIZON` and
+        // migration advances past every in-window cycle), and an empty
+        // late rung means nothing precedes the window — so the whole
+        // chain is the global minimum run, and the first pop of the
+        // cycle detaches it in one batch: the occupancy bit clears
+        // once, and the remaining same-cycle pops walk the detached
+        // chain without touching the bucket arrays at all.
+        if self.late.is_empty() {
+            if self.batch_head != NIL {
+                return Some((self.current, self.batch_pop_head()));
+            }
+            let index = (self.current & MASK) as usize;
+            let head = self.heads[index];
+            if head != NIL {
+                debug_assert_eq!(self.cycles[index], self.current);
+                debug_assert!(self.overflow_len == 0 || self.overflow_min > self.current);
+                self.batch_head = head;
+                self.batch_tail = self.tails[index];
+                self.heads[index] = NIL;
+                self.occupancy[index / 64] &= !(1 << (index % 64));
+                return Some((self.current, self.batch_pop_head()));
+            }
+        } else if self.batch_head != NIL {
+            // A late push interrupted the batch: restore the remainder
+            // to its bucket so ordering falls back to the rung logic.
+            self.reattach_batch();
+        }
+        // Late events are strictly behind `current`, hence behind every
+        // bucket and overflow cycle: always the global minimum.
+        if let Some(((at, _seq), item)) = self.late.pop_first() {
+            return Some((at, item));
+        }
+        let cycle = self.settle()?;
+        let index = (cycle & MASK) as usize;
+        debug_assert_eq!(self.cycles[index], cycle);
+        let head = self.heads[index];
+        debug_assert!(head != NIL, "settle() returned an occupied bucket");
+        Some((cycle, self.pop_head(index, head)))
+    }
+
+    /// The cycle of the event [`pop`](CalendarQueue::pop) would return,
+    /// without removing it. It may reorganize internal storage (hence
+    /// `&mut self`) but never changes the observable pop order.
+    pub fn next_at(&mut self) -> Option<u64> {
+        if let Some((&(at, _), _)) = self.late.first_key_value() {
+            return Some(at);
+        }
+        if self.batch_head != NIL {
+            // The detached batch is the earliest run (no late events),
+            // and it always sits at the window's lower bound.
+            return Some(self.current);
+        }
+        self.settle()
+    }
+
+    /// Number of events resident in the queue.
+    pub fn len(&self) -> usize {
+        self.near_len + self.overflow_len + self.late.len()
+    }
+
+    /// `true` when no events are resident.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Pops the earliest event only if it is scheduled at or before
+    /// `cycle` — the batched-drain primitive (`pop_through(u64::MAX)`
+    /// is a plain pop).
+    pub fn pop_through(&mut self, cycle: u64) -> Option<(u64, T)> {
+        if self.next_at()? <= cycle {
+            self.pop()
+        } else {
+            None
         }
     }
 
@@ -441,227 +492,9 @@ impl<T> CalendarQueue<T> {
     }
 }
 
-impl<T> EventQueue<T> for CalendarQueue<T> {
-    fn push(&mut self, at: u64, item: T) {
-        let seq = self.next_seq();
-        if at < self.current {
-            self.late.insert((at, seq), item);
-        } else if at - self.current < HORIZON {
-            self.insert_near(at, item);
-        } else {
-            self.overflow.entry(at).or_default().push((seq, item));
-            self.overflow_len += 1;
-            self.overflow_min = self.overflow_min.min(at);
-        }
-    }
-
-    fn pop(&mut self) -> Option<(u64, T)> {
-        // Fast path: an active batch, or the window's own bucket still
-        // holding events. That bucket can only hold cycle `current`
-        // (the one in-window cycle congruent to its index), the
-        // overflow minimum is strictly above `current` whenever the
-        // rung is non-empty (pushes land `>= current + HORIZON` and
-        // migration advances past every in-window cycle), and an empty
-        // late rung means nothing precedes the window — so the whole
-        // chain is the global minimum run, and the first pop of the
-        // cycle detaches it in one batch: the occupancy bit clears
-        // once, and the remaining same-cycle pops walk the detached
-        // chain without touching the bucket arrays at all.
-        if self.late.is_empty() {
-            if self.batch_head != NIL {
-                return Some((self.current, self.batch_pop_head()));
-            }
-            let index = (self.current & MASK) as usize;
-            let head = self.heads[index];
-            if head != NIL {
-                debug_assert_eq!(self.cycles[index], self.current);
-                debug_assert!(self.overflow_len == 0 || self.overflow_min > self.current);
-                self.batch_head = head;
-                self.batch_tail = self.tails[index];
-                self.heads[index] = NIL;
-                self.occupancy[index / 64] &= !(1 << (index % 64));
-                return Some((self.current, self.batch_pop_head()));
-            }
-        } else if self.batch_head != NIL {
-            // A late push interrupted the batch: restore the remainder
-            // to its bucket so ordering falls back to the rung logic.
-            self.reattach_batch();
-        }
-        // Late events are strictly behind `current`, hence behind every
-        // bucket and overflow cycle: always the global minimum.
-        if let Some(((at, _seq), item)) = self.late.pop_first() {
-            return Some((at, item));
-        }
-        let cycle = self.settle()?;
-        let index = (cycle & MASK) as usize;
-        debug_assert_eq!(self.cycles[index], cycle);
-        let head = self.heads[index];
-        debug_assert!(head != NIL, "settle() returned an occupied bucket");
-        Some((cycle, self.pop_head(index, head)))
-    }
-
-    fn next_at(&mut self) -> Option<u64> {
-        if let Some((&(at, _), _)) = self.late.first_key_value() {
-            return Some(at);
-        }
-        if self.batch_head != NIL {
-            // The detached batch is the earliest run (no late events),
-            // and it always sits at the window's lower bound.
-            return Some(self.current);
-        }
-        self.settle()
-    }
-
-    fn len(&self) -> usize {
-        self.near_len + self.overflow_len + self.late.len()
-    }
-
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.free = NIL;
-        self.heads.fill(NIL);
-        self.tails.fill(NIL);
-        self.occupancy = [0; WORDS];
-        self.current = 0;
-        self.near_len = 0;
-        self.overflow.clear();
-        self.overflow_len = 0;
-        self.overflow_min = u64::MAX;
-        self.late.clear();
-        self.seq = 0;
-        self.batch_head = NIL;
-        self.batch_tail = NIL;
-    }
-}
-
-/// One heap entry; the ordering deliberately ignores the item so `T`
-/// needs no `Ord`.
-#[derive(Debug, Clone)]
-struct HeapEntry<T> {
-    at: u64,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-
-impl<T> Eq for HeapEntry<T> {}
-
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The reference implementation: the historical
-/// `BinaryHeap<Reverse<(at, seq)>>` ordering, retained as the
-/// differential oracle the calendar queue is proven against
-/// (`crates/hisq-sim/tests/queue_equivalence.rs`).
-#[derive(Debug, Clone)]
-pub struct HeapQueue<T> {
-    heap: BinaryHeap<Reverse<HeapEntry<T>>>,
-    seq: u64,
-}
-
-impl<T> Default for HeapQueue<T> {
-    fn default() -> HeapQueue<T> {
-        HeapQueue::new()
-    }
-}
-
-impl<T> HeapQueue<T> {
-    /// An empty reference queue.
-    pub fn new() -> HeapQueue<T> {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// An empty queue whose next push takes sequence number `seq`
-    /// (the same counter-exhaustion test hook as
-    /// [`CalendarQueue::with_seq_base`]).
-    pub fn with_seq_base(seq: u64) -> HeapQueue<T> {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            seq,
-        }
-    }
-}
-
-impl<T> EventQueue<T> for HeapQueue<T> {
-    fn push(&mut self, at: u64, item: T) {
-        let seq = self.seq;
-        self.seq = seq.checked_add(1).expect(SEQ_OVERFLOW);
-        self.heap.push(Reverse(HeapEntry { at, seq, item }));
-    }
-
-    fn pop(&mut self) -> Option<(u64, T)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.item))
-    }
-
-    fn next_at(&mut self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn clear(&mut self) {
-        self.heap.clear();
-        self.seq = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Drains both queues fully and asserts identical `(at, item)`
-    /// sequences.
-    fn assert_drain_equal(mut wheel: CalendarQueue<u32>, mut heap: HeapQueue<u32>) {
-        loop {
-            let (w, h) = (wheel.pop(), heap.pop());
-            assert_eq!(w, h, "wheel diverged from heap reference");
-            if w.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn same_cycle_events_pop_in_push_order() {
-        let mut wheel = CalendarQueue::new();
-        let mut heap = HeapQueue::new();
-        for i in 0..100 {
-            wheel.push(7, i);
-            heap.push(7, i);
-        }
-        assert_drain_equal(wheel, heap);
-    }
-
-    #[test]
-    fn far_future_events_take_the_overflow_rung_and_still_order() {
-        let mut wheel = CalendarQueue::new();
-        let mut heap = HeapQueue::new();
-        for (at, v) in [(5u64, 0u32), (100_000, 1), (6, 2), (100_000, 3), (999, 4)] {
-            wheel.push(at, v);
-            heap.push(at, v);
-        }
-        assert_eq!(wheel.len(), 5);
-        assert_drain_equal(wheel, heap);
-    }
 
     #[test]
     fn pop_through_only_drains_up_to_the_cycle() {
@@ -675,48 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn late_push_interrupts_a_batched_drain_in_heap_order() {
-        // First pop of cycle 10 detaches the whole 4-event chain as a
-        // batch; the late push behind the window must still pop before
-        // the batch remainder, exactly as the heap orders it.
-        let mut wheel = CalendarQueue::new();
-        let mut heap = HeapQueue::new();
-        for (at, v) in [(10u64, 0u32), (10, 1), (10, 2), (10, 3)] {
-            wheel.push(at, v);
-            heap.push(at, v);
-        }
-        assert_eq!(wheel.pop(), Some((10, 0)));
-        assert_eq!(heap.pop(), Some((10, 0)));
-        wheel.push(4, 99);
-        heap.push(4, 99);
-        assert_eq!(wheel.len(), heap.len());
-        assert_drain_equal(wheel, heap);
-    }
-
-    #[test]
-    fn same_cycle_pushes_during_a_batch_pop_after_the_batch() {
-        // Events pushed at the batch's own cycle mid-drain carry
-        // younger seqs: they re-claim the bucket and pop after the
-        // detached chain, preserving FIFO-within-cycle.
-        let mut wheel = CalendarQueue::new();
-        let mut heap = HeapQueue::new();
-        for v in 0..3u32 {
-            wheel.push(20, v);
-            heap.push(20, v);
-        }
-        assert_eq!(wheel.pop(), Some((20, 0)));
-        assert_eq!(heap.pop(), Some((20, 0)));
-        wheel.push(20, 7);
-        heap.push(20, 7);
-        // A late interruption *after* same-cycle pushes exercises the
-        // splice-ahead-of-the-bucket reattach path.
-        wheel.push(3, 8);
-        heap.push(3, 8);
-        assert_eq!(wheel.next_at(), Some(3));
-        assert_drain_equal(wheel, heap);
-    }
-
-    #[test]
     fn next_at_reports_the_batch_cycle_mid_drain() {
         let mut wheel: CalendarQueue<u32> = CalendarQueue::new();
         wheel.push(12, 1);
@@ -727,25 +518,5 @@ mod tests {
         assert_eq!(wheel.pop(), Some((12, 2)));
         assert_eq!(wheel.pop(), Some((500_000, 3)));
         assert!(wheel.is_empty());
-    }
-
-    #[test]
-    fn clear_resets_the_window_and_the_seq_counter() {
-        let mut wheel: CalendarQueue<u32> = CalendarQueue::new();
-        wheel.push(1_000_000, 1);
-        wheel.push(3, 2);
-        assert_eq!(wheel.pop(), Some((3, 2)));
-        wheel.clear();
-        assert!(wheel.is_empty());
-        // After clear, cycle 0 is schedulable again (window re-anchored).
-        wheel.push(0, 9);
-        assert_eq!(wheel.pop(), Some((0, 9)));
-        // Clearing mid-batch discards the detached remainder too.
-        wheel.push(5, 1);
-        wheel.push(5, 2);
-        assert_eq!(wheel.pop(), Some((5, 1)));
-        wheel.clear();
-        assert!(wheel.is_empty());
-        assert_eq!(wheel.pop(), None);
     }
 }

@@ -43,18 +43,16 @@ use hisq_core::{NodeAddr, NodeConfig, MEAS_FIFO_ADDR};
 use hisq_isa::Inst;
 use hisq_net::{FabricMap, LinkModel, Router, Topology};
 
-use crate::backend::{
-    FixedBackend, LeakyRandomBackend, NoisyStabilizerBackend, QuantumBackend, RandomBackend,
-    StabilizerBackend, StateVectorBackend,
-};
+use crate::backend::{LeakyRandomBackend, QuantumBackend, RandomBackend};
 use crate::config::{SimConfig, SimError};
 use crate::engine::System;
 use crate::nodes::{ControllerNode, Hub, HubNode, NodeId, QuantumAction, SimNode};
 
 /// Declarative choice of the quantum backend a built system starts
-/// with. Custom backend instances (e.g. a scripted
-/// [`FixedBackend`]) can still be swapped in after
-/// building via [`System::set_backend`].
+/// with: the two backends a scenario sweep runs. Every other backend
+/// (fixed or scripted outcomes, stabilizer, state-vector, noisy
+/// stabilizer) is installed after building via
+/// [`System::set_backend`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum BackendSpec {
     /// Seeded random measurement outcomes (the sweep default).
@@ -63,40 +61,6 @@ pub enum BackendSpec {
         seed: u64,
         /// Probability of measuring `1`.
         p_one: f64,
-    },
-    /// Constant measurement outcomes.
-    Fixed {
-        /// The outcome every measurement returns.
-        outcome: bool,
-    },
-    /// Stabilizer (Clifford) simulation.
-    Stabilizer {
-        /// Number of simulated qubits.
-        qubits: usize,
-        /// RNG seed for non-deterministic outcomes.
-        seed: u64,
-    },
-    /// Full state-vector simulation.
-    StateVector {
-        /// Number of simulated qubits.
-        qubits: usize,
-        /// RNG seed for outcome sampling.
-        seed: u64,
-    },
-    /// Stabilizer simulation with sampled Pauli gate noise and readout
-    /// flips (see
-    /// [`NoisyStabilizerBackend`]). With
-    /// `noise == NoiseMap::default()` this is byte-identical to
-    /// [`BackendSpec::Stabilizer`] at the same seed.
-    NoisyStabilizer {
-        /// Number of simulated qubits.
-        qubits: usize,
-        /// RNG seed (measurement outcomes and channel sampling).
-        seed: u64,
-        /// Per-operation error rates: a uniform default plus per-qubit
-        /// overrides (a plain `NoiseModel` converts into a uniform
-        /// map).
-        noise: hisq_quantum::NoiseMap,
     },
     /// Seeded random outcomes with sticky leakage (see
     /// [`LeakyRandomBackend`]). With
@@ -128,18 +92,6 @@ impl BackendSpec {
     fn instantiate(&self) -> Box<dyn QuantumBackend> {
         match self {
             BackendSpec::Random { seed, p_one } => Box::new(RandomBackend::new(*seed, *p_one)),
-            BackendSpec::Fixed { outcome } => Box::new(FixedBackend::new(*outcome)),
-            BackendSpec::Stabilizer { qubits, seed } => {
-                Box::new(StabilizerBackend::new(*qubits, *seed))
-            }
-            BackendSpec::StateVector { qubits, seed } => {
-                Box::new(StateVectorBackend::new(*qubits, *seed))
-            }
-            BackendSpec::NoisyStabilizer {
-                qubits,
-                seed,
-                noise,
-            } => Box::new(NoisyStabilizerBackend::new(*qubits, *seed, noise.clone())),
             BackendSpec::Leaky { seed, p_one, noise } => {
                 Box::new(LeakyRandomBackend::new(*seed, *p_one, noise.clone()))
             }
@@ -292,11 +244,7 @@ impl SystemSpec {
     ///   an address that is not a controller.
     pub fn build(self) -> Result<System, SimError> {
         // Intern addresses in registration order: routers, hubs,
-        // controllers. The arena vectors come from this thread's
-        // retired-scratch pool (see [`crate::engine`]) so a sweep
-        // worker lowering thousands of specs re-fills already-grown
-        // allocations instead of reallocating per scenario.
-        let mut scratch = crate::engine::take_scratch();
+        // controllers, into vectors sized for every node up front.
         let max_addr = self
             .routers
             .iter()
@@ -310,16 +258,12 @@ impl SystemSpec {
                 limit: MEAS_FIFO_ADDR,
             });
         }
-        let table_len = max_addr.map_or(0, |a| a as usize + 1);
-        let mut addr_table = std::mem::take(&mut scratch.arena.addr_to_id);
-        addr_table.clear();
-        addr_table.resize(table_len, NodeId::MAX);
+        let node_count = self.routers.len() + self.hubs.len() + self.controllers.len();
         let mut arena = Arena {
-            addr_to_id: addr_table,
-            addrs: std::mem::take(&mut scratch.arena.addrs),
-            nodes: std::mem::take(&mut scratch.arena.nodes),
+            addr_to_id: vec![NodeId::MAX; max_addr.map_or(0, |a| a as usize + 1)],
+            addrs: Vec::with_capacity(node_count),
+            nodes: Vec::with_capacity(node_count),
         };
-        debug_assert!(arena.addrs.is_empty() && arena.nodes.is_empty());
 
         for router in self.routers {
             let addr = router.addr();
@@ -385,15 +329,12 @@ impl SystemSpec {
 
         // Controllers step in ascending address order (the engine's
         // deterministic scheduling contract).
-        let mut controller_ids = std::mem::take(&mut scratch.arena.controller_ids);
-        debug_assert!(controller_ids.is_empty());
-        controller_ids.extend(
-            nodes
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| n.as_controller().is_some())
-                .map(|(i, _)| i as NodeId),
-        );
+        let mut controller_ids: Vec<NodeId> = nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.as_controller().is_some())
+            .map(|(i, _)| i as NodeId)
+            .collect();
         controller_ids.sort_by_key(|&id| addrs[id as usize]);
 
         Ok(System::from_parts(
@@ -407,7 +348,6 @@ impl SystemSpec {
             self.topology,
             self.backend.instantiate(),
             self.fabric,
-            scratch,
         ))
     }
 }
@@ -600,11 +540,6 @@ mod tests {
 
     #[test]
     fn backend_spec_selects_the_backend() {
-        let mut spec = SystemSpec::new();
-        spec.controller(NodeConfig::new(0), asm("stop"));
-        spec.backend(BackendSpec::Fixed { outcome: true });
-        let mut system = spec.build().unwrap();
-        assert!(system.backend_mut().measure(0));
         assert_eq!(
             BackendSpec::default(),
             BackendSpec::Random {

@@ -1,18 +1,143 @@
 //! Differential oracle for the calendar-queue event core: the
 //! production [`CalendarQueue`] must pop the exact `(cycle, item)`
-//! sequence of the retained [`HeapQueue`] reference (the historical
+//! sequence of the [`HeapQueue`] reference defined here (the historical
 //! `BinaryHeap<Reverse<(at, seq)>>` ordering) over proptest-generated
 //! push/pop streams and over adversarial hand-built cases — same-cycle
 //! bursts, the far-future overflow rung, horizon wrap-around, pushes
-//! behind the pop frontier, and cycles at the very top of `u64`.
+//! behind the pop frontier, batched drains interrupted by late pushes,
+//! and cycles at the very top of `u64`.
 //!
-//! The second half pins the satellite bugfix: the `seq` tie-break
-//! counter uses checked arithmetic, so exhausting it panics loudly
-//! instead of silently reordering same-cycle events.
+//! The second half pins the `seq` tie-break counter: it uses checked
+//! arithmetic in both queues, so exhausting it panics loudly instead of
+//! silently reordering same-cycle events.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
 
-use hisq_sim::queue::{CalendarQueue, EventQueue, HeapQueue};
+use hisq_sim::queue::CalendarQueue;
+
+/// The interface the calendar queue and its heap reference share: a
+/// deterministic future-event queue ordered by `(at, seq)` with `seq`
+/// assigned at push. Implementing it for [`CalendarQueue`] checks at
+/// compile time that the production queue still has the reference's
+/// signatures.
+trait EventQueue<T> {
+    /// Schedules `item` at cycle `at`, behind every event already
+    /// scheduled at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the internal `seq` counter is exhausted (after
+    /// `u64::MAX` pushes) — wrapping would silently reorder same-cycle
+    /// events, so the failure is loud instead.
+    fn push(&mut self, at: u64, item: T);
+
+    /// Removes and returns the earliest event as `(at, item)`;
+    /// same-cycle ties pop in push order.
+    fn pop(&mut self) -> Option<(u64, T)>;
+
+    /// The cycle of the event [`pop`](EventQueue::pop) would return,
+    /// without removing it.
+    fn next_at(&mut self) -> Option<u64>;
+
+    /// Number of events resident in the queue.
+    fn len(&self) -> usize;
+}
+
+impl<T> EventQueue<T> for CalendarQueue<T> {
+    fn push(&mut self, at: u64, item: T) {
+        CalendarQueue::push(self, at, item);
+    }
+
+    fn pop(&mut self) -> Option<(u64, T)> {
+        CalendarQueue::pop(self)
+    }
+
+    fn next_at(&mut self) -> Option<u64> {
+        CalendarQueue::next_at(self)
+    }
+
+    fn len(&self) -> usize {
+        CalendarQueue::len(self)
+    }
+}
+
+/// One heap entry; the ordering deliberately ignores the item so `T`
+/// needs no `Ord`.
+struct HeapEntry<T> {
+    at: u64,
+    seq: u64,
+    item: T,
+}
+
+impl<T> PartialEq for HeapEntry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl<T> Eq for HeapEntry<T> {}
+
+impl<T> Ord for HeapEntry<T> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
+}
+
+impl<T> PartialOrd for HeapEntry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The reference implementation: the historical
+/// `BinaryHeap<Reverse<(at, seq)>>` ordering the calendar queue is
+/// proven against.
+struct HeapQueue<T> {
+    heap: BinaryHeap<Reverse<HeapEntry<T>>>,
+    seq: u64,
+}
+
+impl<T> HeapQueue<T> {
+    /// An empty reference queue.
+    fn new() -> HeapQueue<T> {
+        HeapQueue::with_seq_base(0)
+    }
+
+    /// An empty queue whose next push takes sequence number `seq`
+    /// (the same counter-exhaustion test hook as
+    /// [`CalendarQueue::with_seq_base`]).
+    fn with_seq_base(seq: u64) -> HeapQueue<T> {
+        HeapQueue {
+            heap: BinaryHeap::new(),
+            seq,
+        }
+    }
+}
+
+impl<T> EventQueue<T> for HeapQueue<T> {
+    fn push(&mut self, at: u64, item: T) {
+        let seq = self.seq;
+        self.seq = seq.checked_add(1).expect(
+            "event-queue seq counter exhausted u64: same-cycle FIFO order can no longer be guaranteed",
+        );
+        self.heap.push(Reverse(HeapEntry { at, seq, item }));
+    }
+
+    fn pop(&mut self) -> Option<(u64, T)> {
+        self.heap.pop().map(|Reverse(e)| (e.at, e.item))
+    }
+
+    fn next_at(&mut self) -> Option<u64> {
+        self.heap.peek().map(|Reverse(e)| e.at)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
 
 /// One generated operation against both queues.
 #[derive(Debug, Clone)]
@@ -197,25 +322,79 @@ fn heap_seq_overflow_panics_instead_of_reordering() {
     heap.push(7, 2);
 }
 
-#[test]
-fn clear_resets_seq_for_cross_run_determinism() {
-    // Pooled queues are cleared between runs; a reused queue must
-    // replay the same seq stream as a fresh one.
-    let mut reused: CalendarQueue<u32> = CalendarQueue::new();
-    reused.push(900, 1);
-    reused.pop();
-    reused.clear();
-    let mut fresh: CalendarQueue<u32> = CalendarQueue::new();
-    for q in [&mut reused, &mut fresh] {
-        q.push(10, 1);
-        q.push(10, 2);
-        q.push(5, 3);
-    }
+/// Drains both queues fully and asserts identical `(at, item)`
+/// sequences.
+fn assert_drain_equal(mut wheel: CalendarQueue<u32>, mut heap: HeapQueue<u32>) {
     loop {
-        let (r, f) = (reused.pop(), fresh.pop());
-        assert_eq!(r, f, "reused queue diverged from fresh");
-        if r.is_none() {
+        let (w, h) = (wheel.pop(), heap.pop());
+        assert_eq!(w, h, "wheel diverged from heap reference");
+        if w.is_none() {
             break;
         }
     }
+}
+
+#[test]
+fn same_cycle_events_pop_in_push_order() {
+    let mut wheel = CalendarQueue::new();
+    let mut heap = HeapQueue::new();
+    for i in 0..100 {
+        wheel.push(7, i);
+        heap.push(7, i);
+    }
+    assert_drain_equal(wheel, heap);
+}
+
+#[test]
+fn far_future_events_take_the_overflow_rung_and_still_order() {
+    let mut wheel = CalendarQueue::new();
+    let mut heap = HeapQueue::new();
+    for (at, v) in [(5u64, 0u32), (100_000, 1), (6, 2), (100_000, 3), (999, 4)] {
+        wheel.push(at, v);
+        heap.push(at, v);
+    }
+    assert_eq!(wheel.len(), 5);
+    assert_drain_equal(wheel, heap);
+}
+
+#[test]
+fn late_push_interrupts_a_batched_drain_in_heap_order() {
+    // First pop of cycle 10 detaches the whole 4-event chain as a
+    // batch; the late push behind the window must still pop before
+    // the batch remainder, exactly as the heap orders it.
+    let mut wheel = CalendarQueue::new();
+    let mut heap = HeapQueue::new();
+    for (at, v) in [(10u64, 0u32), (10, 1), (10, 2), (10, 3)] {
+        wheel.push(at, v);
+        heap.push(at, v);
+    }
+    assert_eq!(wheel.pop(), Some((10, 0)));
+    assert_eq!(heap.pop(), Some((10, 0)));
+    wheel.push(4, 99);
+    heap.push(4, 99);
+    assert_eq!(wheel.len(), heap.len());
+    assert_drain_equal(wheel, heap);
+}
+
+#[test]
+fn same_cycle_pushes_during_a_batch_pop_after_the_batch() {
+    // Events pushed at the batch's own cycle mid-drain carry
+    // younger seqs: they re-claim the bucket and pop after the
+    // detached chain, preserving FIFO-within-cycle.
+    let mut wheel = CalendarQueue::new();
+    let mut heap = HeapQueue::new();
+    for v in 0..3u32 {
+        wheel.push(20, v);
+        heap.push(20, v);
+    }
+    assert_eq!(wheel.pop(), Some((20, 0)));
+    assert_eq!(heap.pop(), Some((20, 0)));
+    wheel.push(20, 7);
+    heap.push(20, 7);
+    // A late interruption *after* same-cycle pushes exercises the
+    // splice-ahead-of-the-bucket reattach path.
+    wheel.push(3, 8);
+    heap.push(3, 8);
+    assert_eq!(wheel.next_at(), Some(3));
+    assert_drain_equal(wheel, heap);
 }

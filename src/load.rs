@@ -76,7 +76,7 @@
 
 use hisq_json::{Json, JsonError, ObjReader};
 use hisq_quantum::noise::splitmix64;
-use hisq_sim::queue::{CalendarQueue, EventQueue};
+use hisq_sim::queue::CalendarQueue;
 use hisq_sim::SweepRecord;
 use std::collections::{BTreeMap, BTreeSet};
 

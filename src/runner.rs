@@ -18,7 +18,7 @@
 //! [`run_scenario_cached`] on a shared one, and [`run_sweep`] fans a
 //! scenario list out over a [`hisq_sim::SweepRunner`] worker pool into a
 //! deterministic [`SweepReport`] — the substrate behind `hisq run` and
-//! every `fig*` binary. The scenario model and its file grammar live
+//! the `figure` binary's sweep figures. The scenario model and its file grammar live
 //! in [`crate::scenario`]; [`Scenario`] is re-exported here. The
 //! lower-level [`build_system`] stays public for callers that bring
 //! their own compiled programs.

@@ -1,6 +1,6 @@
 //! Shared test-support utilities: the dependency-free FNV-1a digest
 //! and the byte pin that `tests/noise_determinism.rs` and the bench
-//! crate's `scale_determinism` test use to freeze report JSON
+//! crate's `tests/figure_cli.rs` use to freeze report JSON
 //! byte-for-byte.
 //!
 //! Pinning lives in one place so engine work that legitimately changes

@@ -58,8 +58,9 @@ fn link_model_ids_distinguish_drop_policies() {
 
 /// Every committed golden-corpus scenario expands to uniform fabric
 /// and noise maps and carries none of the heterogeneous-fabric id
-/// segments — so the corpus replay gate (`ci/check_scenarios.sh`,
-/// byte-comparing 1- and 4-thread runs against committed reports)
+/// segments — so the corpus replay gates (`ci/check_scenarios.sh` and
+/// `tests/compile_cache_equivalence.rs`, byte-comparing runs against
+/// committed reports)
 /// keeps pinning the uniform maps to the legacy single-model engine.
 #[test]
 fn golden_corpus_scenarios_stay_on_uniform_maps() {

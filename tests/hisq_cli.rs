@@ -26,9 +26,9 @@ fn hisq(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn unknown_run_flag_exits_2_with_usage() {
-    // `--quick` is not a `hisq run` flag: the `fig*` binaries' flag of
-    // that name selects their golden-corpus grid, which a scenario
-    // file already is.
+    // `--quick` is not a `hisq run` flag: the `figure` binary's flag of
+    // that name selects a sweep figure's golden-corpus grid, which a
+    // scenario file already is.
     for flag in ["--turbo", "--quick"] {
         let out = hisq(&["run", SCENARIO, flag]);
         assert_eq!(out.status.code(), Some(2), "unknown flags are an error");

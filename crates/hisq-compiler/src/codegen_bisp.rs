@@ -34,7 +34,8 @@ pub struct BispOptions {
     /// BISP optimization). Disabling reproduces the QubiC-2.0-style
     /// placement immediately before the synchronization point.
     pub booking_advance: bool,
-    /// Number of program repetitions; each opens with a region-level
+    /// Number of program repetitions, each unrolled into the program;
+    /// with more than one, each opens with a region-level
     /// synchronization (§2.1.4).
     pub shots: u32,
     /// Operation durations in TCU cycles.

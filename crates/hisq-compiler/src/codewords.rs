@@ -10,38 +10,12 @@
 use std::collections::BTreeMap;
 
 use hisq_core::NodeAddr;
-use hisq_quantum::Gate;
+use hisq_quantum::{Gate, QuantumAction};
 
 /// The port carrying gate-trigger codewords on every controller.
 pub const PORT_GATE: u32 = 0;
 /// The port carrying readout (measurement) triggers.
 pub const PORT_READOUT: u32 = 2;
-
-/// What a committed codeword does, from the quantum backend's view.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BindingAction {
-    /// Apply a unitary gate.
-    Gate {
-        /// The gate.
-        gate: Gate,
-        /// Target qubits (global indices).
-        qubits: Vec<usize>,
-    },
-    /// Trigger a measurement of `qubit`; the result returns to the
-    /// committing controller's measurement FIFO.
-    Measure {
-        /// The measured qubit.
-        qubit: usize,
-    },
-    /// Reset `qubit` to |0⟩.
-    Reset {
-        /// The reset qubit.
-        qubit: usize,
-    },
-    /// A pulse with no backend action (e.g. the second half of a
-    /// two-qubit gate, emitted by the partner controller).
-    Pulse,
-}
 
 /// One `(node, port, codeword) → action` binding.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,8 +26,9 @@ pub struct Binding {
     pub port: u32,
     /// The codeword value.
     pub codeword: u32,
-    /// The triggered action.
-    pub action: BindingAction,
+    /// The triggered action; `None` for the silent pulse of a
+    /// two-qubit gate's partner controller.
+    pub action: Option<QuantumAction>,
 }
 
 /// Canonical key for gate identity, including quantized rotation angles
@@ -122,10 +97,7 @@ impl CodewordTable {
             node,
             port: PORT_GATE,
             codeword: cw,
-            action: BindingAction::Gate {
-                gate,
-                qubits: qubits.to_vec(),
-            },
+            action: Some(QuantumAction::gate(gate, qubits)),
         });
         cw
     }
@@ -143,13 +115,14 @@ impl CodewordTable {
             node,
             port: PORT_GATE,
             codeword: cw,
-            action: BindingAction::Pulse,
+            action: None,
         });
         cw
     }
 
     /// Allocates (or reuses) the measurement-trigger codeword of `node`
-    /// for `qubit`.
+    /// for `qubit`, on [`PORT_READOUT`]: the only constructor of a
+    /// measure binding, so every one sits on that port.
     pub fn measure(&mut self, node: NodeAddr, qubit: usize) -> u32 {
         let key = (node, PORT_READOUT, (u8::MAX - 1, qubit as i64, Vec::new()));
         if let Some(&cw) = self.known.get(&key) {
@@ -161,7 +134,7 @@ impl CodewordTable {
             node,
             port: PORT_READOUT,
             codeword: cw,
-            action: BindingAction::Measure { qubit },
+            action: Some(QuantumAction::Measure { qubit }),
         });
         cw
     }
@@ -178,7 +151,7 @@ impl CodewordTable {
             node,
             port: PORT_GATE,
             codeword: cw,
-            action: BindingAction::Reset { qubit },
+            action: Some(QuantumAction::Reset { qubit }),
         });
         cw
     }

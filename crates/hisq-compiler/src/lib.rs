@@ -68,7 +68,7 @@ use hisq_quantum::GateDurations;
 
 pub use codegen_bisp::{compile_bisp, BispOptions};
 pub use codegen_lockstep::{compile_lockstep, LockstepOptions};
-pub use codewords::{Binding, BindingAction, CodewordTable, PORT_GATE, PORT_READOUT};
+pub use codewords::{Binding, CodewordTable, PORT_GATE, PORT_READOUT};
 pub use emit::{Label, Listing, StreamBuilder};
 pub use fabric::{apply_placement, plan_placement, FabricCosts};
 pub use longrange::{map_to_physical, LongRangeConfig, LongRangeStats, PhysicalCircuit};

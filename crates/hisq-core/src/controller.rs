@@ -76,7 +76,9 @@ pub enum PendingOp {
 }
 
 impl PendingOp {
-    fn reason(&self) -> BlockReason {
+    /// The input lane this instruction waits on: the inbox lane
+    /// [`Controller::offer`] must be given to complete it.
+    pub fn reason(&self) -> BlockReason {
         match *self {
             PendingOp::SyncPulse { partner, .. } => BlockReason::AwaitSyncPulse { partner },
             PendingOp::MaxTime { router, .. } => BlockReason::AwaitMaxTime { router },
@@ -123,42 +125,47 @@ pub struct ControllerStats {
     pub recvs: u64,
 }
 
-/// A per-source FIFO inbox as a linear-scan association list.
+/// The controller's one inbox: a FIFO lane per input kind and sender,
+/// keyed by the [`BlockReason`] an instruction waiting on it reports (a
+/// pulse from a partner, a max-time from a router, a message from a
+/// source), each item an `(time, value)` pair. Pulses and max-times
+/// carry no value; a max-time's time is the broadcast `T_m`.
 ///
-/// A controller only ever hears from a handful of peers (its mesh
-/// neighbours and ancestor routers), and the inbox is probed on every
-/// delivery *and* every blocked-retry, so a short scan over a flat
-/// vector beats a tree walk on the simulator's hottest path. Access is
-/// strictly keyed (push one lane, pop one lane) — lane order is never
-/// observed, so swapping the map for a list cannot change behavior.
+/// A linear-scan association list: a controller only ever hears from a
+/// handful of peers (its mesh neighbours and ancestor routers), and the
+/// inbox is probed on every delivery *and* every blocked-retry, so a
+/// short scan over a flat vector beats a tree walk on the simulator's
+/// hottest path. Access is strictly keyed (push one lane, pop one
+/// lane) — lane order is never observed, so swapping the map for a
+/// list cannot change behavior.
 #[derive(Debug, Clone, Default)]
-struct Inbox<T> {
-    lanes: Vec<(NodeAddr, VecDeque<T>)>,
+struct Inbox {
+    lanes: Vec<(BlockReason, VecDeque<(u64, u32)>)>,
 }
 
-impl<T> Inbox<T> {
-    /// Appends to `from`'s FIFO lane, creating it on first contact.
-    fn push(&mut self, from: NodeAddr, item: T) {
-        match self.lanes.iter_mut().find(|(addr, _)| *addr == from) {
-            Some((_, lane)) => lane.push_back(item),
-            None => self.lanes.push((from, VecDeque::from_iter([item]))),
+impl Inbox {
+    /// Appends to `lane`, creating it on first contact.
+    fn push(&mut self, lane: BlockReason, item: (u64, u32)) {
+        match self.lanes.iter_mut().find(|(key, _)| *key == lane) {
+            Some((_, items)) => items.push_back(item),
+            None => self.lanes.push((lane, VecDeque::from_iter([item]))),
         }
     }
 
-    /// Pops the oldest item of `from`'s lane, if any.
-    fn pop(&mut self, from: NodeAddr) -> Option<T> {
+    /// Pops the oldest item of `lane`, if any.
+    fn pop(&mut self, lane: BlockReason) -> Option<(u64, u32)> {
         self.lanes
             .iter_mut()
-            .find(|(addr, _)| *addr == from)
-            .and_then(|(_, lane)| lane.pop_front())
+            .find(|(key, _)| *key == lane)
+            .and_then(|(_, items)| items.pop_front())
     }
 
-    /// `true` when `from`'s lane holds nothing (or was never opened).
-    fn lane_is_empty(&self, from: NodeAddr) -> bool {
+    /// `true` when `lane` holds nothing (or was never opened).
+    fn lane_is_empty(&self, lane: BlockReason) -> bool {
         self.lanes
             .iter()
-            .find(|(addr, _)| *addr == from)
-            .is_none_or(|(_, lane)| lane.is_empty())
+            .find(|(key, _)| *key == lane)
+            .is_none_or(|(_, items)| items.is_empty())
     }
 }
 
@@ -199,13 +206,10 @@ pub struct Controller {
     timeline: Timeline,
     stats: ControllerStats,
     regs: RegFile,
-    /// Arrival times of nearby-sync pulses, per neighbour (sticky flags,
-    /// cleared on read — Figure 4).
-    sync_pulses: Inbox<u64>,
-    /// Max-time broadcasts received, per router.
-    max_times: Inbox<u64>,
-    /// Classical mailboxes: (arrival_cycle, value), per source.
-    mailboxes: Inbox<(u64, u32)>,
+    /// Inputs not yet consumed: nearby-sync pulses (sticky flags,
+    /// cleared on read — Figure 4), region max-times and classical
+    /// messages, one lane per [`BlockReason`].
+    inbox: Inbox,
     commits: Vec<CommitRecord>,
     /// The calibrated links of the configuration, flattened to a sorted
     /// slice so the per-`sync` lookup is a binary search instead of a
@@ -244,9 +248,7 @@ impl Controller {
             grid_raw,
             timeline: Timeline::new(),
             status: Status::Ready,
-            sync_pulses: Inbox::default(),
-            max_times: Inbox::default(),
-            mailboxes: Inbox::default(),
+            inbox: Inbox::default(),
             commits: Vec::new(),
             stats: ControllerStats::default(),
         }
@@ -308,87 +310,34 @@ impl Controller {
         self.timeline.total_stall()
     }
 
-    // Each `offer_*` delivers one input and reports whether a
-    // [`Controller::step`] would now make progress. An input that
-    // completes the pending instruction does so in place, skipping the
-    // inbox: a controller blocks only on an empty lane, so that input is
-    // the one [`Controller::try_complete`] would pop. Any other input is
-    // banked in its lane, and `false` tells the caller that stepping now
-    // would be a no-op.
-
-    /// Delivers a nearby-sync pulse from `from` arriving at `arrival`
-    /// and reports whether the controller can now make progress (see
-    /// the note above).
-    pub fn offer_sync_pulse(&mut self, from: NodeAddr, arrival: u64) -> bool {
-        if let Status::Blocked(PendingOp::SyncPulse {
-            partner,
-            raw_gate,
-            floor_eff,
-        }) = self.status
-        {
-            if partner == from && self.sync_pulses.lane_is_empty(from) {
-                self.timeline.add_gate(raw_gate, floor_eff.max(arrival));
-                self.status = Status::Ready;
-                self.pc += 1;
+    /// Delivers one input on `lane` — a pulse arriving at `time`, a
+    /// max-time `T_m = time`, or a message `value` arriving at `time` —
+    /// and reports whether a [`Controller::step`] would now make
+    /// progress.
+    ///
+    /// An input that completes the pending instruction does so in
+    /// place, skipping the inbox: a controller blocks only on an empty
+    /// lane, so that input is the one [`Controller::step`] would pop.
+    /// Any other input is banked in its lane, and `false` tells the
+    /// caller that stepping now would be a no-op.
+    pub fn offer(&mut self, lane: BlockReason, time: u64, value: u32) -> bool {
+        if let Status::Blocked(pending) = self.status {
+            if pending.reason() == lane && self.inbox.lane_is_empty(lane) {
+                self.complete(pending, time, value);
                 return true;
             }
         }
-        self.sync_pulses.push(from, arrival);
+        self.inbox.push(lane, (time, value));
         match &self.status {
             Status::Ready => true,
-            Status::Blocked(PendingOp::SyncPulse { partner, .. }) => *partner == from,
-            _ => false,
-        }
-    }
-
-    /// Delivers a region-sync max-time broadcast from `router` and
-    /// reports whether the controller can now make progress.
-    pub fn offer_max_time(&mut self, router: NodeAddr, t_m: u64) -> bool {
-        if let Status::Blocked(PendingOp::MaxTime {
-            router: pending_router,
-            raw_gate,
-            t_i,
-        }) = self.status
-        {
-            if pending_router == router && self.max_times.lane_is_empty(router) {
-                self.timeline.add_gate(raw_gate, t_i.max(t_m));
-                self.status = Status::Ready;
-                self.pc += 1;
-                return true;
-            }
-        }
-        self.max_times.push(router, t_m);
-        match &self.status {
-            Status::Ready => true,
-            Status::Blocked(PendingOp::MaxTime { router: r, .. }) => *r == router,
-            _ => false,
-        }
-    }
-
-    /// Delivers a classical message from `from` arriving at `arrival`
-    /// and reports whether the controller can now make progress.
-    pub fn offer_classical(&mut self, from: NodeAddr, value: u32, arrival: u64) -> bool {
-        if let Status::Blocked(PendingOp::Recv { source, rd }) = self.status {
-            if source == from && self.mailboxes.lane_is_empty(from) {
-                self.regs.write(rd, value);
-                self.pipe_cycle = self.pipe_cycle.max(arrival);
-                self.stats.recvs += 1;
-                self.status = Status::Ready;
-                self.pc += 1;
-                return true;
-            }
-        }
-        self.mailboxes.push(from, (arrival, value));
-        match &self.status {
-            Status::Ready => true,
-            Status::Blocked(PendingOp::Recv { source, .. }) => *source == from,
+            Status::Blocked(pending) => pending.reason() == lane,
             _ => false,
         }
     }
 
     /// `true` when the program holds a `recv` from `source`. A `recv`
     /// names its source as an immediate and is the only instruction that
-    /// pops a mailbox lane, so messages from a source this returns
+    /// pops a message lane, so messages from a source this returns
     /// `false` for are banked and never read: a caller may skip
     /// offering them without changing anything the controller does.
     pub fn can_recv_from(&self, source: NodeAddr) -> bool {
@@ -406,11 +355,9 @@ impl Controller {
                 Status::Faulted(_) => return StepOutcome::Faulted,
                 Status::Blocked(pending) => {
                     let pending = *pending;
-                    if !self.try_complete(&pending) {
+                    if !self.try_complete(pending) {
                         return StepOutcome::Blocked(pending.reason());
                     }
-                    self.status = Status::Ready;
-                    self.pc += 1;
                 }
                 Status::Ready => {
                     if let Err(message) = self.execute_one(outbox) {
@@ -422,42 +369,36 @@ impl Controller {
         }
     }
 
-    /// Attempts to finish a pending blocking instruction with the inputs
-    /// received so far. Returns `true` on completion.
-    fn try_complete(&mut self, pending: &PendingOp) -> bool {
-        match *pending {
+    /// Attempts to finish a pending blocking instruction with the oldest
+    /// input of its lane. Returns `true` on completion.
+    fn try_complete(&mut self, pending: PendingOp) -> bool {
+        let Some((time, value)) = self.inbox.pop(pending.reason()) else {
+            return false;
+        };
+        self.complete(pending, time, value);
+        true
+    }
+
+    /// Finishes a blocking instruction with its input (see
+    /// [`Controller::offer`]) and moves on to the next instruction.
+    fn complete(&mut self, pending: PendingOp, time: u64, value: u32) {
+        match pending {
             PendingOp::SyncPulse {
-                partner,
                 raw_gate,
                 floor_eff,
-            } => {
-                let Some(arrival) = self.sync_pulses.pop(partner) else {
-                    return false;
-                };
-                self.timeline.add_gate(raw_gate, floor_eff.max(arrival));
-                true
+                ..
+            } => self.timeline.add_gate(raw_gate, floor_eff.max(time)),
+            PendingOp::MaxTime { raw_gate, t_i, .. } => {
+                self.timeline.add_gate(raw_gate, t_i.max(time))
             }
-            PendingOp::MaxTime {
-                router,
-                raw_gate,
-                t_i,
-            } => {
-                let Some(t_m) = self.max_times.pop(router) else {
-                    return false;
-                };
-                self.timeline.add_gate(raw_gate, t_i.max(t_m));
-                true
-            }
-            PendingOp::Recv { source, rd } => {
-                let Some((arrival, value)) = self.mailboxes.pop(source) else {
-                    return false;
-                };
+            PendingOp::Recv { rd, .. } => {
                 self.regs.write(rd, value);
-                self.pipe_cycle = self.pipe_cycle.max(arrival);
+                self.pipe_cycle = self.pipe_cycle.max(time);
                 self.stats.recvs += 1;
-                true
             }
         }
+        self.status = Status::Ready;
+        self.pc += 1;
     }
 
     /// Catches the timing grid up to the pipeline clock (queue underflow
@@ -624,42 +565,48 @@ impl Controller {
                     .ok_or_else(|| format!("sync target {target} has no calibrated link"))?;
                 let b_raw = self.grid_raw;
                 let b_eff = self.timeline.effective(b_raw);
-                match link.kind {
+                let (raw_gate, booking, pending) = match link.kind {
                     LinkKind::Neighbor => {
-                        outbox.push(OutboundMessage::SyncPulse {
+                        let raw_gate = b_raw + link.latency;
+                        let booking = OutboundMessage::SyncPulse {
                             to: target,
                             sent_at: b_eff,
-                        });
+                        };
                         let pending = PendingOp::SyncPulse {
                             partner: target,
-                            raw_gate: b_raw + link.latency,
+                            raw_gate,
                             floor_eff: b_eff + link.latency,
                         };
-                        if self.try_complete(&pending) {
-                            self.pc += 1;
-                        } else {
-                            self.status = Status::Blocked(pending);
-                        }
+                        (raw_gate, booking, pending)
                     }
                     LinkKind::Router => {
                         let horizon_cycles = u64::from(self.regs.read(horizon));
+                        let raw_gate = b_raw + horizon_cycles;
                         let t_i = b_eff + horizon_cycles;
-                        outbox.push(OutboundMessage::BookTime {
+                        let booking = OutboundMessage::BookTime {
                             router: target,
                             time_point: t_i,
                             sent_at: b_eff,
-                        });
+                        };
                         let pending = PendingOp::MaxTime {
                             router: target,
-                            raw_gate: b_raw + horizon_cycles,
+                            raw_gate,
                             t_i,
                         };
-                        if self.try_complete(&pending) {
-                            self.pc += 1;
-                        } else {
-                            self.status = Status::Blocked(pending);
-                        }
+                        (raw_gate, booking, pending)
                     }
+                };
+                // The timer gates in program order: a sync whose gate
+                // would land before an earlier sync's stall (a short
+                // horizon after a long countdown) cannot be timed.
+                if let Some(last) = self.timeline.last_gate().filter(|&last| raw_gate < last) {
+                    return Err(format!(
+                        "sync {target} gates at raw cycle {raw_gate}, before an earlier sync's gate at {last}"
+                    ));
+                }
+                outbox.push(booking);
+                if !self.try_complete(pending) {
+                    self.status = Status::Blocked(pending);
                 }
             }
             Inst::Send { target, rs1 } => {
@@ -673,9 +620,7 @@ impl Controller {
             }
             Inst::Recv { rd, source } => {
                 let pending = PendingOp::Recv { source, rd };
-                if self.try_complete(&pending) {
-                    self.pc += 1;
-                } else {
+                if !self.try_complete(pending) {
                     self.status = Status::Blocked(pending);
                 }
             }
@@ -840,7 +785,7 @@ mod tests {
             config,
             assemble("waiti 100\nsync 2\nwaiti 5\ncw.i.i 1, 1\nstop"),
         );
-        assert!(ctrl.offer_sync_pulse(2, 50));
+        assert!(ctrl.offer(BlockReason::AwaitSyncPulse { partner: 2 }, 50, 0));
         let mut outbox = Vec::new();
         assert!(ctrl.step(&mut outbox).is_halted());
         // Booking at 100, gate at 105, pulse at 50 → resume 105, cw at
@@ -871,7 +816,7 @@ mod tests {
             StepOutcome::Blocked(BlockReason::AwaitSyncPulse { partner: 2 })
         );
         // Partner booked late: its pulse arrives at 130.
-        assert!(ctrl.offer_sync_pulse(2, 130));
+        assert!(ctrl.offer(BlockReason::AwaitSyncPulse { partner: 2 }, 130, 0));
         assert!(ctrl.step(&mut outbox).is_halted());
         // Gate at 105 stalls until 130; cw at offset 5 past the gate
         // commits at 130.
@@ -891,7 +836,7 @@ mod tests {
         );
         let mut outbox = Vec::new();
         assert!(matches!(ctrl.step(&mut outbox), StepOutcome::Blocked(_)));
-        assert!(ctrl.offer_sync_pulse(2, 150));
+        assert!(ctrl.offer(BlockReason::AwaitSyncPulse { partner: 2 }, 150, 0));
         assert!(ctrl.step(&mut outbox).is_halted());
         let commits = ctrl.commits();
         // Offset 4 < N=10: commits at 104, before the gate.
@@ -923,7 +868,7 @@ mod tests {
             }
         )));
         // Router announces T_m = 90 (some other controller is slower).
-        assert!(ctrl.offer_max_time(100, 90));
+        assert!(ctrl.offer(BlockReason::AwaitMaxTime { router: 100 }, 90, 0));
         assert!(ctrl.step(&mut outbox).is_halted());
         // The synchronization point (offset 20) resumes at T_m = 90.
         assert_eq!(ctrl.commits()[0].cycle, 90);
@@ -936,7 +881,7 @@ mod tests {
             config,
             assemble("li t0, 30\nwaiti 50\nsync 100, t0\nwaiti 30\ncw.i.i 1, 1\nstop"),
         );
-        assert!(ctrl.offer_max_time(100, 75)); // T_m earlier than our T_i = 81
+        assert!(ctrl.offer(BlockReason::AwaitMaxTime { router: 100 }, 75, 0)); // T_m earlier than our T_i = 81
         let mut outbox = Vec::new();
         assert!(ctrl.step(&mut outbox).is_halted());
         assert_eq!(ctrl.commits()[0].cycle, 81); // zero-cycle overhead
@@ -956,7 +901,7 @@ mod tests {
             ctrl.step(&mut outbox),
             StepOutcome::Blocked(BlockReason::AwaitMessage { source: 2 })
         );
-        assert!(ctrl.offer_classical(2, 41, 200));
+        assert!(ctrl.offer(BlockReason::AwaitMessage { source: 2 }, 200, 41));
         assert!(ctrl.step(&mut outbox).is_halted());
         let reply = outbox
             .iter()
@@ -982,7 +927,7 @@ mod tests {
             NodeConfig::new(1),
             assemble("recv t0, 2\nwaiti 10\ncw.i.i 1, 1\nstop"),
         );
-        assert!(ctrl.offer_classical(2, 1, 500));
+        assert!(ctrl.offer(BlockReason::AwaitMessage { source: 2 }, 500, 1));
         let mut outbox = Vec::new();
         assert!(ctrl.step(&mut outbox).is_halted());
         assert!(ctrl.commits()[0].cycle >= 510);
@@ -1063,12 +1008,20 @@ mod tests {
         // Exchange pulses with the link latency applied.
         for m in out0.drain(..) {
             if let OutboundMessage::SyncPulse { to: 1, sent_at } = m {
-                assert!(c1.offer_sync_pulse(0, sent_at + latency));
+                assert!(c1.offer(
+                    BlockReason::AwaitSyncPulse { partner: 0 },
+                    sent_at + latency,
+                    0
+                ));
             }
         }
         for m in out1.drain(..) {
             if let OutboundMessage::SyncPulse { to: 0, sent_at } = m {
-                assert!(c0.offer_sync_pulse(1, sent_at + latency));
+                assert!(c0.offer(
+                    BlockReason::AwaitSyncPulse { partner: 1 },
+                    sent_at + latency,
+                    0
+                ));
             }
         }
         assert!(c0.step(&mut out0).is_halted());

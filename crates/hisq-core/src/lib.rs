@@ -22,7 +22,8 @@
 //! instruction stream until it halts or blocks on an external input
 //! (sync pulse, router max-time reply, or classical message). A
 //! surrounding discrete-event engine (`hisq-sim`) delivers those inputs
-//! with network latencies and re-steps the controller. All commit
+//! with network latencies through [`Controller::offer`], one lane per
+//! [`BlockReason`], and re-steps the controller. All commit
 //! timestamps are computed on the 4 ns grid independent of simulation
 //! order, so the transaction-level execution is cycle-accurate.
 //!

@@ -78,6 +78,12 @@ impl Timeline {
         self.gates.push((raw_pos, shift));
     }
 
+    /// Raw position of the last gate that stalled the timer: the bound
+    /// [`Timeline::add_gate`] asserts a new gate does not precede.
+    pub(crate) fn last_gate(&self) -> Option<u64> {
+        self.gates.last().map(|&(pos, _)| pos)
+    }
+
     /// Total stall cycles accumulated so far.
     pub fn total_stall(&self) -> u64 {
         self.gates.last().map_or(0, |&(_, s)| s)

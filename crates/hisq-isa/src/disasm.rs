@@ -30,16 +30,6 @@ pub fn disassemble(insts: &[Inst]) -> String {
     out
 }
 
-/// Disassembles with instruction indices and byte addresses, for
-/// human-oriented dumps.
-pub fn disassemble_annotated(insts: &[Inst]) -> String {
-    let mut out = String::new();
-    for (i, inst) in insts.iter().enumerate() {
-        let _ = writeln!(out, "{:4}  {:#06x}  {}", i, i * 4, inst);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,14 +59,5 @@ mod tests {
         let text = disassemble(p.insts());
         let p2 = Assembler::new().assemble(&text).unwrap();
         assert_eq!(p.insts(), p2.insts());
-    }
-
-    #[test]
-    fn annotated_dump_contains_addresses() {
-        let p = Assembler::new().assemble("nop\nstop").unwrap();
-        let text = disassemble_annotated(p.insts());
-        assert!(text.contains("0x0000"));
-        assert!(text.contains("0x0004"));
-        assert!(text.contains("stop"));
     }
 }

@@ -461,25 +461,6 @@ impl Topology {
             * (self.neighbor_latency + Self::CLASSICAL_FORWARD_OVERHEAD)
     }
 
-    /// The one-way latency of the direct link between `a` and `b`,
-    /// if such a link exists (mesh edge or tree edge).
-    ///
-    /// A pair of controllers is answered from grid coordinates: the
-    /// mesh is the grid's 4-neighbourhood and a controller is never a
-    /// tree parent (surgery re-parents only under routers), so two
-    /// controllers are linked exactly when they are one hop apart. Only
-    /// a pair that includes a router walks the parent map.
-    pub fn latency(&self, a: NodeAddr, b: NodeAddr) -> Option<u64> {
-        let controllers = self.num_controllers;
-        if (a as usize) < controllers && (b as usize) < controllers {
-            return (self.manhattan(a, b) == 1).then_some(self.neighbor_latency);
-        }
-        if self.parent_of(a) == Some(b) || self.parent_of(b) == Some(a) {
-            return Some(self.router_latency);
-        }
-        None
-    }
-
     /// Builds the [`NodeConfig`] for a controller: neighbour links for
     /// every mesh edge and a router link for every ancestor.
     ///
@@ -503,13 +484,6 @@ impl Topology {
             config = config.with_router(ancestor, self.router_latency);
         }
         config
-    }
-
-    /// Node configurations for every controller.
-    pub fn all_node_configs(&self) -> BTreeMap<NodeAddr, NodeConfig> {
-        (0..self.num_controllers as u16)
-            .map(|addr| (addr, self.node_config(addr)))
-            .collect()
     }
 
     /// **Spec surgery**: removes the bottom router level — every router
@@ -716,94 +690,6 @@ mod tests {
             assert_eq!(cfg.link(r).unwrap().latency, 9);
             assert_eq!(cfg.link(r).unwrap().kind, hisq_core::LinkKind::Router);
         }
-        assert_eq!(topo.all_node_configs().len(), 4);
-    }
-
-    /// The link definition `latency` must agree with: a mesh edge gives
-    /// the neighbour latency, a tree edge in either direction the
-    /// router latency, anything else no link.
-    fn map_latency(topo: &Topology, a: NodeAddr, b: NodeAddr) -> Option<u64> {
-        if topo.mesh_neighbors(a).contains(&b) {
-            Some(topo.neighbor_latency())
-        } else if topo.parent_of(a) == Some(b) || topo.parent_of(b) == Some(a) {
-            Some(topo.router_latency())
-        } else {
-            None
-        }
-    }
-
-    /// Checks every ordered pair of addresses up to one past the root
-    /// (so gaps left by surgery and unknown addresses are covered).
-    fn assert_latency_matches_maps(topo: &Topology, label: &str) {
-        let top = topo.root_router().unwrap() + 1;
-        for a in 0..=top {
-            for b in 0..=top {
-                assert_eq!(
-                    topo.latency(a, b),
-                    map_latency(topo, a, b),
-                    "{label}: latency({a}, {b})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn latency_lookup() {
-        let topo = TopologyBuilder::linear(4).router_arity(2).build();
-        assert_eq!(topo.latency(0, 1), Some(5));
-        assert_eq!(topo.latency(0, 2), None); // not adjacent
-        let parent = topo.parent_of(0).unwrap();
-        assert_eq!(topo.latency(0, parent), Some(10));
-        assert_eq!(topo.latency(parent, 0), Some(10));
-
-        let shapes = [
-            (1, 1),
-            (1, 5),
-            (5, 1),
-            (2, 2),
-            (3, 4),
-            (4, 3),
-            (6, 6),
-            (7, 5),
-        ];
-        let (mut drops, mut rewires) = (0, 0);
-        for (width, height) in shapes {
-            for arity in [2, 3, 4, 7] {
-                let build = || {
-                    TopologyBuilder::grid(width, height)
-                        .router_arity(arity)
-                        .neighbor_latency(3)
-                        .router_latency(11)
-                        .build()
-                };
-                let label = format!("{width}x{height} arity {arity}");
-                let topo = build();
-                assert_latency_matches_maps(&topo, &label);
-
-                let mut dropped = build();
-                if dropped.drop_router_level().is_ok() {
-                    drops += 1;
-                    assert_latency_matches_maps(&dropped, &format!("{label}, level dropped"));
-                }
-
-                // Move the first controller, then the first router that
-                // has a parent, under the root.
-                let mut rewired = build();
-                let root = rewired.root_router().unwrap();
-                let movable = [0, rewired.routers()[0]];
-                for subtree in movable {
-                    let before = rewired.parent_of(subtree);
-                    if rewired.rewire_subtree(subtree, root).is_ok() && before != Some(root) {
-                        rewires += 1;
-                    }
-                }
-                assert_latency_matches_maps(&rewired, &format!("{label}, rewired"));
-            }
-        }
-        assert!(
-            drops > 10 && rewires > 10,
-            "{drops} drops, {rewires} rewires"
-        );
     }
 
     #[test]

@@ -448,11 +448,6 @@ impl Circuit {
         self.gate(Gate::Cz, &[a, b])
     }
 
-    /// Controlled phase of angle `theta` between `a` and `b`.
-    pub fn cphase(&mut self, a: usize, b: usize, theta: f64) -> &mut Circuit {
-        self.gate(Gate::Cphase(theta), &[a, b])
-    }
-
     /// Conditional X (feedback correction).
     pub fn x_if(&mut self, q: usize, condition: Condition) -> &mut Circuit {
         self.gate_if(Gate::X, &[q], condition)

@@ -1,4 +1,5 @@
-//! The gate set of the dynamic-circuit IR.
+//! The gate set of the dynamic-circuit IR, and the [`QuantumAction`] a
+//! committed codeword is bound to.
 
 use std::f64::consts::FRAC_1_SQRT_2;
 use std::fmt;
@@ -191,6 +192,52 @@ impl fmt::Display for Gate {
     }
 }
 
+/// What a committed codeword does to the qubits. A codeword means only
+/// what "the compiler and hardware configurations" bind it to (§3.1.2):
+/// the compiler's codeword table emits these and the simulator's
+/// backend performs them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum QuantumAction {
+    /// Apply `gate` to its operands, `qubits[..gate.arity()]` (build
+    /// one from a slice with [`QuantumAction::gate`]).
+    Gate {
+        /// The gate.
+        gate: Gate,
+        /// The operands, inline; a one-qubit gate ignores `qubits[1]`.
+        qubits: [usize; 2],
+    },
+    /// Trigger a measurement; the discrimination result returns to the
+    /// committing controller's measurement FIFO after the measurement
+    /// duration ([`GateDurations::PAPER`](crate::GateDurations::PAPER)).
+    Measure {
+        /// The measured qubit.
+        qubit: usize,
+    },
+    /// Reset a qubit to |0⟩ (active reset pulse).
+    Reset {
+        /// The reset qubit.
+        qubit: usize,
+    },
+}
+
+impl QuantumAction {
+    /// `gate` on `qubits`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `qubits` holds exactly `gate.arity()` qubits, as
+    /// [`Circuit::gate`](crate::Circuit::gate) does.
+    pub fn gate(gate: Gate, qubits: &[usize]) -> QuantumAction {
+        assert_eq!(qubits.len(), gate.arity(), "invalid operands for {gate}");
+        let mut operands = [0; 2];
+        operands[..qubits.len()].copy_from_slice(qubits);
+        QuantumAction::Gate {
+            gate,
+            qubits: operands,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,5 +343,11 @@ mod tests {
     fn display_includes_angles() {
         assert_eq!(Gate::H.to_string(), "h");
         assert!(Gate::Rz(0.5).to_string().starts_with("rz(0.5"));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid operands for cx")]
+    fn quantum_action_gate_checks_arity() {
+        let _ = QuantumAction::gate(Gate::Cx, &[3]);
     }
 }

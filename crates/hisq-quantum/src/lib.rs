@@ -48,7 +48,7 @@ pub mod timing;
 pub use circuit::{Circuit, CircuitError, Condition, Instruction, Operation};
 pub use complex::C64;
 pub use fidelity::{CoherenceParams, ExposureLedger};
-pub use gate::Gate;
+pub use gate::{Gate, QuantumAction};
 pub use noise::{NoiseMap, NoiseModel, NoiseStream, OpCounts};
 pub use stabilizer::Stabilizer;
 pub use statevector::StateVector;

@@ -17,12 +17,12 @@ use std::mem;
 use hisq_core::{BlockReason, NodeAddr, Status, MEAS_FIFO_ADDR};
 use hisq_isa::CYCLE_NS;
 use hisq_net::{FabricMap, LinkModel, Payload, RouterAction, Topology};
-use hisq_quantum::{ExposureLedger, GateDurations, OpCounts};
+use hisq_quantum::{ExposureLedger, GateDurations, OpCounts, QuantumAction};
 
 use crate::backend::QuantumBackend;
 use crate::config::{LinkReport, SimConfig, SimError, SimReport};
-use crate::events::{EventKind, LinkQueue, QubitList, ReplayAction};
-use crate::nodes::{HubNode, NodeId, QuantumAction, SimNode};
+use crate::events::{EventKind, LinkQueue};
+use crate::nodes::{HubNode, NodeId, SimNode};
 use crate::queue::CalendarQueue;
 use crate::spec::Arena;
 use crate::telf::Telf;
@@ -67,7 +67,7 @@ pub struct System {
     queue: CalendarQueue<EventKind>,
     /// Committed gates and resets awaiting in-order replay into the
     /// backend, on the same queue structure.
-    gate_queue: CalendarQueue<ReplayAction>,
+    gate_queue: CalendarQueue<QuantumAction>,
     /// Whether committed gates and resets are replayed into the backend:
     /// its [`QuantumBackend::reads_gates`], read when [`System::run`]
     /// starts. When `false`, nothing reaches `gate_queue`.
@@ -251,11 +251,6 @@ impl System {
         self.backend.as_ref()
     }
 
-    /// Mutable access to the quantum backend.
-    pub fn backend_mut(&mut self) -> &mut dyn QuantumBackend {
-        self.backend.as_mut()
-    }
-
     /// Starts recording the pop order of the main event queue as a
     /// `(cycle, fingerprint)` sequence (see [`System::event_trace`]).
     /// Call before [`System::run`].
@@ -276,8 +271,11 @@ impl System {
     }
 
     /// One-way latency from node `from` to address `to`: a controller's
-    /// calibrated link or a router's parent edge if one exists, else a
-    /// topology-derived latency, else the configured default.
+    /// calibrated link or a router's parent edge if one exists, else
+    /// the mesh's hop-by-hop latency between two controllers of the
+    /// attached topology, else the configured default. (A controller
+    /// built from a topology links every mesh neighbour and every
+    /// ancestor router, so its table answers every direct link.)
     ///
     /// The default is legitimate only when no topology is attached
     /// (e.g. the lock-step star, where it models the uplink). With a
@@ -305,9 +303,6 @@ impl System {
         }
         let from_addr = self.addrs[from as usize];
         if let Some(topo) = &self.topology {
-            if let Some(l) = topo.latency(from_addr, to) {
-                return l;
-            }
             // Unlinked controller pairs: hop-by-hop over the mesh, so
             // Distributed-HISQ's classical latency grows with distance.
             let nc = topo.num_controllers() as u16;
@@ -494,13 +489,21 @@ impl System {
     /// Applies buffered gates with commit cycle ≤ `cycle` to the backend.
     fn apply_gates_through(&mut self, cycle: u64) {
         while let Some((commit_cycle, action)) = self.gate_queue.pop_through(cycle) {
-            match action {
-                ReplayAction::Gate(gate, qubits) => {
-                    self.backend.apply_gate(gate, qubits.as_slice())
-                }
-                ReplayAction::Reset(qubit) => self.backend.reset(qubit),
-            }
+            self.apply(action);
             self.applied_through = self.applied_through.max(commit_cycle);
+        }
+    }
+
+    /// Performs one replayed gate or reset on the backend.
+    fn apply(&mut self, action: QuantumAction) {
+        match action {
+            QuantumAction::Gate { gate, qubits } => {
+                self.backend.apply_gate(gate, &qubits[..gate.arity()])
+            }
+            QuantumAction::Reset { qubit } => self.backend.reset(qubit),
+            QuantumAction::Measure { .. } => {
+                unreachable!("a measurement resolves as an event and is never replayed")
+            }
         }
     }
 
@@ -535,32 +538,20 @@ impl System {
             node.watermark = commits.len();
         }
 
-        // The bound action is copied out compactly (inline qubit list,
-        // no `Vec` clone) so the arena borrow ends before the `&mut
-        // self` accounting calls.
-        enum Bound {
-            Gate(hisq_quantum::Gate, QubitList),
-            Measure(usize),
-            Reset(usize),
-            None,
-        }
         for &commit in &staged {
+            // The bound action is `Copy`, so the arena borrow ends
+            // before the `&mut self` accounting calls.
             let node = self.nodes[id as usize]
                 .as_controller()
                 .expect("harvest targets a controller");
-            let bound = match node.bindings.get(&(commit.port, commit.codeword)) {
-                Some(QuantumAction::Gate { gate, qubits }) => {
-                    Bound::Gate(*gate, QubitList::from_slice(qubits))
-                }
-                Some(QuantumAction::Measure { qubit }) => Bound::Measure(*qubit),
-                Some(QuantumAction::Reset { qubit }) => Bound::Reset(*qubit),
-                None => Bound::None,
+            let Some(&action) = node.bindings.get(&(commit.port, commit.codeword)) else {
+                continue;
             };
-            match bound {
-                Bound::Gate(gate, qubits) => {
+            match action {
+                QuantumAction::Gate { gate, qubits } => {
                     let duration = GateDurations::PAPER.gate_ns(gate);
                     let single = gate.arity() == 1;
-                    for &q in qubits.as_slice() {
+                    for &q in &qubits[..gate.arity()] {
                         self.exposure.record_span(
                             q,
                             commit.cycle * CYCLE_NS,
@@ -578,15 +569,15 @@ impl System {
                     } else {
                         self.quantum_ops.gates_2q += 1;
                     }
-                    self.replay(commit.cycle, ReplayAction::Gate(gate, qubits));
+                    self.replay(commit.cycle, action);
                 }
-                Bound::Measure(qubit) => {
+                QuantumAction::Measure { qubit } => {
                     // A whole number of cycles: `CycleDurations::PAPER`
                     // in `hisq-compiler` asserts it at compile time.
                     let latency = GateDurations::PAPER.measurement_ns / CYCLE_NS;
                     self.schedule_measurement(id, qubit, commit.cycle, latency);
                 }
-                Bound::Reset(qubit) => {
+                QuantumAction::Reset { qubit } => {
                     let duration = GateDurations::PAPER.reset_ns;
                     self.exposure.record_span(
                         qubit,
@@ -595,9 +586,8 @@ impl System {
                     );
                     self.quantum_ops.resets += 1;
                     self.qubit_ops_mut(qubit).resets += 1;
-                    self.replay(commit.cycle, ReplayAction::Reset(qubit));
+                    self.replay(commit.cycle, action);
                 }
-                Bound::None => {}
             }
         }
         self.commit_scratch = staged;
@@ -606,18 +596,13 @@ impl System {
     /// Buffers a backend operation for in-order replay; stragglers
     /// behind the replay frontier are applied immediately and counted.
     /// A backend that reads no gates gets nothing.
-    fn replay(&mut self, cycle: u64, action: ReplayAction) {
+    fn replay(&mut self, cycle: u64, action: QuantumAction) {
         if !self.replay_gates {
             return;
         }
         if cycle < self.applied_through {
             self.causality_warnings += 1;
-            match action {
-                ReplayAction::Gate(gate, qubits) => {
-                    self.backend.apply_gate(gate, qubits.as_slice())
-                }
-                ReplayAction::Reset(qubit) => self.backend.reset(qubit),
-            }
+            self.apply(action);
             return;
         }
         self.gate_queue.push(cycle, action);
@@ -674,24 +659,30 @@ impl System {
     ) -> Result<(), SimError> {
         match &mut self.nodes[to as usize] {
             SimNode::Controller(node) => {
-                // The fused `offer_*` delivery completes a matching
-                // pending op in place (no inbox round trip) and gates
-                // the step: `false` means the input was banked for
-                // later — a non-matching delivery, or one to a halted
-                // controller — and stepping would be a no-op, so the
-                // whole step/harvest/route round trip is skipped.
-                let unblocks = match payload {
-                    Payload::SyncPulse => node.ctrl.offer_sync_pulse(from, deliver_at),
-                    Payload::MaxTime { t_m, target } => node.ctrl.offer_max_time(target, t_m),
-                    Payload::Classical { value } => {
-                        node.ctrl.offer_classical(from, value, deliver_at)
+                // `offer` completes a matching pending op in place (no
+                // inbox round trip) and gates the step: `false` means
+                // the input was banked for later — a non-matching
+                // delivery, or one to a halted controller — and
+                // stepping would be a no-op, so the whole
+                // step/harvest/route round trip is skipped.
+                let (lane, time, value) = match payload {
+                    Payload::SyncPulse => {
+                        (BlockReason::AwaitSyncPulse { partner: from }, deliver_at, 0)
                     }
+                    Payload::MaxTime { t_m, target } => {
+                        (BlockReason::AwaitMaxTime { router: target }, t_m, 0)
+                    }
+                    Payload::Classical { value } => (
+                        BlockReason::AwaitMessage { source: from },
+                        deliver_at,
+                        value,
+                    ),
                     Payload::BookTime { .. } => {
                         // Controllers never coordinate regions; drop.
                         return Ok(());
                     }
                 };
-                if unblocks {
+                if node.ctrl.offer(lane, time, value) {
                     self.step_controller(to);
                 }
             }
@@ -808,6 +799,7 @@ impl System {
         let admitted = copies.min(self.config.max_events.saturating_sub(self.events_processed));
         self.events_processed += admitted;
         let from = self.addrs[hub as usize];
+        let lane = BlockReason::AwaitMessage { source: from };
         let payload = Payload::Classical { value };
         if let Some(mut trace) = self.trace.take() {
             trace.extend(
@@ -825,7 +817,7 @@ impl System {
             let node = self.nodes[listener as usize]
                 .as_controller_mut()
                 .expect("listeners are controllers");
-            if node.ctrl.offer_classical(from, value, at) {
+            if node.ctrl.offer(lane, at, value) {
                 self.step_controller(listener);
                 debug_assert!(
                     self.queue.next_at().is_none_or(|next| next >= at),
@@ -917,7 +909,10 @@ impl System {
                         .as_controller_mut()
                         .expect("measurements resolve on controllers")
                         .ctrl;
-                    if ctrl.offer_classical(MEAS_FIFO_ADDR, outcome, at) {
+                    let lane = BlockReason::AwaitMessage {
+                        source: MEAS_FIFO_ADDR,
+                    };
+                    if ctrl.offer(lane, at, outcome) {
                         self.step_controller(node);
                     }
                 }
@@ -943,21 +938,7 @@ impl System {
                 .expect("controller ids index controllers")
                 .ctrl;
             match ctrl.status() {
-                Status::Blocked(pending) => {
-                    // Re-derive the public reason from the pending op.
-                    let reason = match pending {
-                        hisq_core::controller::PendingOp::SyncPulse { partner, .. } => {
-                            BlockReason::AwaitSyncPulse { partner: *partner }
-                        }
-                        hisq_core::controller::PendingOp::MaxTime { router, .. } => {
-                            BlockReason::AwaitMaxTime { router: *router }
-                        }
-                        hisq_core::controller::PendingOp::Recv { source, .. } => {
-                            BlockReason::AwaitMessage { source: *source }
-                        }
-                    };
-                    blocked.push((addr, reason));
-                }
+                Status::Blocked(pending) => blocked.push((addr, pending.reason())),
                 Status::Faulted(message) => faulted.push((addr, message.clone())),
                 Status::Halted | Status::Ready => {}
             }

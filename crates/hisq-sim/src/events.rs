@@ -8,7 +8,6 @@
 use hisq_core::NodeAddr;
 use hisq_net::Payload;
 use hisq_quantum::noise::splitmix64;
-use hisq_quantum::Gate;
 
 use crate::nodes::NodeId;
 
@@ -119,49 +118,6 @@ impl EventKind {
                     u64::from(resend.attempt),
                 )
             }
-        }
-    }
-}
-
-/// A backend operation to replay in commit-cycle order.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum ReplayAction {
-    Gate(Gate, QubitList),
-    Reset(usize),
-}
-
-/// A gate's target qubits, stored inline when they fit (real gates
-/// touch one or two qubits) so buffering a commit for replay never
-/// allocates on the engine's hot path.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum QubitList {
-    /// Up to four qubits, inline: `qs[..len]`.
-    Inline { len: u8, qs: [usize; 4] },
-    /// Oversized bindings spill to the heap (never hit by arity-checked
-    /// gate bindings; kept so malformed specs stay well-defined).
-    Heap(Vec<usize>),
-}
-
-impl QubitList {
-    /// Copies a qubit slice, inline when it fits.
-    pub(crate) fn from_slice(qubits: &[usize]) -> QubitList {
-        if qubits.len() <= 4 {
-            let mut qs = [0usize; 4];
-            qs[..qubits.len()].copy_from_slice(qubits);
-            QubitList::Inline {
-                len: qubits.len() as u8,
-                qs,
-            }
-        } else {
-            QubitList::Heap(qubits.to_vec())
-        }
-    }
-
-    /// The qubits as a slice.
-    pub(crate) fn as_slice(&self) -> &[usize] {
-        match self {
-            QubitList::Inline { len, qs } => &qs[..usize::from(*len)],
-            QubitList::Heap(qubits) => qubits,
         }
     }
 }

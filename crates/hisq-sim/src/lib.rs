@@ -114,8 +114,8 @@ pub use backend::{
 pub use config::{LinkReport, SimConfig, SimError, SimReport};
 pub use engine::System;
 pub use hisq_net::{DropPolicy, FabricMap, LinkModel, RouterError};
-pub use hisq_quantum::{NoiseMap, NoiseModel, OpCounts};
-pub use nodes::{Hub, QuantumAction};
+pub use hisq_quantum::{NoiseMap, NoiseModel, OpCounts, QuantumAction};
+pub use nodes::Hub;
 pub use queue::CalendarQueue;
 pub use spec::{BackendSpec, SystemSpec};
 pub use sweep::{Metric, MetricSummary, SweepRecord, SweepReport, SweepRunner};

@@ -8,7 +8,7 @@
 
 use hisq_core::{Controller, NodeAddr, NodeConfig};
 use hisq_net::Router;
-use hisq_quantum::Gate;
+use hisq_quantum::QuantumAction;
 
 use std::collections::BTreeMap;
 
@@ -16,31 +16,6 @@ use std::collections::BTreeMap;
 /// format programs and topologies speak; `NodeId`s are what the event
 /// core indexes with. The interning table lives in the engine.
 pub(crate) type NodeId = u32;
-
-/// A quantum action bound to a `(node, port, codeword)` commit.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QuantumAction {
-    /// Apply a gate to the bound qubits.
-    Gate {
-        /// The gate.
-        gate: Gate,
-        /// Target qubits.
-        qubits: Vec<usize>,
-    },
-    /// Trigger a measurement; the discrimination result is delivered to
-    /// the committing controller's measurement FIFO after the
-    /// measurement duration
-    /// ([`GateDurations::PAPER`](hisq_quantum::GateDurations::PAPER)).
-    Measure {
-        /// Measured qubit.
-        qubit: usize,
-    },
-    /// Reset a qubit to |0⟩ (active reset pulse).
-    Reset {
-        /// The reset qubit.
-        qubit: usize,
-    },
-}
 
 /// A broadcast hub: any classical message sent to the hub's address is
 /// re-delivered to every subscriber after `down_latency` — the star

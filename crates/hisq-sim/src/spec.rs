@@ -42,11 +42,12 @@ use std::collections::BTreeMap;
 use hisq_core::{NodeAddr, NodeConfig, MEAS_FIFO_ADDR};
 use hisq_isa::Inst;
 use hisq_net::{FabricMap, LinkModel, Router, Topology};
+use hisq_quantum::QuantumAction;
 
 use crate::backend::{LeakyRandomBackend, QuantumBackend, RandomBackend};
 use crate::config::{SimConfig, SimError};
 use crate::engine::System;
-use crate::nodes::{ControllerNode, Hub, HubNode, NodeId, QuantumAction, SimNode};
+use crate::nodes::{ControllerNode, Hub, HubNode, NodeId, SimNode};
 
 /// Declarative choice of the quantum backend a built system starts
 /// with: the two backends a scenario sweep runs. Every other backend
@@ -502,15 +503,7 @@ mod tests {
         let mut spec = SystemSpec::new();
         spec.controller(NodeConfig::new(0), asm("waiti 5\ncw.i.i 2, 1\nstop"));
         spec.bind(0, 2, 1, QuantumAction::Measure { qubit: 3 });
-        spec.bind(
-            0,
-            2,
-            1,
-            QuantumAction::Gate {
-                gate: hisq_quantum::Gate::X,
-                qubits: vec![1],
-            },
-        );
+        spec.bind(0, 2, 1, QuantumAction::gate(hisq_quantum::Gate::X, &[1]));
         let mut system = spec.build().unwrap();
         let report = system.run().unwrap();
         assert!(report.all_halted);

@@ -243,24 +243,8 @@ fn gate_replay_drives_quantum_backend() {
             stop
         "),
     );
-    spec.bind(
-        0,
-        0,
-        1,
-        QuantumAction::Gate {
-            gate: Gate::H,
-            qubits: vec![0],
-        },
-    );
-    spec.bind(
-        0,
-        0,
-        2,
-        QuantumAction::Gate {
-            gate: Gate::Cx,
-            qubits: vec![0, 1],
-        },
-    );
+    spec.bind(0, 0, 1, QuantumAction::gate(Gate::H, &[0]));
+    spec.bind(0, 0, 2, QuantumAction::gate(Gate::Cx, &[0, 1]));
     spec.bind(0, 2, 1, QuantumAction::Measure { qubit: 0 });
     spec.bind(1, 2, 1, QuantumAction::Measure { qubit: 1 });
     let mut system = spec.build().unwrap();
@@ -286,15 +270,7 @@ fn exposure_ledger_tracks_gate_spans() {
         NodeConfig::new(0),
         asm("waiti 10\ncw.i.i 0, 1\nwaiti 100\ncw.i.i 0, 1\nstop"),
     );
-    spec.bind(
-        0,
-        0,
-        1,
-        QuantumAction::Gate {
-            gate: Gate::X,
-            qubits: vec![5],
-        },
-    );
+    spec.bind(0, 0, 1, QuantumAction::gate(Gate::X, &[5]));
     let mut system = spec.build().unwrap();
     system.run().unwrap();
     // First gate at cycle 10 (40 ns), second at cycle 110 (440 ns) +
@@ -552,6 +528,43 @@ fn booking_from_a_non_child_surfaces_a_router_fault() {
             router: 10,
             from: 2
         }))
+    );
+}
+
+#[test]
+fn a_sync_gating_before_an_earlier_stall_faults_its_controller() {
+    // Controller 0's neighbour sync gates at raw cycle 5 and stalls
+    // until controller 1 books at 200. The region sync after it has a
+    // zero horizon, so its gate would land at raw cycle 1, before that
+    // stall: the controller faults instead of timing it out of order.
+    let mut spec = SystemSpec::new();
+    spec.router(Router::new(10, None, vec![0]));
+    spec.controller(
+        NodeConfig::new(0).with_neighbor(1, 5).with_router(10, 8),
+        asm("sync 1\nsync 10\nstop"),
+    );
+    spec.controller(
+        NodeConfig::new(1).with_neighbor(0, 5),
+        asm("waiti 200\nsync 0\nstop"),
+    );
+    let mut system = spec.build().unwrap();
+    let report = system.run().unwrap();
+    assert!(!report.all_halted);
+    assert_eq!(report.faulted.len(), 1, "{report:?}");
+    assert_eq!(report.faulted[0].0, 0);
+    assert!(
+        report.faulted[0]
+            .1
+            .contains("before an earlier sync's gate at 5"),
+        "{report:?}"
+    );
+    assert!(matches!(
+        system.controller(0).unwrap().status(),
+        hisq_core::Status::Faulted(_)
+    ));
+    assert_eq!(
+        system.controller(1).unwrap().status(),
+        &hisq_core::Status::Halted
     );
 }
 

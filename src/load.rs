@@ -148,14 +148,6 @@ impl ArrivalStream {
         self.priority = priority;
         self
     }
-
-    /// Number of arrivals this stream generates.
-    pub fn jobs(&self) -> u64 {
-        match &self.process {
-            ArrivalProcess::Poisson { jobs, .. } => *jobs,
-            ArrivalProcess::Trace { submit_ns } => submit_ns.len() as u64,
-        }
-    }
 }
 
 /// Where a job's service time comes from.
@@ -231,11 +223,6 @@ impl LoadSpec {
     pub fn with_horizon_ns(mut self, horizon_ns: u64) -> LoadSpec {
         self.horizon_ns = Some(horizon_ns);
         self
-    }
-
-    /// Total arrivals across every stream.
-    pub fn total_jobs(&self) -> u64 {
-        self.streams.iter().map(ArrivalStream::jobs).sum()
     }
 
     /// Structural validation (also applied by [`LoadSpec::from_json`]):

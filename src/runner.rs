@@ -54,15 +54,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use hisq_compiler::fabric::{apply_placement, plan_placement, FabricCosts};
 use hisq_compiler::{
-    compile_bisp, compile_lockstep, Binding, BindingAction, BispOptions, CompiledSystem,
-    LockstepOptions, Scheme, PORT_READOUT,
+    compile_bisp, compile_lockstep, BispOptions, CompiledSystem, LockstepOptions, Scheme,
 };
 use hisq_core::NodeConfig;
 use hisq_net::{FabricMap, LinkModel, Topology, TopologyBuilder};
 use hisq_quantum::{CoherenceParams, ExposureLedger, NoiseMap};
 use hisq_sim::{
-    BackendSpec, Hub, QuantumAction, SimError, SweepRecord, SweepReport, SweepRunner, System,
-    SystemSpec,
+    BackendSpec, Hub, SimError, SweepRecord, SweepReport, SweepRunner, System, SystemSpec,
 };
 
 pub use crate::scenario::Scenario;
@@ -259,7 +257,11 @@ pub fn system_spec(
             spec
         }
     };
-    apply_bindings(&mut spec, &compiled.bindings);
+    for binding in &compiled.bindings {
+        if let Some(action) = binding.action {
+            spec.bind(binding.node, binding.port, binding.codeword, action);
+        }
+    }
     Ok(spec)
 }
 
@@ -277,43 +279,6 @@ pub fn build_system(
     system_spec(compiled, topology)?
         .build()
         .map_err(RunnerError::sim)
-}
-
-/// Installs codeword bindings into a system description.
-fn apply_bindings(spec: &mut SystemSpec, bindings: &[Binding]) {
-    for binding in bindings {
-        match &binding.action {
-            BindingAction::Gate { gate, qubits } => {
-                spec.bind(
-                    binding.node,
-                    binding.port,
-                    binding.codeword,
-                    QuantumAction::Gate {
-                        gate: *gate,
-                        qubits: qubits.clone(),
-                    },
-                );
-            }
-            BindingAction::Measure { qubit } => {
-                debug_assert_eq!(binding.port, PORT_READOUT);
-                spec.bind(
-                    binding.node,
-                    binding.port,
-                    binding.codeword,
-                    QuantumAction::Measure { qubit: *qubit },
-                );
-            }
-            BindingAction::Reset { qubit } => {
-                spec.bind(
-                    binding.node,
-                    binding.port,
-                    binding.codeword,
-                    QuantumAction::Reset { qubit: *qubit },
-                );
-            }
-            BindingAction::Pulse => {}
-        }
-    }
 }
 
 impl Scenario {
@@ -407,8 +372,9 @@ pub struct CompileKey {
     workload_json: String,
     /// Scheme tag (0 = BISP, 1 = lock-step).
     scheme: u8,
-    /// Shot count (compiled into the program: BISP loops shots against
-    /// the region tree; lock-step unrolls them).
+    /// Shot count (compiled into the program: both schemes unroll every
+    /// shot, and BISP opens each with a region sync once there is more
+    /// than one).
     shots: u32,
     neighbor_latency: u64,
     router_latency: u64,

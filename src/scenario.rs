@@ -431,11 +431,12 @@ pub struct Scenario {
     pub seed: u64,
     /// Relaxation time T1 = T2 (µs) the infidelity metric is scored at.
     pub t1_us: f64,
-    /// Program repetitions per run. Under BISP every shot after the
-    /// first opens with a region-level synchronization against the
-    /// router tree (§2.1.4), so multi-shot scenarios are the ones where
-    /// tree surgery is timing-visible; lock-step unrolls shots
-    /// statically.
+    /// Program repetitions per run, each unrolled into the compiled
+    /// program by both schemes. Under BISP with more than one shot,
+    /// every shot (the first included) opens with a region-level
+    /// synchronization against the router tree (§2.1.4), so multi-shot
+    /// scenarios are the ones where tree surgery is timing-visible;
+    /// lock-step needs no synchronization between shots.
     pub shots: u32,
     /// Link latencies and baseline star parameters.
     pub params: SystemParams,

@@ -8,21 +8,17 @@
 //! engine: queue push/pop, node dispatch, link-latency lookup, commit
 //! harvesting, and TELF attribution.
 //!
-//! Run with: `cargo bench -p hisq-bench --bench event_engine`
-//!
-//! Pass `--gate` (after `--`) to run the CI regression gate instead:
-//! the committed `BENCH_event_engine.json` is read *before* measuring,
-//! each (scheme, controllers) row is compared against its committed
-//! ns/event, and the process exits 1 if any row regressed by more than
-//! 15%. Gate mode never overwrites the committed baseline.
+//! `cargo bench -p hisq-bench --bench event_engine` rewrites the
+//! report; `-- --gate` is CI's regression gate: it re-measures, writes
+//! nothing, and exits 1 if any (scheme, controllers) row's ns/event
+//! rose more than 15% above its committed row (see `hisq_bench::gate`).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use hisq_bench::gate::{number, Report, EVENT_ENGINE};
 use hisq_core::NodeConfig;
 use hisq_isa::Assembler;
-use hisq_json::{Json, ObjReader};
 use hisq_net::TopologyBuilder;
 use hisq_sim::{System, SystemSpec};
 
@@ -30,9 +26,6 @@ use hisq_sim::{System, SystemSpec};
 const SIZES: [usize; 3] = [8, 32, 128];
 /// Synchronization/broadcast rounds per run.
 const ROUNDS: u32 = 40;
-/// `--gate` fails when a row's ns/event exceeds the committed value by
-/// more than this factor.
-const GATE_TOLERANCE: f64 = 1.15;
 
 /// Baseline timings measured at commit c7a005d (the pre-refactor
 /// `BTreeMap`-keyed event core) with this exact harness: mean of two
@@ -48,9 +41,6 @@ const BASELINE: &[(&str, usize, f64)] = &[
     ("lockstep", 32, 156.0),
     ("lockstep", 128, 218.6),
 ];
-
-/// Workspace-root path of the committed benchmark report.
-const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_event_engine.json");
 
 /// Each row's iterations are split over this many passes, and every
 /// pass times all six rows in turn, so a slow spell of the host lands
@@ -225,149 +215,23 @@ fn measure() -> Vec<Row> {
     rows
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.1}")
-    } else {
-        "null".into()
-    }
-}
-
-/// Committed `(scheme, controllers) -> ns_per_event` rows, read from
-/// `BENCH_event_engine.json` before any measurement overwrites it.
-fn committed_rows() -> Vec<(String, usize, f64)> {
-    let text = std::fs::read_to_string(REPORT_PATH)
-        .unwrap_or_else(|e| panic!("--gate needs the committed {REPORT_PATH}: {e}"));
-    let json = Json::parse(&text).expect("committed report parses");
-    let mut report = ObjReader::new(&json, "report").expect("report is an object");
-    report
-        .required("results")
-        .expect("report.results present")
-        .as_array("report.results")
-        .expect("report.results is an array")
-        .iter()
-        .map(|row| {
-            let mut row = ObjReader::new(row, "results[]").expect("result row is an object");
-            (
-                row.required("scheme")
-                    .expect("row scheme")
-                    .as_str("results[].scheme")
-                    .expect("scheme string")
-                    .to_string(),
-                row.required("controllers")
-                    .expect("row controllers")
-                    .as_usize("results[].controllers")
-                    .expect("controllers integer"),
-                row.required("ns_per_event")
-                    .expect("row ns_per_event")
-                    .as_f64("results[].ns_per_event")
-                    .expect("ns_per_event number"),
-            )
-        })
-        .collect()
-}
-
 fn main() {
-    let mut gate = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--gate" => gate = true,
-            // Cargo's bench harness forwards `--bench`; ignore it.
-            "--bench" => {}
-            other => {
-                eprintln!("event_engine: unknown argument {other} (supported: --gate)");
-                std::process::exit(2);
-            }
-        }
-    }
-    // Read the committed baseline before measuring (and before any
-    // non-gate run overwrites the file).
-    let committed = if gate { committed_rows() } else { Vec::new() };
-
-    let results = measure();
-
-    println!("event engine: ns per processed event (lower is better)");
-    println!("{:-<72}", "");
-    println!(
-        "{:<10} {:>12} {:>12} {:>14} {:>14}",
-        "scheme", "controllers", "events/run", "ns/event", "baseline"
-    );
-    println!("{:-<72}", "");
-    let mut json = String::from("{\"benchmark\":\"event_engine\",\"rounds\":");
-    let _ = write!(json, "{ROUNDS},\"results\":[");
-    for (i, m) in results.iter().enumerate() {
+    let run = EVENT_ENGINE.start();
+    let mut report = Report::default();
+    report.head.push(("rounds", ROUNDS.to_string()));
+    for m in measure() {
         let baseline = BASELINE
             .iter()
             .find(|(s, n, _)| *s == m.scheme && *n == m.controllers)
-            .map(|&(_, _, ns)| ns)
-            .unwrap_or(f64::NAN);
-        println!(
-            "{:<10} {:>12} {:>12} {:>14.1} {:>14.1}",
-            m.scheme,
-            m.controllers,
-            m.events,
-            m.ns_per_event(),
-            baseline
-        );
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "{{\"scheme\":\"{}\",\"controllers\":{},\"events_per_run\":{},\
-             \"ns_per_event\":{},\"ns_per_run\":{},\"baseline_ns_per_event\":{}}}",
-            m.scheme,
-            m.controllers,
-            m.events,
-            json_f64(m.ns_per_event()),
-            json_f64(m.ns_per_run()),
-            json_f64(baseline)
-        );
+            .map_or(f64::NAN, |&(_, _, ns)| ns);
+        report.rows.push(vec![
+            ("scheme", format!("\"{}\"", m.scheme)),
+            ("controllers", m.controllers.to_string()),
+            ("events_per_run", m.events.to_string()),
+            ("ns_per_event", number(m.ns_per_event(), 1)),
+            ("ns_per_run", number(m.ns_per_run(), 1)),
+            ("baseline_ns_per_event", number(baseline, 1)),
+        ]);
     }
-    json.push_str("]}");
-    println!("{:-<72}", "");
-
-    if gate {
-        // The ns/event regression gate: every committed row must be
-        // reproduced within GATE_TOLERANCE on this machine.
-        let mut failed = false;
-        for (scheme, controllers, committed_ns) in &committed {
-            let Some(m) = results
-                .iter()
-                .find(|m| m.scheme == scheme && m.controllers == *controllers)
-            else {
-                println!("gate MISSING {scheme}/{controllers}: row not measured");
-                failed = true;
-                continue;
-            };
-            let limit = committed_ns * GATE_TOLERANCE;
-            if m.ns_per_event() > limit {
-                println!(
-                    "gate FAIL {scheme}/{controllers}: {:.1} ns/event exceeds \
-                     committed {committed_ns:.1} by more than {:.0}% (limit {limit:.1})",
-                    m.ns_per_event(),
-                    (GATE_TOLERANCE - 1.0) * 100.0
-                );
-                failed = true;
-            } else {
-                println!(
-                    "gate ok   {scheme}/{controllers}: {:.1} ns/event (committed {committed_ns:.1}, limit {limit:.1})",
-                    m.ns_per_event()
-                );
-            }
-        }
-        if committed.is_empty() {
-            println!("gate MISSING: committed report carried no rows");
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    // Anchor the artifact at the workspace root regardless of the
-    // bench's working directory.
-    std::fs::write(REPORT_PATH, &json).expect("write BENCH_event_engine.json");
-    println!("wrote BENCH_event_engine.json (workspace root)");
+    EVENT_ENGINE.finish(run, &report);
 }

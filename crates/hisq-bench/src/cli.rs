@@ -1,5 +1,4 @@
-//! The command line of the `figure` binary, and the flag parser that
-//! `fig_sweep_throughput` shares.
+//! The command line of the `figure` binary.
 //!
 //! `figure <name> [flags]` looks `name` up in a table of [`Figure`]s
 //! ([`crate::render::FIGURES`]). Each figure accepts only the flags
@@ -10,6 +9,7 @@
 use std::io::{self, Write};
 
 use distributed_hisq::runner::{run_sweep, Scenario};
+use hisq_sim::sweep::MAX_THREADS;
 use hisq_sim::SweepReport;
 
 use crate::grids::FigureGrid;
@@ -17,8 +17,8 @@ use crate::grids::FigureGrid;
 /// A flag a figure may read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Flag {
-    /// `--threads N` (or `--threads=N`): sweep worker threads; the
-    /// output is identical for any `N`.
+    /// `--threads N` (or `--threads=N`): sweep worker threads, at most
+    /// [`MAX_THREADS`]; the output is identical for any `N`.
     Threads,
     /// `--json`: print the report as JSON instead of the table.
     Json,
@@ -58,22 +58,6 @@ pub struct FigArgs {
     pub positional: Vec<String>,
 }
 
-impl FigArgs {
-    /// Parses an argument list that may hold every flag and any
-    /// positional arguments.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when `--threads` is missing its value, the
-    /// value is not a positive integer, or an unknown `--flag` is
-    /// passed — a typo'd flag is an error with a usage hint, never a
-    /// silently ignored knob.
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<FigArgs, String> {
-        let usage = "usage: [--threads N] [--json] [--quick] [args...]";
-        parse_flags(&Flag::ALL, args, usage)
-    }
-}
-
 /// Parses `args` against the `accepted` flags; any other flag is an
 /// error that ends with `usage`.
 fn parse_flags(
@@ -106,8 +90,10 @@ fn parse_flags(
                 out.threads = value
                     .parse::<usize>()
                     .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("--threads wants a positive integer, got {value:?}"))?;
+                    .filter(|n| (1..=MAX_THREADS).contains(n))
+                    .ok_or_else(|| {
+                        format!("--threads wants 1 to MAX_THREADS ({MAX_THREADS}), got {value:?}")
+                    })?;
             }
             Some(Flag::Json) => out.json = true,
             Some(Flag::Quick) => out.quick = true,
@@ -234,7 +220,8 @@ impl Figure {
 /// Returns a usage message when the name is missing or not in `table`
 /// (it lists every figure with its flags), when a flag or argument is
 /// one the named figure does not read (it lists that figure's), or
-/// when `--threads` is malformed.
+/// when `--threads` is missing its value or is not an integer from 1
+/// to [`MAX_THREADS`].
 pub fn parse(
     table: &[Figure],
     args: impl IntoIterator<Item = String>,
@@ -267,38 +254,41 @@ mod tests {
     use super::*;
     use crate::render::FIGURES;
 
-    fn parse(args: &[&str]) -> Result<FigArgs, String> {
-        FigArgs::parse_from(args.iter().map(|s| s.to_string()))
-    }
-
     fn figure(args: &[&str]) -> Result<(&'static Figure, FigArgs), String> {
         super::parse(FIGURES, args.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn parses_shared_flags_in_any_style() {
-        let args = parse(&["--threads", "4", "--json"]).unwrap();
-        assert_eq!((args.threads, args.json, args.quick), (4, true, false));
-        let args = parse(&["--quick", "--threads=2"]).unwrap();
+        let (_, args) = figure(&["fig15", "--threads", "4", "--quick"]).unwrap();
+        assert_eq!((args.threads, args.json, args.quick), (4, false, true));
+        let (_, args) = figure(&["fig16", "--quick", "--threads=2"]).unwrap();
         assert_eq!((args.threads, args.json, args.quick), (2, false, true));
+        let (_, args) = figure(&["fig13", "--json", "--quick"]).unwrap();
+        assert_eq!((args.threads, args.json, args.quick), (1, true, true));
     }
 
     #[test]
     fn keeps_positionals_in_order() {
-        let args = parse(&["rabi", "--json", "t1"]).unwrap();
-        assert!(args.json);
-        assert_eq!(args.positional, vec!["rabi".to_string(), "t1".to_string()]);
+        for args in [
+            &["fig11", "rabi", "--json"][..],
+            &["fig11", "--json", "rabi"][..],
+        ] {
+            let (_, args) = figure(args).unwrap();
+            assert!(args.json);
+            assert_eq!(args.positional, vec!["rabi".to_string()]);
+        }
     }
 
     #[test]
     fn rejects_unknown_flags_with_usage() {
         for args in [
-            &["--verbose"][..],
-            &["rabi", "--seed=7"][..],
-            &["-q"][..],
-            &["--thread", "4"][..],
+            &["fig05", "--verbose"][..],
+            &["fig11", "rabi", "--seed=7"][..],
+            &["fig15", "-q"][..],
+            &["fig15", "--thread", "4"][..],
         ] {
-            let err = parse(args).unwrap_err();
+            let err = figure(args).unwrap_err();
             assert!(err.contains("unknown flag"), "{args:?}: {err}");
             assert!(err.contains("usage:"), "{args:?}: {err}");
         }
@@ -306,10 +296,24 @@ mod tests {
 
     #[test]
     fn rejects_malformed_threads() {
-        assert!(parse(&["--threads"]).is_err());
-        assert!(parse(&["--threads", "zero"]).is_err());
-        assert!(parse(&["--threads=0"]).is_err());
-        assert!(figure(&["fig15", "--threads", "0"]).is_err());
+        for args in [
+            &["fig15", "--threads"][..],
+            &["fig15", "--threads", "zero"][..],
+            &["fig15", "--threads=0"][..],
+            &["fig15", "--threads", "0"][..],
+        ] {
+            assert!(figure(args).is_err(), "{args:?}");
+        }
+        // No sweep runs here: parsing spawns no thread.
+        let (_, args) = figure(&["fig15", "--threads", "256"]).unwrap();
+        assert_eq!(args.threads, MAX_THREADS);
+        for args in [
+            &["fig15", "--threads", "257"][..],
+            &["fig16", "--threads=100000"][..],
+        ] {
+            let err = figure(args).unwrap_err();
+            assert!(err.contains("MAX_THREADS (256)"), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -30,14 +30,15 @@
 //! JSON under `--json`. [`cli`] holds each figure's flags and
 //! [`render`] its table.
 //!
-//! The sweep-throughput harness (beyond the paper) is its own binary,
-//! `fig_sweep_throughput`, over [`sweep_throughput::throughput_scenarios`].
+//! The bench targets `event_engine` and `sweep_throughput` (over
+//! [`sweep_throughput::throughput_scenarios`]) share [`gate`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod cli;
 pub mod figures;
+pub mod gate;
 pub mod grids;
 pub mod load;
 pub mod render;

@@ -1,5 +1,5 @@
 //! The sweep-throughput benchmark: grid builder and measurement core
-//! for `fig_sweep_throughput`, the harness that times full-sweep
+//! for the `sweep_throughput` bench target, which times full-sweep
 //! wall-clock (scenarios/second) with the shared [`CompileCache`] on
 //! and off.
 //!
@@ -23,7 +23,7 @@ use distributed_hisq::scenario::{Axis, ScenarioFile};
 use distributed_hisq::workloads::WorkloadSpec;
 use hisq_sim::NoiseModel;
 
-/// Worker-thread counts the harness measures by default.
+/// Worker-thread counts the bench measures.
 pub const THREAD_AXIS: [usize; 3] = [1, 4, 8];
 
 /// Per-gate error rates of the run-stage noise axis (a

@@ -322,6 +322,12 @@ impl fmt::Display for SweepReport {
     }
 }
 
+/// The most worker threads a sweep may ask for: a `--threads` value
+/// above it is a usage error in `hisq run` and `figure`, and
+/// [`SweepRunner::new`] clamps to it, so no input spawns more OS
+/// threads than this.
+pub const MAX_THREADS: usize = 256;
+
 /// A scoped worker pool executing scenarios in parallel.
 ///
 /// Workers pull scenario indices from a shared cursor and write each
@@ -335,10 +341,11 @@ pub struct SweepRunner {
 }
 
 impl SweepRunner {
-    /// A runner over `threads` workers (clamped to at least one).
+    /// A runner over `threads` workers (clamped to
+    /// `1..=`[`MAX_THREADS`]).
     pub fn new(threads: usize) -> SweepRunner {
         SweepRunner {
-            threads: threads.max(1),
+            threads: threads.clamp(1, MAX_THREADS),
         }
     }
 
@@ -449,6 +456,14 @@ mod tests {
             let multi = SweepRunner::new(threads).run(&scenarios, run);
             assert_eq!(single.to_json(), multi.to_json(), "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn worker_counts_are_clamped_to_max_threads() {
+        // Constructing a runner spawns nothing; only `map` does.
+        assert_eq!(SweepRunner::new(0).threads(), 1);
+        assert_eq!(SweepRunner::new(MAX_THREADS).threads(), MAX_THREADS);
+        assert_eq!(SweepRunner::new(100_000).threads(), MAX_THREADS);
     }
 
     #[test]

@@ -22,6 +22,7 @@ use std::process::ExitCode;
 
 use distributed_hisq::runner::run_sweep;
 use distributed_hisq::scenario::ScenarioFile;
+use distributed_hisq::sim::sweep::MAX_THREADS;
 
 const USAGE: &str = "\
 usage: hisq <command> [options]
@@ -33,7 +34,8 @@ commands:
 options (run):
   --repetitions N   override the file's repetition count (default: the file's;
                     the expanded grid may not exceed 100000 scenarios)
-  --threads T       worker threads (default 1; output is identical for any T)
+  --threads T       worker threads (default 1, at most 256; output is identical
+                    for any T)
   --json            print the raw sweep report as JSON
 
 options (validate):
@@ -102,6 +104,11 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                     .map_err(|_| format!("invalid --threads value `{value}`"))?;
                 if threads == 0 {
                     return Err("--threads must be at least 1".to_string());
+                }
+                if threads > MAX_THREADS {
+                    return Err(format!(
+                        "--threads {threads} is over MAX_THREADS ({MAX_THREADS})"
+                    ));
                 }
             }
             "--json" => json = true,

@@ -74,6 +74,7 @@
 //! JSON is byte-identical across thread counts, exactly like every
 //! other report in the workspace.
 
+use hisq_core::MEAS_FIFO_ADDR;
 use hisq_json::{Json, JsonError, ObjReader};
 use hisq_quantum::noise::splitmix64;
 use hisq_sim::queue::CalendarQueue;
@@ -226,9 +227,10 @@ impl LoadSpec {
     }
 
     /// Structural validation (also applied by [`LoadSpec::from_json`]):
-    /// at least one stream, at least one partition, positive finite
-    /// rates and means, at least one job per Poisson stream, non-empty
-    /// non-decreasing traces.
+    /// at least one stream, between one partition and one per node
+    /// address below [`MEAS_FIFO_ADDR`] (a partition holds at least one
+    /// controller), positive finite rates and means, at least one job
+    /// per Poisson stream, non-empty non-decreasing traces.
     ///
     /// # Errors
     ///
@@ -239,6 +241,14 @@ impl LoadSpec {
         }
         if self.partitions == 0 {
             return Err("load needs at least one partition".into());
+        }
+        let limit = MEAS_FIFO_ADDR;
+        if self.partitions > u32::from(limit) {
+            return Err(format!(
+                "{} partitions are over the limit of {limit}: a partition holds at least one \
+                 controller, and node addresses end below the measurement FIFO at {limit}",
+                self.partitions
+            ));
         }
         for (k, stream) in self.streams.iter().enumerate() {
             match &stream.process {
@@ -1004,6 +1014,11 @@ mod tests {
                 r#"{"streams": [{"process": "poisson", "rate_per_ms": 1.0, "jobs": 5}],
                     "partitions": 0}"#,
                 "at least one partition",
+            ),
+            (
+                r#"{"streams": [{"process": "poisson", "rate_per_ms": 1.0, "jobs": 5}],
+                    "partitions": 4294967295}"#,
+                "4294967295 partitions are over the limit of 4095",
             ),
             (
                 r#"{"streams": [{"process": "poisson", "rate_per_ms": 0.0, "jobs": 5}],

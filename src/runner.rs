@@ -816,8 +816,8 @@ pub fn run_sweep(scenarios: &[Scenario], threads: usize) -> Result<SweepReport, 
 
 /// [`run_sweep`] against a caller-owned [`CompileCache`] — for reuse
 /// across successive sweeps over the same workloads, and for reading
-/// the hit/miss counters afterwards (`fig_sweep_throughput` reports
-/// the hit rate).
+/// the hit/miss counters afterwards (the `sweep_throughput` bench
+/// reports the hit rate).
 ///
 /// # Errors
 ///
@@ -836,8 +836,8 @@ pub fn run_sweep_cached(
 
 /// [`run_sweep`] with a fresh compile per grid point (the pre-cache
 /// behavior): the differential reference the
-/// `compile_cache_equivalence` suite and the `fig_sweep_throughput`
-/// uncached baseline run against.
+/// `compile_cache_equivalence` suite and the uncached rows of the
+/// `sweep_throughput` bench run against.
 ///
 /// # Errors
 ///

@@ -93,20 +93,25 @@ fn extractor_sees_inline_links() {
 #[test]
 fn figures_doc_names_every_bench_binary() {
     // docs/FIGURES.md is the figure → binary map; every bin in
-    // crates/hisq-bench/src/bin must appear in it, so a new figure
-    // binary cannot ship undocumented.
+    // crates/hisq-bench/src/bin and every bench target in
+    // crates/hisq-bench/benches must appear in it, so a new executable
+    // cannot ship undocumented.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let figures = std::fs::read_to_string(root.join("docs/FIGURES.md")).expect("FIGURES.md");
-    let bins = std::fs::read_dir(root.join("crates/hisq-bench/src/bin")).expect("bin dir");
-    for entry in bins {
-        let path = entry.expect("readable bin entry").path();
-        let name = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .expect("bin names are UTF-8");
-        assert!(
-            figures.contains(name),
-            "docs/FIGURES.md does not mention bench binary `{name}`"
-        );
+    let mut named = 0;
+    for dir in ["crates/hisq-bench/src/bin", "crates/hisq-bench/benches"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect("target dir") {
+            let path = entry.expect("readable target entry").path();
+            let name = path
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .expect("target names are UTF-8");
+            assert!(
+                figures.contains(&format!("`{name}`")),
+                "docs/FIGURES.md does not mention `{name}` from {dir}"
+            );
+            named += 1;
+        }
     }
+    assert!(named >= 3, "found only {named} bins and bench targets");
 }

@@ -2,10 +2,10 @@
 //! the real executable (`CARGO_BIN_EXE_hisq`): unknown flags must exit
 //! 2 with a usage message — never run a sweep with a silently ignored
 //! option — grids past the expansion limit, time-valued parameters
-//! past one `waiti` or workloads past the node-address space must fail
-//! fast with a message instead of hanging, aborting or panicking, a
-//! reader closing stdout early ends the output quietly, and a closed
-//! stderr keeps the exit code.
+//! past one `waiti`, workloads past the node-address space and thread
+//! counts past `MAX_THREADS` must fail fast with a message instead of
+//! hanging, aborting or panicking, a reader closing stdout early ends
+//! the output quietly, and a closed stderr keeps the exit code.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -161,6 +161,20 @@ fn repetitions_past_the_limit_exit_2() {
         let out = hisq_bounded(&["run", SCENARIO, "--repetitions", repetitions]);
         assert_rejected_over_limit(&out, 2);
     }
+}
+
+#[test]
+fn threads_past_the_limit_exit_2() {
+    // The file does not exist, so an accepted thread count stops at
+    // loading it (exit 1) and no invocation here reaches a sweep.
+    let missing = concat!(env!("CARGO_TARGET_TMPDIR"), "/hisq_cli_no_such_file.json");
+    let out = hisq_bounded(&["run", missing, "--threads", "257"]);
+    assert_rejected(&out, 2, "--threads 257 is over MAX_THREADS (256)");
+    assert_rejected(
+        &hisq_bounded(&["run", missing, "--threads", "256"]),
+        1,
+        missing,
+    );
 }
 
 #[test]

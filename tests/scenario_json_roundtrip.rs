@@ -388,6 +388,28 @@ fn malformed_scenario_files_fail_readably() {
             "scenario.axes[0].values[1].long_range_cnots: 1599999999 controllers are over \
              the limit of 4095",
         ),
+        // A partition holds at least one controller, so a load block
+        // splits the machine into at most as many partitions as there
+        // are node addresses below the measurement FIFO: 4095 parses
+        // (the axis's first value), 4096 does not.
+        (
+            r#"{"schema_version": 1, "name": "x",
+                "base": {"workload": {"suite": "a"}, "scheme": "bisp",
+                         "load": {"streams": [{"process": "poisson", "rate_per_ms": 1.0,
+                                               "jobs": 5}],
+                                  "partitions": 4096}}}"#,
+            "scenario.base.load: 4096 partitions are over the limit of 4095",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x",
+                "base": {"workload": {"suite": "a"}, "scheme": "bisp"},
+                "axes": [{"axis": "load", "values": [
+                    {"streams": [{"process": "trace", "submit_ns": [0]}], "partitions": 4095},
+                    {"streams": [{"process": "trace", "submit_ns": [0]}],
+                     "partitions": 4294967295}
+                ]}]}"#,
+            "scenario.axes[0].values[1]: 4294967295 partitions are over the limit of 4095",
+        ),
         // A base array must name at least one base, and each entry
         // carries its index in the path.
         (

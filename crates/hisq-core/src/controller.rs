@@ -1,6 +1,7 @@
 //! The HISQ controller: classical pipeline + TCU + SyncU + MsgU.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use hisq_isa::{AluOp, CwOperand, Inst, LoadOp, Reg, StoreOp};
 
@@ -169,18 +170,83 @@ impl Inbox {
     }
 }
 
-/// The controller state the per-event hot loop never touches, boxed
-/// out of [`Controller`]'s inline stride (the SoA-style cold split):
-/// data memory only matters to the rare load/store instructions, and
-/// the configuration is consumed at construction (its links flatten
-/// into `link_table`; the two scalars the execute path reads, `addr`
-/// and `pipeline_headroom`, are copied into the hot struct). Keeping
-/// the memory behind one pointer shrinks the inline controller
-/// footprint, so the arena's per-event line fills stay on
-/// fetch/execute state.
-#[derive(Debug, Clone)]
-struct ColdState {
-    mem: Memory,
+/// Everything a controller is built from that no run changes: the
+/// configuration's scalars, its calibrated links flattened to a table
+/// sorted by address, and the program, with the counts that size a
+/// run's buffers. The table and the program sit behind [`Arc`]s, so
+/// cloning an image, or building a [`Controller`] from one, bumps two
+/// reference counts and copies neither.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ControllerImage {
+    addr: NodeAddr,
+    mem_bytes: usize,
+    pipeline_headroom: u64,
+    /// The calibrated links, sorted by remote address so the per-`sync`
+    /// lookup is a binary search instead of a tree walk.
+    links: Arc<[(NodeAddr, Link)]>,
+    program: Arc<[Inst]>,
+    /// `cw` instructions in the program: the commit log's initial
+    /// capacity. Zero for a program that can loop, whose count bounds
+    /// one pass and not the run: its log grows from empty instead.
+    codewords: usize,
+    /// `sync` instructions in the program (zero for a program that can
+    /// loop): the timeline's initial capacity, since only a sync that
+    /// stalls adds a gate.
+    syncs: usize,
+}
+
+impl ControllerImage {
+    /// Flattens `config`'s links and takes `program` as it is (an
+    /// `Arc<[Inst]>` is shared, not copied), counting its `cw` and
+    /// `sync` instructions.
+    pub fn new(config: NodeConfig, program: impl Into<Arc<[Inst]>>) -> ControllerImage {
+        let program = program.into();
+        let (mut codewords, mut syncs, mut loops) = (0, 0, false);
+        for inst in program.iter() {
+            match *inst {
+                Inst::Cw { .. } => codewords += 1,
+                Inst::Sync { .. } => syncs += 1,
+                // A backward or computed branch can run an instruction
+                // more than once.
+                Inst::Branch { offset, .. } | Inst::Jal { offset, .. } if offset <= 0 => {
+                    loops = true
+                }
+                Inst::Jalr { .. } => loops = true,
+                _ => {}
+            }
+        }
+        if loops {
+            (codewords, syncs) = (0, 0);
+        }
+        ControllerImage {
+            addr: config.addr,
+            mem_bytes: config.mem_bytes,
+            pipeline_headroom: config.pipeline_headroom,
+            // BTreeMap iterates in key order, so the table arrives sorted.
+            links: config.links.into_iter().collect(),
+            program,
+            codewords,
+            syncs,
+        }
+    }
+
+    /// The configured network address.
+    pub fn addr(&self) -> NodeAddr {
+        self.addr
+    }
+
+    /// `true` when the program holds a `recv` from `source` (see
+    /// [`Controller::can_recv_from`]).
+    pub fn can_recv_from(&self, source: NodeAddr) -> bool {
+        recvs_from(&self.program, source)
+    }
+}
+
+/// `true` when `program` holds a `recv` from `source`.
+fn recvs_from(program: &[Inst], source: NodeAddr) -> bool {
+    program
+        .iter()
+        .any(|inst| matches!(*inst, Inst::Recv { source: s, .. } if s == source))
 }
 
 /// A single HISQ controller node (see the crate-level docs).
@@ -192,7 +258,8 @@ struct ColdState {
 /// ahead of the register file and the inbox lanes — keeps the
 /// per-event working set to a couple of line fills instead of a walk
 /// across the whole struct; the data memory the hot loop never reads
-/// lives behind the trailing `ColdState` box.
+/// comes last. The program and link table are shared with the
+/// [`ControllerImage`] the controller was built from.
 #[derive(Debug, Clone)]
 #[repr(C)]
 pub struct Controller {
@@ -202,7 +269,7 @@ pub struct Controller {
     pipe_cycle: u64,
     /// TCU timing-grid pointer in raw (pre-stall) coordinates.
     grid_raw: u64,
-    program: Vec<Inst>,
+    program: Arc<[Inst]>,
     timeline: Timeline,
     stats: ControllerStats,
     regs: RegFile,
@@ -211,45 +278,46 @@ pub struct Controller {
     /// messages, one lane per [`BlockReason`].
     inbox: Inbox,
     commits: Vec<CommitRecord>,
-    /// The calibrated links of the configuration, flattened to a sorted
-    /// slice so the per-`sync` lookup is a binary search instead of a
-    /// tree walk.
-    link_table: Vec<(NodeAddr, Link)>,
+    /// The calibrated links of the configuration, sorted by address
+    /// (see [`ControllerImage`]).
+    link_table: Arc<[(NodeAddr, Link)]>,
     /// Hot copy of the configured network address (TELF attribution on
     /// every commit).
     addr: NodeAddr,
     /// Hot copy of the queue-decoupling margin (read on every
     /// non-deterministic grid rebase).
     pipeline_headroom: u64,
-    /// Everything the per-event path never reads, one pointer away.
-    cold: Box<ColdState>,
+    /// Data memory: read only by loads and stores, and allocated on
+    /// the first store.
+    mem: Memory,
 }
 
 impl Controller {
-    /// Creates a controller with a loaded program, ready at cycle 0.
-    pub fn new(config: NodeConfig, program: Vec<Inst>) -> Controller {
-        let mem = Memory::new(config.mem_bytes);
-        let grid_raw = config.pipeline_headroom;
-        // BTreeMap iterates in key order, so the table arrives sorted.
-        let link_table: Vec<(NodeAddr, Link)> = config
-            .links
-            .iter()
-            .map(|(&addr, &link)| (addr, link))
-            .collect();
+    /// Creates a controller with a loaded program, ready at cycle 0
+    /// (the image of `config` and `program`, built once).
+    pub fn new(config: NodeConfig, program: impl Into<Arc<[Inst]>>) -> Controller {
+        Controller::from_image(&ControllerImage::new(config, program))
+    }
+
+    /// A controller ready at cycle 0 that shares `image`'s program and
+    /// link table. Its commit log and timeline start sized for the
+    /// image's `cw` and `sync` counts, so a straight-line program never
+    /// regrows them.
+    pub fn from_image(image: &ControllerImage) -> Controller {
         Controller {
-            addr: config.addr,
-            pipeline_headroom: config.pipeline_headroom,
-            cold: Box::new(ColdState { mem }),
-            link_table,
-            program,
+            addr: image.addr,
+            pipeline_headroom: image.pipeline_headroom,
+            mem: Memory::new(image.mem_bytes),
+            link_table: Arc::clone(&image.links),
+            program: Arc::clone(&image.program),
             pc: 0,
             regs: RegFile::new(),
             pipe_cycle: 0,
-            grid_raw,
-            timeline: Timeline::new(),
+            grid_raw: image.pipeline_headroom,
+            timeline: Timeline::with_capacity(image.syncs),
             status: Status::Ready,
             inbox: Inbox::default(),
-            commits: Vec::new(),
+            commits: Vec::with_capacity(image.codewords),
             stats: ControllerStats::default(),
         }
     }
@@ -341,9 +409,7 @@ impl Controller {
     /// `false` for are banked and never read: a caller may skip
     /// offering them without changing anything the controller does.
     pub fn can_recv_from(&self, source: NodeAddr) -> bool {
-        self.program
-            .iter()
-            .any(|inst| matches!(*inst, Inst::Recv { source: s, .. } if s == source))
+        recvs_from(&self.program, source)
     }
 
     /// Runs the instruction stream until it halts, faults, or blocks on
@@ -486,14 +552,14 @@ impl Controller {
                 let addr = self.regs.read(rs1).wrapping_add(offset as u32);
                 let value = match op {
                     LoadOp::Byte => {
-                        sign_extend(self.cold.mem.load(addr, 1).map_err(|e| e.to_string())?, 8)
+                        sign_extend(self.mem.load(addr, 1).map_err(|e| e.to_string())?, 8)
                     }
                     LoadOp::Half => {
-                        sign_extend(self.cold.mem.load(addr, 2).map_err(|e| e.to_string())?, 16)
+                        sign_extend(self.mem.load(addr, 2).map_err(|e| e.to_string())?, 16)
                     }
-                    LoadOp::Word => self.cold.mem.load(addr, 4).map_err(|e| e.to_string())?,
-                    LoadOp::ByteU => self.cold.mem.load(addr, 1).map_err(|e| e.to_string())?,
-                    LoadOp::HalfU => self.cold.mem.load(addr, 2).map_err(|e| e.to_string())?,
+                    LoadOp::Word => self.mem.load(addr, 4).map_err(|e| e.to_string())?,
+                    LoadOp::ByteU => self.mem.load(addr, 1).map_err(|e| e.to_string())?,
+                    LoadOp::HalfU => self.mem.load(addr, 2).map_err(|e| e.to_string())?,
                 };
                 self.regs.write(rd, value);
                 self.pc += 1;
@@ -511,8 +577,7 @@ impl Controller {
                     StoreOp::Half => 2,
                     StoreOp::Word => 4,
                 };
-                self.cold
-                    .mem
+                self.mem
                     .store(addr, width, value)
                     .map_err(|e| e.to_string())?;
                 self.pc += 1;
@@ -957,11 +1022,11 @@ mod tests {
         // Loads, even of the last word, read zero without allocating.
         let ctrl = run_to_halt("li t0, 65532\nlw t1, 0(t0)\nstop");
         assert_eq!(ctrl.reg(Reg::T1), 0);
-        assert_eq!(ctrl.cold.mem.allocated(), 0);
+        assert_eq!(ctrl.mem.allocated(), 0);
         // The top word of an 8 KiB result ring allocates the ring only.
         let ctrl = run_to_halt("li t0, 8188\nli t1, 7\nsw t1, 0(t0)\nlw t2, 0(t0)\nstop");
         assert_eq!(ctrl.reg(Reg::T2), 7);
-        assert!(ctrl.cold.mem.allocated() <= 8192);
+        assert!(ctrl.mem.allocated() <= 8192);
     }
 
     #[test]

@@ -54,7 +54,9 @@ pub mod pipeline;
 pub mod timeline;
 
 pub use config::{Link, LinkKind, NodeConfig};
-pub use controller::{BlockReason, Controller, ControllerStats, Status, StepOutcome};
+pub use controller::{
+    BlockReason, Controller, ControllerImage, ControllerStats, Status, StepOutcome,
+};
 pub use msg::{CommitRecord, NodeAddr, OutboundMessage};
 pub use pipeline::{Memory, RegFile};
 pub use timeline::Timeline;

@@ -40,6 +40,14 @@ impl Timeline {
         Timeline::default()
     }
 
+    /// An ungated timeline with room for `gates` stalls before it
+    /// regrows.
+    pub fn with_capacity(gates: usize) -> Timeline {
+        Timeline {
+            gates: Vec::with_capacity(gates),
+        }
+    }
+
     /// Cumulative stall applied at raw position `raw`.
     pub fn shift_at(&self, raw: u64) -> u64 {
         match self.gates.iter().rev().find(|(pos, _)| *pos <= raw) {

@@ -13,6 +13,7 @@
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use hisq_core::NodeAddr;
 
@@ -125,7 +126,8 @@ struct Session {
 pub struct Router {
     addr: NodeAddr,
     parent: Option<NodeAddr>,
-    children: Vec<NodeAddr>,
+    /// Shared by every clone: the tree links never change once built.
+    children: Arc<[NodeAddr]>,
     sessions: Vec<Session>,
     rounds_completed: u64,
 }
@@ -136,7 +138,7 @@ impl Router {
         Router {
             addr,
             parent,
-            children,
+            children: children.into(),
             sessions: Vec::new(),
             rounds_completed: 0,
         }
@@ -236,7 +238,7 @@ impl Router {
 
         let mut t_m = 0u64;
         let mut latest_arrival = 0u64;
-        for child in &self.children {
+        for child in self.children.iter() {
             let booking = session
                 .per_child
                 .iter_mut()

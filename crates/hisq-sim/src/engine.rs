@@ -13,6 +13,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::mem;
+use std::sync::Arc;
 
 use hisq_core::{BlockReason, NodeAddr, Status, MEAS_FIFO_ADDR};
 use hisq_isa::CYCLE_NS;
@@ -24,7 +25,7 @@ use crate::config::{LinkReport, SimConfig, SimError, SimReport};
 use crate::events::{EventKind, LinkQueue};
 use crate::nodes::{HubNode, NodeId, SimNode};
 use crate::queue::CalendarQueue;
-use crate::spec::Arena;
+use crate::spec::Layout;
 use crate::telf::Telf;
 
 /// The full Distributed-HISQ system under simulation, built from a
@@ -34,17 +35,17 @@ pub struct System {
     /// The node arena; [`NodeId`]s index into it.
     nodes: Vec<SimNode>,
     /// id → address (TELF attribution, reports).
-    addrs: Vec<NodeAddr>,
+    addrs: Arc<[NodeAddr]>,
     /// address → id (sentinel [`NodeId::MAX`] = unregistered). Sized to
     /// the largest registered address.
-    addr_to_id: Vec<NodeId>,
+    addr_to_id: Arc<[NodeId]>,
     /// Controller ids in ascending address order (the deterministic
     /// stepping order).
-    controller_ids: Vec<NodeId>,
+    controller_ids: Arc<[NodeId]>,
     /// Per-node tree parent (`NodeAddr::MAX` = none / no topology),
     /// the first hop of every controller booking.
-    tree_parent: Vec<NodeAddr>,
-    topology: Option<Topology>,
+    tree_parent: Arc<[NodeAddr]>,
+    topology: Option<Arc<Topology>>,
     backend: Box<dyn QuantumBackend>,
     /// The contention model a directed link runs unless overridden
     /// (transparent by default: no queue bookkeeping, pure
@@ -110,9 +111,9 @@ impl System {
     /// [`SystemSpec::build`](crate::SystemSpec::build)).
     pub(crate) fn from_parts(
         config: SimConfig,
-        arena: Arena,
-        controller_ids: Vec<NodeId>,
-        topology: Option<Topology>,
+        nodes: Vec<SimNode>,
+        layout: &Layout,
+        topology: Option<Arc<Topology>>,
         backend: Box<dyn QuantumBackend>,
         fabric: FabricMap,
     ) -> System {
@@ -121,7 +122,7 @@ impl System {
         let mut edge_models = BTreeMap::new();
         for (from, to, model) in fabric.overrides() {
             let resolve = |addr: NodeAddr| {
-                arena
+                layout
                     .addr_to_id
                     .get(addr as usize)
                     .copied()
@@ -131,21 +132,14 @@ impl System {
                 edge_models.insert((from_id, to_id), model);
             }
         }
-        let tree_parent = match &topology {
-            Some(topo) => arena
-                .addrs
-                .iter()
-                .map(|&addr| topo.parent_of(addr).unwrap_or(NodeAddr::MAX))
-                .collect(),
-            None => vec![NodeAddr::MAX; arena.addrs.len()],
-        };
+        // The four tables are shared with every system of the spec.
         System {
             config,
-            nodes: arena.nodes,
-            addrs: arena.addrs,
-            addr_to_id: arena.addr_to_id,
-            controller_ids,
-            tree_parent,
+            nodes,
+            addrs: Arc::clone(&layout.addrs),
+            addr_to_id: Arc::clone(&layout.addr_to_id),
+            controller_ids: Arc::clone(&layout.controller_ids),
+            tree_parent: Arc::clone(&layout.tree_parent),
             topology,
             backend,
             link_default,
@@ -544,7 +538,7 @@ impl System {
             let node = self.nodes[id as usize]
                 .as_controller()
                 .expect("harvest targets a controller");
-            let Some(&action) = node.bindings.get(&(commit.port, commit.codeword)) else {
+            let Some(action) = node.binding(commit.port, commit.codeword) else {
                 continue;
             };
             match action {
@@ -864,8 +858,8 @@ impl System {
     /// routing-invariant violation (e.g. a mis-rooted tree).
     pub fn run(&mut self) -> Result<SimReport, SimError> {
         self.replay_gates = self.backend.reads_gates();
-        let ids = self.controller_ids.clone();
-        for id in ids {
+        let ids = Arc::clone(&self.controller_ids);
+        for &id in ids.iter() {
             self.step_controller(id);
         }
         while let Some((at, kind)) = self.queue.pop() {
@@ -931,7 +925,7 @@ impl System {
         let mut total_instructions = 0;
         let mut total_syncs = 0;
         let mut all_stopped = true;
-        for &id in &self.controller_ids {
+        for &id in self.controller_ids.iter() {
             let addr = self.addrs[id as usize];
             let ctrl = &self.nodes[id as usize]
                 .as_controller()

@@ -6,16 +6,20 @@
 //! engine's dispatch point — delivering an event is a single indexed
 //! load and a match, never a map walk.
 
-use hisq_core::{Controller, NodeAddr, NodeConfig};
+use std::sync::Arc;
+
+use hisq_core::{Controller, NodeAddr};
 use hisq_net::Router;
 use hisq_quantum::QuantumAction;
-
-use std::collections::BTreeMap;
 
 /// Dense arena index of a node. Addresses ([`NodeAddr`]) are the wire
 /// format programs and topologies speak; `NodeId`s are what the event
 /// core indexes with. The interning table lives in the engine.
 pub(crate) type NodeId = u32;
+
+/// One controller's quantum bindings: `(port, codeword)` → action,
+/// sorted by key and shared by every system built from one spec.
+pub(crate) type BindingTable = Arc<[((u32, u32), QuantumAction)]>;
 
 /// A broadcast hub: any classical message sent to the hub's address is
 /// re-delivered to every subscriber after `down_latency` — the star
@@ -40,34 +44,32 @@ pub(crate) struct ControllerNode {
     pub ctrl: Controller,
     /// Commits harvested so far (index into `ctrl.commits()`).
     pub watermark: usize,
-    /// `(port, codeword)` → quantum action.
-    pub bindings: BTreeMap<(u32, u32), QuantumAction>,
+    /// The quantum actions this controller's codewords trigger.
+    pub bindings: BindingTable,
 }
 
 impl ControllerNode {
-    /// Wraps a configured controller; bindings are attached by the
-    /// builder afterwards.
-    pub fn new(config: NodeConfig, program: Vec<hisq_isa::Inst>) -> ControllerNode {
-        ControllerNode {
-            ctrl: Controller::new(config, program),
-            watermark: 0,
-            bindings: BTreeMap::new(),
-        }
+    /// The action bound to a `(port, codeword)` commit, if any.
+    pub fn binding(&self, port: u32, codeword: u32) -> Option<QuantumAction> {
+        self.bindings
+            .binary_search_by_key(&(port, codeword), |&(key, _)| key)
+            .ok()
+            .map(|index| self.bindings[index].1)
     }
 }
 
 /// The hub model in the arena: subscribers pre-resolved to node ids so
 /// a broadcast is a loop over indices, not an address lookup per
-/// subscriber.
+/// subscriber. Both lists are derived once per spec and shared.
 #[derive(Debug, Clone)]
 pub(crate) struct HubNode {
     /// Subscriber arena ids (build-time resolved).
-    pub subscriber_ids: Vec<NodeId>,
+    pub subscriber_ids: Arc<[NodeId]>,
     /// The subscribers whose program can `recv` from the hub, as
     /// `(position in subscriber_ids, arena id)` in subscriber order.
     /// Only these are offered a broadcast on the one-event path; every
     /// other copy would land in a mailbox lane nothing pops.
-    pub listeners: Vec<(u32, NodeId)>,
+    pub listeners: Arc<[(u32, NodeId)]>,
     /// Constant hub→subscriber latency in cycles.
     pub down_latency: u64,
 }

@@ -23,9 +23,12 @@
 //!   cycles `[current, current + HORIZON)`; bucket index is
 //!   `cycle & (HORIZON - 1)`, so each in-window cycle owns exactly one
 //!   bucket and same-cycle events drain as a FIFO batch;
-//! - **overflow** — a `BTreeMap` rung for far-future timers
-//!   (`cycle - current >= HORIZON`), migrated into ring buckets when
-//!   the window advances past them;
+//! - **overflow** — one `BinaryHeap` of far-future timers
+//!   (`cycle - current >= HORIZON`) ordered by `(at, seq)`, so a push
+//!   costs no allocation beyond the heap's own amortized growth. When
+//!   the window advances to them, migration pops each newly in-window
+//!   cycle's events in seq order and splices them ahead of that cycle's
+//!   ring bucket;
 //! - **late** — events pushed *behind* `current` (a scheduler pushing
 //!   into the past); these always pop first, exactly as the reference
 //!   heap would pop them.
@@ -35,7 +38,9 @@
 //! panics instead (see [`CalendarQueue::with_seq_base`] for the
 //! regression-test hook at the boundary).
 
-use std::collections::BTreeMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Panic message for a `seq` counter that would wrap (a wrapped
 /// counter would silently break FIFO-within-cycle).
@@ -63,6 +68,35 @@ struct Slot<T> {
     next: u32,
     /// The event (`None` only while the slot sits on the free list).
     item: Option<T>,
+}
+
+/// One far-future event of the overflow rung. The ordering reads only
+/// `(at, seq)`, so `T` needs no `Ord`.
+#[derive(Debug, Clone)]
+struct FarEvent<T> {
+    at: u64,
+    seq: u64,
+    item: T,
+}
+
+impl<T> PartialEq for FarEvent<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl<T> Eq for FarEvent<T> {}
+
+impl<T> Ord for FarEvent<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
+}
+
+impl<T> PartialOrd for FarEvent<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// The production calendar queue: ring buckets over a cycle horizon,
@@ -97,12 +131,8 @@ pub struct CalendarQueue<T> {
     current: u64,
     /// Events resident in ring buckets.
     near_len: usize,
-    /// Far-future rung: cycle → events in push order.
-    overflow: BTreeMap<u64, Vec<(u64, T)>>,
-    /// Events resident in the overflow rung.
-    overflow_len: usize,
-    /// Cached smallest overflow cycle (`u64::MAX` when empty).
-    overflow_min: u64,
+    /// Far-future rung: a min-heap on `(at, seq)`.
+    overflow: BinaryHeap<Reverse<FarEvent<T>>>,
     /// Behind-the-window rung, keyed by `(at, seq)`.
     late: BTreeMap<(u64, u64), T>,
     /// Next sequence number to assign.
@@ -144,9 +174,7 @@ impl<T> CalendarQueue<T> {
             occupancy: [0; WORDS],
             current: 0,
             near_len: 0,
-            overflow: BTreeMap::new(),
-            overflow_len: 0,
-            overflow_min: u64::MAX,
+            overflow: BinaryHeap::new(),
             late: BTreeMap::new(),
             seq: 0,
             batch_head: NIL,
@@ -181,9 +209,7 @@ impl<T> CalendarQueue<T> {
         } else if at - self.current < HORIZON {
             self.insert_near(at, item);
         } else {
-            self.overflow.entry(at).or_default().push((seq, item));
-            self.overflow_len += 1;
-            self.overflow_min = self.overflow_min.min(at);
+            self.overflow.push(Reverse(FarEvent { at, seq, item }));
         }
     }
 
@@ -209,7 +235,7 @@ impl<T> CalendarQueue<T> {
             let head = self.heads[index];
             if head != NIL {
                 debug_assert_eq!(self.cycles[index], self.current);
-                debug_assert!(self.overflow_len == 0 || self.overflow_min > self.current);
+                debug_assert!(self.overflow_min().is_none_or(|at| at > self.current));
                 self.batch_head = head;
                 self.batch_tail = self.tails[index];
                 self.heads[index] = NIL;
@@ -251,7 +277,7 @@ impl<T> CalendarQueue<T> {
 
     /// Number of events resident in the queue.
     pub fn len(&self) -> usize {
-        self.near_len + self.overflow_len + self.late.len()
+        self.near_len + self.overflow.len() + self.late.len()
     }
 
     /// `true` when no events are resident.
@@ -384,50 +410,71 @@ impl<T> CalendarQueue<T> {
         self.cycles[index]
     }
 
+    /// The smallest overflow cycle, if the rung holds any event.
+    fn overflow_min(&self) -> Option<u64> {
+        self.overflow.peek().map(|Reverse(event)| event.at)
+    }
+
     /// Moves every overflow cycle that now fits the window into its
-    /// ring bucket, advancing `current` to the overflow minimum.
-    /// Migrated entries carry older sequence numbers than anything
-    /// pushed directly into the window (the window's lower bound only
-    /// grows), so the migrated chain is *prepended* — in its own push
-    /// order — ahead of any entries already in the bucket, preserving
-    /// FIFO-within-cycle.
+    /// ring bucket, advancing `current` to the overflow minimum. The
+    /// heap pops each cycle's events together, in push order. Migrated
+    /// events carry older sequence numbers than anything pushed directly
+    /// into the window (the window's lower bound only grows), so each
+    /// cycle's migrated chain is *prepended* ahead of any entries already
+    /// in its bucket, preserving FIFO-within-cycle.
     fn migrate_overflow(&mut self) {
-        debug_assert!(self.overflow_len > 0);
-        debug_assert!(self.overflow_min >= self.current);
-        self.current = self.overflow_min;
-        while let Some(entry) = self.overflow.first_entry() {
-            let at = *entry.key();
-            if at - self.current >= HORIZON {
-                break;
-            }
-            let moved = entry.remove();
-            self.overflow_len -= moved.len();
-            self.near_len += moved.len();
-            let index = (at & MASK) as usize;
-            if self.heads[index] == NIL {
-                self.cycles[index] = at;
-                self.occupancy[index / 64] |= 1 << (index % 64);
-            }
-            debug_assert_eq!(self.cycles[index], at);
-            // Chain the moved entries back to front, attaching the
-            // bucket's existing chain (if any) behind the last one.
-            let mut next = self.heads[index];
-            let had_entries = next != NIL;
-            let mut last = NIL;
-            for (_seq, item) in moved.into_iter().rev() {
-                let slot = self.alloc_slot(item);
-                self.slots[slot as usize].next = next;
-                if last == NIL {
-                    last = slot;
+        let Some(min) = self.overflow_min() else {
+            return;
+        };
+        debug_assert!(min >= self.current);
+        self.current = min;
+        // The chain of the cycle being migrated: `(at, head, tail)`.
+        let mut run: Option<(u64, u32, u32)> = None;
+        while let Some((at, item)) = self.pop_in_window() {
+            let slot = self.alloc_slot(item);
+            self.near_len += 1;
+            match run {
+                Some((cycle, head, tail)) if cycle == at => {
+                    self.slots[tail as usize].next = slot;
+                    run = Some((cycle, head, slot));
                 }
-                next = slot;
-            }
-            self.heads[index] = next;
-            if !had_entries {
-                self.tails[index] = last;
+                _ => {
+                    if let Some(done) = run {
+                        self.prepend_chain(done);
+                    }
+                    run = Some((at, slot, slot));
+                }
             }
         }
-        self.overflow_min = self.overflow.keys().next().copied().unwrap_or(u64::MAX);
+        if let Some(done) = run {
+            self.prepend_chain(done);
+        }
+    }
+
+    /// Pops the earliest overflow event if its cycle now fits the
+    /// window.
+    fn pop_in_window(&mut self) -> Option<(u64, T)> {
+        let top = self.overflow.peek_mut()?;
+        if top.0.at - self.current >= HORIZON {
+            return None;
+        }
+        let Reverse(FarEvent { at, item, .. }) = PeekMut::pop(top);
+        Some((at, item))
+    }
+
+    /// Splices the migrated chain `head..=tail` of cycle `at` in front
+    /// of the cycle's ring bucket, claiming the bucket if it was empty.
+    fn prepend_chain(&mut self, (at, head, tail): (u64, u32, u32)) {
+        let index = (at & MASK) as usize;
+        if self.heads[index] == NIL {
+            self.cycles[index] = at;
+            self.occupancy[index / 64] |= 1 << (index % 64);
+            self.tails[index] = tail;
+        } else {
+            debug_assert_eq!(self.cycles[index], at);
+        }
+        self.slots[tail as usize].next = self.heads[index];
+        self.heads[index] = head;
     }
 
     /// Unlinks and retires the head of the active batch chain, moving
@@ -473,21 +520,18 @@ impl<T> CalendarQueue<T> {
             if self.near_len > 0 {
                 let near = self.next_bucket_cycle();
                 // `==` must migrate too: overflow entries at the same
-                // cycle carry older seqs and pop first. The length
-                // guard disambiguates the empty-rung `u64::MAX`
-                // sentinel from a real event at cycle `u64::MAX`.
-                if self.overflow_len > 0 && self.overflow_min <= near {
+                // cycle carry older seqs and pop first.
+                if self.overflow_min().is_some_and(|at| at <= near) {
                     self.migrate_overflow();
                     continue;
                 }
                 self.current = near;
                 return Some(near);
             }
-            if self.overflow_len > 0 {
-                self.migrate_overflow();
-                continue;
+            if self.overflow.is_empty() {
+                return None;
             }
-            return None;
+            self.migrate_overflow();
         }
     }
 }

@@ -15,6 +15,20 @@
 //! figure reproductions, the examples, and the integration tests all
 //! describe their deployment as a spec and build it.
 //!
+//! # Sharing
+//!
+//! The deployment — controllers, routers, hubs, topology and bindings
+//! — sits behind one [`Arc`], so cloning a spec copies nothing but the
+//! run-stage fields (engine configuration, backend, fabric). Each
+//! controller is held as a [`ControllerImage`]: its program and
+//! flattened link table are shared by every [`System`] built from the
+//! spec, and its `cw`/`sync` counts size each run's commit log and
+//! timeline. Everything `build` derives from the deployment alone
+//! (address interning, stepping order, tree parents, hub listeners,
+//! per-controller binding tables) is derived by the first build and
+//! shared by the builds after it. Describing a node on a clone copies
+//! the deployment first, so the other clones are unaffected.
+//!
 //! # Example
 //!
 //! ```
@@ -38,8 +52,9 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
-use hisq_core::{NodeAddr, NodeConfig, MEAS_FIFO_ADDR};
+use hisq_core::{Controller, ControllerImage, NodeAddr, NodeConfig, MEAS_FIFO_ADDR};
 use hisq_isa::Inst;
 use hisq_net::{FabricMap, LinkModel, Router, Topology};
 use hisq_quantum::QuantumAction;
@@ -47,7 +62,7 @@ use hisq_quantum::QuantumAction;
 use crate::backend::{LeakyRandomBackend, QuantumBackend, RandomBackend};
 use crate::config::{SimConfig, SimError};
 use crate::engine::System;
-use crate::nodes::{ControllerNode, Hub, HubNode, NodeId, SimNode};
+use crate::nodes::{BindingTable, ControllerNode, Hub, HubNode, NodeId, SimNode};
 
 /// Declarative choice of the quantum backend a built system starts
 /// with: the two backends a scenario sweep runs. Every other backend
@@ -90,11 +105,11 @@ impl Default for BackendSpec {
 }
 
 impl BackendSpec {
-    fn instantiate(&self) -> Box<dyn QuantumBackend> {
+    fn instantiate(self) -> Box<dyn QuantumBackend> {
         match self {
-            BackendSpec::Random { seed, p_one } => Box::new(RandomBackend::new(*seed, *p_one)),
+            BackendSpec::Random { seed, p_one } => Box::new(RandomBackend::new(seed, p_one)),
             BackendSpec::Leaky { seed, p_one, noise } => {
-                Box::new(LeakyRandomBackend::new(*seed, *p_one, noise.clone()))
+                Box::new(LeakyRandomBackend::new(seed, p_one, noise))
             }
         }
     }
@@ -102,17 +117,169 @@ impl BackendSpec {
 
 /// A complete, declarative description of a Distributed-HISQ
 /// deployment. See the [module docs](self) for the building/validation
-/// contract.
+/// contract and for what clones share.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SystemSpec {
-    pub(crate) config: SimConfig,
-    pub(crate) backend: BackendSpec,
-    pub(crate) controllers: Vec<(NodeConfig, Vec<Inst>)>,
-    pub(crate) routers: Vec<Router>,
-    pub(crate) hubs: Vec<(NodeAddr, Hub)>,
-    pub(crate) topology: Option<Topology>,
-    pub(crate) fabric: FabricMap,
-    pub(crate) bindings: Vec<(NodeAddr, u32, u32, QuantumAction)>,
+    config: SimConfig,
+    backend: BackendSpec,
+    fabric: FabricMap,
+    deployment: Arc<Deployment>,
+}
+
+/// The nodes a spec describes, and the [`Layout`] its first build
+/// derives from them.
+#[derive(Debug, Clone, Default)]
+struct Deployment {
+    controllers: Vec<ControllerImage>,
+    routers: Vec<Router>,
+    hubs: Vec<(NodeAddr, Hub)>,
+    topology: Option<Arc<Topology>>,
+    /// Controller address → `(port, codeword)` → action; a later
+    /// binding of the same key replaces the earlier one.
+    bindings: BTreeMap<NodeAddr, BTreeMap<(u32, u32), QuantumAction>>,
+    /// Derived on the first build, and reset whenever a node is
+    /// described.
+    layout: OnceLock<Result<Layout, SimError>>,
+}
+
+impl PartialEq for Deployment {
+    /// Two deployments are equal when they describe the same nodes,
+    /// whether or not either has been built yet.
+    fn eq(&self, other: &Deployment) -> bool {
+        self.controllers == other.controllers
+            && self.routers == other.routers
+            && self.hubs == other.hubs
+            && self.topology == other.topology
+            && self.bindings == other.bindings
+    }
+}
+
+/// What [`SystemSpec::build`] derives from a deployment alone, shared
+/// by every [`System`] built from it: address interning, stepping
+/// order, tree parents, resolved hubs and per-controller binding
+/// tables. Each table sits behind its own [`Arc`], so the engine reads
+/// it through one pointer, as it would a `Vec` of its own.
+#[derive(Debug, Clone)]
+pub(crate) struct Layout {
+    /// address → arena id (sentinel [`NodeId::MAX`] = unregistered),
+    /// sized to the largest registered address.
+    pub(crate) addr_to_id: Arc<[NodeId]>,
+    /// arena id → address. Routers come first, then hubs, then
+    /// controllers, each in description order.
+    pub(crate) addrs: Arc<[NodeAddr]>,
+    /// Controller ids in ascending address order (the engine's
+    /// deterministic stepping order).
+    pub(crate) controller_ids: Arc<[NodeId]>,
+    /// Per-node tree parent (`NodeAddr::MAX` = none / no topology),
+    /// the first hop of every controller booking.
+    pub(crate) tree_parent: Arc<[NodeAddr]>,
+    /// The hubs, subscribers resolved to arena ids.
+    hubs: Vec<HubNode>,
+    /// Each controller's binding table, in description order.
+    bindings: Vec<BindingTable>,
+}
+
+impl Deployment {
+    /// The layout, derived on first use.
+    fn layout(&self) -> Result<&Layout, SimError> {
+        self.layout
+            .get_or_init(|| self.derive())
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// Every node address in registration order: routers, hubs,
+    /// controllers.
+    fn registered(&self) -> impl Iterator<Item = NodeAddr> + '_ {
+        self.routers
+            .iter()
+            .map(Router::addr)
+            .chain(self.hubs.iter().map(|&(addr, _)| addr))
+            .chain(self.controllers.iter().map(ControllerImage::addr))
+    }
+
+    /// Validates the deployment and derives its layout (see
+    /// [`SystemSpec::build`] for the errors).
+    fn derive(&self) -> Result<Layout, SimError> {
+        // Intern addresses in registration order, into vectors sized
+        // for every node up front.
+        let max_addr = self.registered().max();
+        if let Some(addr) = max_addr.filter(|&a| a >= MEAS_FIFO_ADDR) {
+            return Err(SimError::AddrOutOfRange {
+                addr,
+                limit: MEAS_FIFO_ADDR,
+            });
+        }
+        let node_count = self.routers.len() + self.hubs.len() + self.controllers.len();
+        let mut addr_to_id = vec![NodeId::MAX; max_addr.map_or(0, |a| a as usize + 1)];
+        let mut addrs = Vec::with_capacity(node_count);
+        for addr in self.registered() {
+            let slot = &mut addr_to_id[addr as usize];
+            if *slot != NodeId::MAX {
+                return Err(SimError::DuplicateAddr(addr));
+            }
+            *slot = addrs.len() as NodeId;
+            addrs.push(addr);
+        }
+
+        // Controllers take the ids after every router and hub.
+        let first = (self.routers.len() + self.hubs.len()) as NodeId;
+        let controller_id = |addr: NodeAddr, role: &'static str| {
+            addr_to_id
+                .get(addr as usize)
+                .copied()
+                .filter(|&id| id != NodeId::MAX && id >= first)
+                .ok_or(SimError::UnknownAddr { addr, role })
+        };
+        let mut hubs = Vec::with_capacity(self.hubs.len());
+        for (hub_addr, hub) in &self.hubs {
+            let subscriber_ids = hub
+                .subscribers
+                .iter()
+                .map(|&s| controller_id(s, "hub subscriber"))
+                .collect::<Result<Arc<[NodeId]>, SimError>>()?;
+            // Only a subscriber whose program can `recv` from the hub is
+            // offered a broadcast (see `HubNode::listeners`).
+            let listeners = subscriber_ids
+                .iter()
+                .enumerate()
+                .filter(|&(_, &id)| {
+                    self.controllers[(id - first) as usize].can_recv_from(*hub_addr)
+                })
+                .map(|(position, &id)| (position as u32, id))
+                .collect();
+            hubs.push(HubNode {
+                subscriber_ids,
+                listeners,
+                down_latency: hub.down_latency,
+            });
+        }
+        let unbound: BindingTable = Arc::from([]);
+        let mut bindings = vec![unbound; self.controllers.len()];
+        for (&addr, table) in &self.bindings {
+            let id = controller_id(addr, "binding node")?;
+            bindings[(id - first) as usize] =
+                table.iter().map(|(&key, &action)| (key, action)).collect();
+        }
+
+        let mut controller_ids: Vec<NodeId> = (first..addrs.len() as NodeId).collect();
+        controller_ids.sort_by_key(|&id| addrs[id as usize]);
+        let tree_parent: Vec<NodeAddr> = match &self.topology {
+            Some(topo) => addrs
+                .iter()
+                .map(|&addr| topo.parent_of(addr).unwrap_or(NodeAddr::MAX))
+                .collect(),
+            None => vec![NodeAddr::MAX; addrs.len()],
+        };
+        Ok(Layout {
+            addr_to_id: addr_to_id.into(),
+            addrs: addrs.into(),
+            controller_ids: controller_ids.into(),
+            tree_parent: tree_parent.into(),
+            hubs,
+            bindings,
+        })
+    }
 }
 
 impl SystemSpec {
@@ -126,7 +293,10 @@ impl SystemSpec {
     /// links), and the topology attached for multi-hop latency
     /// derivation. Collisions between program addresses and tree
     /// routers surface as [`SimError::DuplicateAddr`] at build time.
-    pub fn from_topology(topology: &Topology, programs: BTreeMap<NodeAddr, Vec<Inst>>) -> Self {
+    pub fn from_topology(
+        topology: &Topology,
+        programs: BTreeMap<NodeAddr, impl Into<Arc<[Inst]>>>,
+    ) -> Self {
         let mut spec = SystemSpec::new();
         for &router_addr in topology.routers() {
             spec.router(Router::new(
@@ -146,8 +316,16 @@ impl SystemSpec {
             };
             spec.controller(config, program);
         }
-        spec.topology = Some(topology.clone());
+        spec.topology(topology.clone());
         spec
+    }
+
+    /// The deployment, ready to describe nodes: copied first if
+    /// another clone shares it, and with its derived layout dropped.
+    fn deployment_mut(&mut self) -> &mut Deployment {
+        let deployment = Arc::make_mut(&mut self.deployment);
+        deployment.layout = OnceLock::new();
+        deployment
     }
 
     /// Replaces the engine configuration.
@@ -166,7 +344,7 @@ impl SystemSpec {
     /// Attaches the topology used for multi-hop latency derivation
     /// (pre-set by [`SystemSpec::from_topology`]).
     pub fn topology(&mut self, topology: Topology) -> &mut Self {
-        self.topology = Some(topology);
+        self.deployment_mut().topology = Some(Arc::new(topology));
         self
     }
 
@@ -191,21 +369,23 @@ impl SystemSpec {
         &self.fabric
     }
 
-    /// Adds a controller node running `program`.
-    pub fn controller(&mut self, config: NodeConfig, program: Vec<Inst>) -> &mut Self {
-        self.controllers.push((config, program));
+    /// Adds a controller node running `program`. An `Arc<[Inst]>` is
+    /// shared as it is; any other program is copied once, here.
+    pub fn controller(&mut self, config: NodeConfig, program: impl Into<Arc<[Inst]>>) -> &mut Self {
+        let image = ControllerImage::new(config, program);
+        self.deployment_mut().controllers.push(image);
         self
     }
 
     /// Adds a router node.
     pub fn router(&mut self, router: Router) -> &mut Self {
-        self.routers.push(router);
+        self.deployment_mut().routers.push(router);
         self
     }
 
     /// Adds a broadcast hub at `addr` (see [`Hub`]).
     pub fn hub(&mut self, addr: NodeAddr, hub: Hub) -> &mut Self {
-        self.hubs.push((addr, hub));
+        self.deployment_mut().hubs.push((addr, hub));
         self
     }
 
@@ -218,20 +398,26 @@ impl SystemSpec {
         codeword: u32,
         action: QuantumAction,
     ) -> &mut Self {
-        self.bindings.push((node, port, codeword, action));
+        self.deployment_mut()
+            .bindings
+            .entry(node)
+            .or_default()
+            .insert((port, codeword), action);
         self
     }
 
     /// Number of controllers described so far.
     pub fn num_controllers(&self) -> usize {
-        self.controllers.len()
+        self.deployment.controllers.len()
     }
 
     /// Validates the description and lowers it into a runnable
     /// [`System`]: addresses are interned into dense arena ids, hub
     /// subscribers are pre-resolved (and those whose program can `recv`
     /// from the hub marked as its listeners), and bindings are attached
-    /// to their controllers.
+    /// to their controllers. The first build of a deployment does this
+    /// derivation; later builds, of this spec or of any clone sharing
+    /// its deployment, reuse it and allocate only the run's own state.
     ///
     /// # Errors
     ///
@@ -242,152 +428,32 @@ impl SystemSpec {
     /// - [`SimError::AddrOutOfRange`] if any node sits at or above
     ///   [`MEAS_FIFO_ADDR`] (the error names the highest address);
     /// - [`SimError::UnknownAddr`] if a hub subscriber or binding names
-    ///   an address that is not a controller.
+    ///   an address that is not a controller (bindings are checked in
+    ///   address order).
     pub fn build(self) -> Result<System, SimError> {
-        // Intern addresses in registration order: routers, hubs,
-        // controllers, into vectors sized for every node up front.
-        let max_addr = self
-            .routers
-            .iter()
-            .map(|r| r.addr())
-            .chain(self.hubs.iter().map(|&(addr, _)| addr))
-            .chain(self.controllers.iter().map(|(c, _)| c.addr))
-            .max();
-        if let Some(addr) = max_addr.filter(|&a| a >= MEAS_FIFO_ADDR) {
-            return Err(SimError::AddrOutOfRange {
-                addr,
-                limit: MEAS_FIFO_ADDR,
-            });
-        }
-        let node_count = self.routers.len() + self.hubs.len() + self.controllers.len();
-        let mut arena = Arena {
-            addr_to_id: vec![NodeId::MAX; max_addr.map_or(0, |a| a as usize + 1)],
-            addrs: Vec::with_capacity(node_count),
-            nodes: Vec::with_capacity(node_count),
-        };
-
-        for router in self.routers {
-            let addr = router.addr();
-            arena.intern(addr, SimNode::Router(router))?;
-        }
-        // Hubs are interned with empty subscriber lists first;
-        // subscribers resolve after every controller has an id.
-        let mut hub_specs: Vec<(NodeId, Hub)> = Vec::new();
-        for (addr, hub) in self.hubs {
-            let id = arena.intern(
-                addr,
-                SimNode::Hub(HubNode {
-                    subscriber_ids: Vec::new(),
-                    listeners: Vec::new(),
-                    down_latency: hub.down_latency,
-                }),
-            )?;
-            hub_specs.push((id, hub));
-        }
-        for (config, program) in self.controllers {
-            let addr = config.addr;
-            arena.intern(
-                addr,
-                SimNode::Controller(Box::new(ControllerNode::new(config, program))),
-            )?;
-        }
-        let Arena {
-            addr_to_id,
-            addrs,
-            mut nodes,
-        } = arena;
-
-        for (hub_id, hub) in hub_specs {
-            let ids = hub
-                .subscribers
-                .iter()
-                .map(|&s| resolve_controller(&addr_to_id, &nodes, s, "hub subscriber"))
-                .collect::<Result<Vec<NodeId>, SimError>>()?;
-            let hub_addr = addrs[hub_id as usize];
-            let listeners = ids
-                .iter()
-                .enumerate()
-                .filter(|&(_, &id)| {
-                    nodes[id as usize]
-                        .as_controller()
-                        .is_some_and(|node| node.ctrl.can_recv_from(hub_addr))
-                })
-                .map(|(position, &id)| (position as u32, id))
-                .collect();
-            let SimNode::Hub(node) = &mut nodes[hub_id as usize] else {
-                unreachable!("interned as hub");
-            };
-            node.subscriber_ids = ids;
-            node.listeners = listeners;
-        }
-        for (addr, port, codeword, action) in self.bindings {
-            let id = resolve_controller(&addr_to_id, &nodes, addr, "binding node")?;
-            let node = nodes[id as usize]
-                .as_controller_mut()
-                .expect("resolved as controller");
-            node.bindings.insert((port, codeword), action);
-        }
-
-        // Controllers step in ascending address order (the engine's
-        // deterministic scheduling contract).
-        let mut controller_ids: Vec<NodeId> = nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.as_controller().is_some())
-            .map(|(i, _)| i as NodeId)
-            .collect();
-        controller_ids.sort_by_key(|&id| addrs[id as usize]);
-
+        let layout = self.deployment.layout()?;
+        let deployment = &*self.deployment;
+        let mut nodes = Vec::with_capacity(layout.addrs.len());
+        nodes.extend(deployment.routers.iter().cloned().map(SimNode::Router));
+        nodes.extend(layout.hubs.iter().cloned().map(SimNode::Hub));
+        nodes.extend(deployment.controllers.iter().zip(&layout.bindings).map(
+            |(image, bindings)| {
+                SimNode::Controller(Box::new(ControllerNode {
+                    ctrl: Controller::from_image(image),
+                    watermark: 0,
+                    bindings: Arc::clone(bindings),
+                }))
+            },
+        ));
         Ok(System::from_parts(
             self.config,
-            Arena {
-                addr_to_id,
-                addrs,
-                nodes,
-            },
-            controller_ids,
-            self.topology,
+            nodes,
+            layout,
+            deployment.topology.clone(),
             self.backend.instantiate(),
             self.fabric,
         ))
     }
-}
-
-/// The three parallel arrays [`SystemSpec::build`] populates while
-/// interning addresses (and hands to the engine whole).
-pub(crate) struct Arena {
-    pub(crate) addr_to_id: Vec<NodeId>,
-    pub(crate) addrs: Vec<hisq_core::NodeAddr>,
-    pub(crate) nodes: Vec<SimNode>,
-}
-
-impl Arena {
-    fn intern(&mut self, addr: NodeAddr, node: SimNode) -> Result<NodeId, SimError> {
-        let slot = &mut self.addr_to_id[addr as usize];
-        if *slot != NodeId::MAX {
-            return Err(SimError::DuplicateAddr(addr));
-        }
-        let id = self.nodes.len() as NodeId;
-        *slot = id;
-        self.addrs.push(addr);
-        self.nodes.push(node);
-        Ok(id)
-    }
-}
-
-/// Resolves `addr` to the arena id of a *controller*, the only node
-/// kind bindings and hub subscriptions may target.
-fn resolve_controller(
-    addr_to_id: &[NodeId],
-    nodes: &[SimNode],
-    addr: NodeAddr,
-    role: &'static str,
-) -> Result<NodeId, SimError> {
-    addr_to_id
-        .get(addr as usize)
-        .copied()
-        .filter(|&id| id != NodeId::MAX && nodes[id as usize].as_controller().is_some())
-        .ok_or(SimError::UnknownAddr { addr, role })
 }
 
 #[cfg(test)]

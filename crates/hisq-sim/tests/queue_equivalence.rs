@@ -3,9 +3,11 @@
 //! sequence of the [`HeapQueue`] reference defined here (the historical
 //! `BinaryHeap<Reverse<(at, seq)>>` ordering) over proptest-generated
 //! push/pop streams and over adversarial hand-built cases — same-cycle
-//! bursts, the far-future overflow rung, horizon wrap-around, pushes
-//! behind the pop frontier, batched drains interrupted by late pushes,
-//! and cycles at the very top of `u64`.
+//! bursts, the far-future overflow rung (several events per far
+//! cycle, window pushes onto a migrated cycle, `pop_through` drains
+//! across a migration), horizon wrap-around, pushes behind the pop
+//! frontier, batched drains interrupted by late pushes, and cycles at
+//! the very top of `u64`.
 //!
 //! The second half pins the `seq` tie-break counter: it uses checked
 //! arithmetic in both queues, so exhausting it panics loudly instead of
@@ -209,6 +211,31 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
     })
 }
 
+/// Cycles that crowd a few far-future cycles: most pushes land on one
+/// of four overflow cycles (so two or more events usually share one),
+/// the rest in the first window or just past a far cycle.
+fn clustered_far_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        (0u64..4).prop_map(|k| 2_000 + k * 300),
+        (0u64..4).prop_map(|k| 2_000 + k * 300),
+        (0u64..4).prop_map(|k| 2_000 + k * 300),
+        0u64..300,
+        (0u64..4, 0u64..40).prop_map(|(k, d)| 2_000 + k * 300 + d),
+    ]
+}
+
+/// Pushes from [`clustered_far_strategy`] with pops in between.
+fn clustered_ops_strategy() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec((clustered_far_strategy(), 0usize..3), 0..200).prop_map(|pairs| {
+        let mut ops = Vec::new();
+        for (cycle, pops) in pairs {
+            ops.push(Op::Push(cycle));
+            ops.extend(std::iter::repeat_n(Op::Pop, pops));
+        }
+        ops
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -216,6 +243,14 @@ proptest! {
     /// regimes) and pops produces identical pop sequences.
     #[test]
     fn wheel_matches_heap_on_random_streams(ops in ops_strategy()) {
+        run_differential(&ops);
+    }
+
+    /// The same oracle where far cycles usually hold several events,
+    /// so migration splices multi-event chains, often onto buckets that
+    /// window pushes already claimed.
+    #[test]
+    fn wheel_matches_heap_on_shared_far_cycles(ops in clustered_ops_strategy()) {
         run_differential(&ops);
     }
 }
@@ -242,6 +277,97 @@ fn far_future_overflow_rung_merges_with_window_cycles() {
     ops.push(Op::Push(10_000));
     ops.extend([Op::Pop, Op::Pop, Op::Pop]);
     run_differential(&ops);
+}
+
+#[test]
+fn far_events_sharing_a_cycle_pop_in_push_order() {
+    // Four events at far cycle 9_000, pushed between far events at
+    // 15_000 and 20_000 (and one inside 9_000's migration window):
+    // each cycle's events leave the far rung together, in push order.
+    run_differential(&[
+        Op::Push(9_000),
+        Op::Push(20_000),
+        Op::Push(9_000),
+        Op::Push(15_000),
+        Op::Push(9_000),
+        Op::Push(9_100),
+        Op::Push(20_000),
+        Op::Push(9_000),
+        Op::Pop,
+        Op::Pop,
+        Op::Pop,
+        Op::Pop,
+        Op::Pop,
+        Op::Pop,
+        Op::Pop,
+        Op::Pop,
+    ]);
+}
+
+#[test]
+fn window_push_onto_a_migrated_cycle_pops_after_the_migrated_events() {
+    // The first pop migrates cycles 1_000, 1_001 and 1_200 into the
+    // ring. Pushes at those cycles afterwards are window pushes onto
+    // buckets that already hold migrated events (1_000's mid-batch):
+    // they carry younger seqs and pop behind them.
+    run_differential(&[
+        Op::Push(1_000),
+        Op::Push(1_001),
+        Op::Push(1_000),
+        Op::Push(1_200),
+        Op::Push(1_001),
+        Op::Pop,
+        Op::Push(1_001),
+        Op::Push(1_200),
+        Op::Push(1_000),
+        Op::Pop,
+        Op::Push(1_001),
+        Op::Pop,
+        Op::Pop,
+        Op::Pop,
+        Op::Pop,
+        Op::Pop,
+        Op::Pop,
+        Op::Pop,
+        Op::Pop,
+    ]);
+}
+
+#[test]
+fn pop_through_drains_across_a_migration() {
+    // The gate-replay path: `pop_through` stops at its bound, and the
+    // next bound reaches into cycles still in the far rung, so the
+    // drain migrates them mid-way. Pushes between drains land in the
+    // window, on migrated cycles, and back in the far rung.
+    let mut wheel: CalendarQueue<u32> = CalendarQueue::new();
+    let mut heap: HeapQueue<u32> = HeapQueue::new();
+    let mut next_item = 0u32;
+    let mut push = |wheel: &mut CalendarQueue<u32>, heap: &mut HeapQueue<u32>, at: u64| {
+        wheel.push(at, next_item);
+        heap.push(at, next_item);
+        next_item += 1;
+    };
+    for at in [3, 700, 700, 1_500, 40, 1_500, 700, 5_000] {
+        push(&mut wheel, &mut heap, at);
+    }
+    for through in [2, 40, 699, 700, 701, 1_499, 1_500, 4_999, u64::MAX] {
+        loop {
+            let expected = match heap.next_at() {
+                Some(at) if at <= through => heap.pop(),
+                _ => None,
+            };
+            assert_eq!(wheel.pop_through(through), expected, "through {through}");
+            if expected.is_none() {
+                break;
+            }
+        }
+        assert_eq!(wheel.len(), heap.len());
+        assert_eq!(wheel.next_at(), heap.next_at());
+        for at in [through.saturating_add(1), through.saturating_add(300)] {
+            push(&mut wheel, &mut heap, at);
+        }
+    }
+    assert_drain_equal(wheel, heap);
 }
 
 #[test]

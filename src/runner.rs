@@ -8,9 +8,11 @@
 //!    ([`CompiledArtifact`]), served through a [`CompileCache`] keyed
 //!    by [`Scenario::compile_key`], so grid points that differ only in
 //!    run-stage fields share one compile;
-//! 2. **instantiate** — clone the description, seed the backend,
-//!    install the effective fabric ([`effective_maps`]), build the
-//!    [`System`];
+//! 2. **instantiate** — clone the description (reference-count bumps:
+//!    the programs, link tables, topology and bindings stay shared with
+//!    the cached artifact), seed the backend, install the effective
+//!    fabric ([`effective_maps`]), and build the [`System`], which
+//!    allocates only the run's own mutable state;
 //! 3. **run + score** — simulate and distill the paper's metrics into
 //!    a [`SweepRecord`].
 //!
@@ -45,7 +47,7 @@
 //! assert_eq!(report.summary()["all_halted"].sum, 4.0, "every run halts");
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -56,7 +58,8 @@ use hisq_compiler::fabric::{apply_placement, plan_placement, FabricCosts};
 use hisq_compiler::{
     compile_bisp, compile_lockstep, BispOptions, CompiledSystem, LockstepOptions, Scheme,
 };
-use hisq_core::NodeConfig;
+use hisq_core::{NodeAddr, NodeConfig};
+use hisq_isa::Inst;
 use hisq_net::{FabricMap, LinkModel, Topology, TopologyBuilder};
 use hisq_quantum::{CoherenceParams, ExposureLedger, NoiseMap};
 use hisq_sim::{
@@ -211,6 +214,9 @@ impl From<SimError> for RunnerError {
 /// against must be supplied (controllers, mesh links, and the router
 /// tree are described from it). For [`Scheme::Lockstep`] a star
 /// system is described: bare controllers plus the broadcast hub.
+/// Each program is copied once, straight from the compiler's
+/// instruction slice into the `Arc<[Inst]>` every system built from
+/// the spec shares.
 ///
 /// # Errors
 ///
@@ -224,10 +230,10 @@ pub fn system_spec(
     let mut spec = match compiled.scheme {
         Scheme::Bisp => {
             let topology = topology.ok_or(RunnerError::MissingTopology { id: String::new() })?;
-            let programs = compiled
+            let programs: BTreeMap<NodeAddr, Arc<[Inst]>> = compiled
                 .programs
                 .iter()
-                .map(|(&addr, program)| (addr, program.insts().to_vec()))
+                .map(|(&addr, program)| (addr, Arc::from(program.insts())))
                 .collect();
             SystemSpec::from_topology(topology, programs)
         }
@@ -251,7 +257,7 @@ pub fn system_spec(
             for (&addr, program) in &compiled.programs {
                 spec.controller(
                     NodeConfig::new(addr).with_pipeline_headroom(32),
-                    program.insts().to_vec(),
+                    Arc::<[Inst]>::from(program.insts()),
                 );
             }
             spec
@@ -397,10 +403,18 @@ pub struct CompileKey {
 /// run-stage), plus the metric inputs [`run_scenario`] needs from the
 /// built workload. Shared behind an [`Arc`] by every grid point of a
 /// sweep whose [`CompileKey`] matches.
+///
+/// The description holds each program once, as the `Arc<[Inst]>`
+/// copied from the compiler's output, with the controllers' flattened
+/// link tables, per-controller binding tables and the topology, all
+/// shared. A grid point's clone of it copies none of them, and the
+/// address layout its first build derives is reused by every later
+/// build.
 #[derive(Debug, Clone)]
 pub struct CompiledArtifact {
     /// The compiled system as a declarative spec (cloned, then given
-    /// its backend + link model, per consuming scenario).
+    /// its backend + link model, per consuming scenario; the clone
+    /// shares the deployment).
     spec: SystemSpec,
     /// Output data qubits of the workload (Figure-16 scoring).
     data_sites: Vec<usize>,
@@ -689,8 +703,9 @@ fn compile_stage(scenario: &Scenario) -> Result<CompiledArtifact, RunnerError> {
     })
 }
 
-/// Stage 2, instantiate: clone the compiled description, seed the
-/// backend, install the scenario's effective fabric, and build.
+/// Stage 2, instantiate: clone the compiled description (sharing its
+/// deployment), seed the backend, install the scenario's effective
+/// fabric, and build.
 fn instantiate(
     scenario: &Scenario,
     artifact: &CompiledArtifact,
@@ -736,16 +751,18 @@ fn run_and_score(
     let report = system.run().map_err(|e| RunnerError::sim(e).with_id(&id))?;
 
     let coherence = CoherenceParams::uniform(scenario.t1_us);
-    let scored_exposure: ExposureLedger = if artifact.data_sites.is_empty() {
-        system.exposure().clone()
+    let data_exposure: ExposureLedger;
+    let scored_exposure = if artifact.data_sites.is_empty() {
+        system.exposure()
     } else {
         // Output data qubits stay coherent from circuit start until the
         // whole dynamic circuit completes (the Figure 16 scoring).
-        artifact
+        data_exposure = artifact
             .data_sites
             .iter()
             .map(|&q| (q, 0, report.makespan_ns))
-            .collect()
+            .collect();
+        &data_exposure
     };
     let infidelity = scored_exposure.infidelity(coherence);
 
@@ -778,9 +795,9 @@ fn run_and_score(
         let noise_infidelity = if noise.is_uniform() {
             noise
                 .default_model()
-                .infidelity(&report.quantum_ops, &scored_exposure)
+                .infidelity(&report.quantum_ops, scored_exposure)
         } else {
-            noise.infidelity(system.quantum_ops_by_qubit(), &scored_exposure)
+            noise.infidelity(system.quantum_ops_by_qubit(), scored_exposure)
         };
         record.set("noise_infidelity", noise_infidelity);
         record.set("gates_1q", report.quantum_ops.gates_1q);

@@ -92,8 +92,6 @@ pub fn compile_keys(scenarios: &[Scenario]) -> usize {
 pub struct ThroughputRow {
     /// Sweep worker threads.
     pub threads: usize,
-    /// Grid points per sweep.
-    pub scenarios: usize,
     /// Compiles the cached sweep paid (cache misses; the uncached
     /// reference pays one per scenario).
     pub compiles: u64,
@@ -165,7 +163,6 @@ pub fn measure_throughput(scenarios: &[Scenario], threads: usize, iters: u32) ->
     }
     ThroughputRow {
         threads,
-        scenarios: scenarios.len(),
         compiles,
         hit_rate,
         cached_s: cached_best,
@@ -194,7 +191,6 @@ mod tests {
     fn a_measured_row_reports_the_cache_economics() {
         let scenarios = throughput_scenarios(true);
         let row = measure_throughput(&scenarios, 2, 1);
-        assert_eq!(row.scenarios, 4);
         assert_eq!(row.compiles, 2, "one compile per (workload, scheme)");
         assert!((row.hit_rate - 0.5).abs() < 1e-9, "2 of 4 lookups hit");
         assert!(row.scenarios_per_sec > 0.0 && row.speedup > 0.0);

@@ -9,8 +9,9 @@
 //!
 //! The human-readable listing is rendered from the same lines only on
 //! request ([`Listing`]'s `Display`, reached through
-//! [`crate::CompiledSystem::listing`]), in the assembler's syntax: ABI
-//! register names, the pseudo-instructions as written, and
+//! [`crate::CompiledSystem::listing`]), in the assembler's syntax: each
+//! machine instruction through `Inst`'s own printer in its `{:#}` form
+//! (ABI register names), the pseudo-instructions as written, and
 //! `.{prefix}_{addr}_{n}` labels. The workspace's `compiled_program_pins`
 //! test assembles every compiled listing with [`hisq_isa::Assembler`]
 //! and requires the emitted program back, so the production assembler
@@ -148,12 +149,12 @@ impl fmt::Display for Listing {
             .collect();
         for line in &self.lines {
             match *line {
-                Line::Inst(inst) => write_inst(f, &inst)?,
-                Line::Li { rd, imm } => write!(f, "li {}, {imm}", rd.abi_name())?,
-                Line::Mv { rd, rs } => write!(f, "mv {}, {}", rd.abi_name(), rs.abi_name())?,
+                Line::Inst(inst) => write!(f, "{inst:#}")?,
+                Line::Li { rd, imm } => write!(f, "li {rd:#}, {imm}")?,
+                Line::Mv { rd, rs } => write!(f, "mv {rd:#}, {rs:#}")?,
                 Line::BranchZero { op, rs, target } => {
                     let mnemonic = if op == BranchOp::Eq { "beqz" } else { "bnez" };
-                    write!(f, "{mnemonic} {}, {}", rs.abi_name(), names[target.0])?;
+                    write!(f, "{mnemonic} {rs:#}, {}", names[target.0])?;
                 }
                 Line::Jump(target) => write!(f, "j {}", names[target.0])?,
                 Line::Label(label) => write!(f, "{}:", names[label.0])?,
@@ -161,59 +162,6 @@ impl fmt::Display for Listing {
             f.write_str("\n")?;
         }
         Ok(())
-    }
-}
-
-/// Writes one instruction in assembler syntax with ABI register names.
-fn write_inst(f: &mut fmt::Formatter<'_>, inst: &Inst) -> fmt::Result {
-    let m = inst.mnemonic();
-    match *inst {
-        Inst::Lui { rd, imm20 } | Inst::Auipc { rd, imm20 } => {
-            write!(f, "{m} {}, {imm20}", rd.abi_name())
-        }
-        Inst::Jal { rd, offset } => write!(f, "{m} {}, {offset}", rd.abi_name()),
-        Inst::Jalr { rd, rs1, offset } => {
-            write!(f, "{m} {}, {}, {offset}", rd.abi_name(), rs1.abi_name())
-        }
-        Inst::Branch {
-            rs1, rs2, offset, ..
-        } => write!(f, "{m} {}, {}, {offset}", rs1.abi_name(), rs2.abi_name()),
-        Inst::Load {
-            rd, rs1, offset, ..
-        } => write!(f, "{m} {}, {offset}({})", rd.abi_name(), rs1.abi_name()),
-        Inst::Store {
-            rs1, rs2, offset, ..
-        } => write!(f, "{m} {}, {offset}({})", rs2.abi_name(), rs1.abi_name()),
-        Inst::OpImm { rd, rs1, imm, .. } => {
-            write!(f, "{m} {}, {}, {imm}", rd.abi_name(), rs1.abi_name())
-        }
-        Inst::Op { rd, rs1, rs2, .. } => write!(
-            f,
-            "{m} {}, {}, {}",
-            rd.abi_name(),
-            rs1.abi_name(),
-            rs2.abi_name()
-        ),
-        Inst::WaitI { cycles } => write!(f, "{m} {cycles}"),
-        Inst::WaitR { rs1 } => write!(f, "{m} {}", rs1.abi_name()),
-        Inst::Cw { port, codeword } => {
-            write!(f, "{m} ")?;
-            write_cw_operand(f, port)?;
-            f.write_str(", ")?;
-            write_cw_operand(f, codeword)
-        }
-        Inst::Sync { target, horizon } if horizon == Reg::X0 => write!(f, "{m} {target}"),
-        Inst::Sync { target, horizon } => write!(f, "{m} {target}, {}", horizon.abi_name()),
-        Inst::Send { target, rs1 } => write!(f, "{m} {target}, {}", rs1.abi_name()),
-        Inst::Recv { rd, source } => write!(f, "{m} {}, {source}", rd.abi_name()),
-        Inst::Stop => f.write_str(m),
-    }
-}
-
-fn write_cw_operand(f: &mut fmt::Formatter<'_>, operand: CwOperand) -> fmt::Result {
-    match operand {
-        CwOperand::Imm(v) => write!(f, "{v}"),
-        CwOperand::Reg(r) => f.write_str(r.abi_name()),
     }
 }
 

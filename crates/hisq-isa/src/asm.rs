@@ -12,6 +12,9 @@
 //! - supported pseudo-instructions: `nop`, `mv`, `li`, `j`, `beqz`,
 //!   `bnez`, `not`, `neg`, `seqz`, `snez`.
 //!
+//! Every instruction it emits passes through [`encode`], the ISA's one
+//! field check, so text that assembles also encodes.
+//!
 //! # Example
 //!
 //! ```
@@ -26,11 +29,15 @@
 
 use std::collections::BTreeMap;
 
+use crate::encode::encode;
 use crate::error::AsmError;
-use crate::inst::{AluOp, BranchOp, CwOperand, Inst, LoadOp, StoreOp};
+use crate::inst::{
+    AluOp, BranchOp, CwOperand, Inst, LoadOp, OpRow, StoreOp, ALU_OPS, BRANCH_OPS, LOAD_OPS,
+    STORE_OPS,
+};
 use crate::program::Program;
 use crate::reg::Reg;
-use crate::{MAX_NODE_ADDR, MAX_WAITI_CYCLES};
+use crate::MAX_NODE_ADDR;
 
 /// The HISQ two-pass assembler.
 ///
@@ -54,8 +61,8 @@ impl Assembler {
     ///
     /// Returns an [`AsmError`] carrying the 1-based source line of the
     /// first problem: unknown mnemonics, malformed operands, duplicate or
-    /// undefined labels, and out-of-range immediates detectable at parse
-    /// time.
+    /// undefined labels, and any instruction [`encode`] rejects (an
+    /// immediate that does not fit its field, a misaligned offset).
     pub fn assemble(&self, source: &str) -> Result<Program, AsmError> {
         let mut stmts: Vec<Stmt> = Vec::new();
         let mut labels: BTreeMap<String, usize> = BTreeMap::new();
@@ -87,7 +94,11 @@ impl Assembler {
         // Pass 2: emit instructions with resolved label targets.
         let mut insts: Vec<Inst> = Vec::with_capacity(index);
         for stmt in &stmts {
-            stmt.emit(&labels, insts.len(), &mut insts)?;
+            let start = insts.len();
+            stmt.emit(&labels, start, &mut insts)?;
+            for inst in &insts[start..] {
+                encode(inst).map_err(|e| stmt.err(e.to_string()))?;
+            }
         }
         Ok(Program::with_symbols(insts, labels))
     }
@@ -263,6 +274,11 @@ pub fn expand_li(rd: Reg, imm: i32) -> impl Iterator<Item = Inst> {
     }))
 }
 
+/// The op whose mnemonic is `m` in `table`.
+fn op_named<Op: Copy>(table: &[OpRow<Op>], m: &str) -> Option<Op> {
+    table.iter().find(|row| row.mnemonic == m).map(|row| row.op)
+}
+
 /// `true` if `imm` fits a 12-bit signed immediate.
 fn fits_i12(imm: i64) -> bool {
     (-2048..=2047).contains(&imm)
@@ -319,9 +335,25 @@ impl Stmt {
         }
     }
 
-    fn mem_at(&self, i: usize) -> Result<(i64, Reg), AsmError> {
+    /// Immediate operand `i` as its instruction field's type; [`encode`]
+    /// checks the field's width.
+    fn int_at<T: TryFrom<i64>>(&self, i: usize) -> Result<T, AsmError> {
+        let v = self.imm_at(i)?;
+        T::try_from(v).map_err(|_| {
+            self.err(format!(
+                "immediate {v} out of range for `{}`",
+                self.mnemonic
+            ))
+        })
+    }
+
+    fn mem_at(&self, i: usize) -> Result<(i32, Reg), AsmError> {
         match &self.operands[i] {
-            Operand::Mem { offset, base } => Ok((*offset, *base)),
+            Operand::Mem { offset, base } => Ok((
+                i32::try_from(*offset)
+                    .map_err(|_| self.err(format!("offset {offset} out of range")))?,
+                *base,
+            )),
             other => Err(self.err(format!(
                 "operand {} of `{}` must be `offset(base)`, found {}",
                 i + 1,
@@ -402,14 +434,11 @@ impl Stmt {
 
         let alu_imm = |op: AluOp| -> Result<Inst, AsmError> {
             self.expect_len(3)?;
-            let imm = self.imm_at(2)?;
-            let imm = i32::try_from(imm)
-                .map_err(|_| self.err(format!("immediate {imm} out of 32-bit range")))?;
             Ok(Inst::OpImm {
                 op,
                 rd: self.reg_at(0)?,
                 rs1: self.reg_at(1)?,
-                imm,
+                imm: self.int_at(2)?,
             })
         };
         let alu_reg = |op: AluOp| -> Result<Inst, AsmError> {
@@ -442,8 +471,6 @@ impl Stmt {
         let load = |op: LoadOp| -> Result<Inst, AsmError> {
             self.expect_len(2)?;
             let (offset, base) = self.mem_at(1)?;
-            let offset = i32::try_from(offset)
-                .map_err(|_| self.err(format!("offset {offset} out of range")))?;
             Ok(Inst::Load {
                 op,
                 rd: self.reg_at(0)?,
@@ -454,8 +481,6 @@ impl Stmt {
         let store = |op: StoreOp| -> Result<Inst, AsmError> {
             self.expect_len(2)?;
             let (offset, base) = self.mem_at(1)?;
-            let offset = i32::try_from(offset)
-                .map_err(|_| self.err(format!("offset {offset} out of range")))?;
             Ok(Inst::Store {
                 op,
                 rs1: base,
@@ -464,50 +489,26 @@ impl Stmt {
             })
         };
 
+        let from_table = op_named(&ALU_OPS, m)
+            .map(alu_reg)
+            .or_else(|| {
+                let row = ALU_OPS.iter().find(|row| row.imm_mnemonic == m)?;
+                Some(alu_imm(row.op))
+            })
+            .or_else(|| op_named(&BRANCH_OPS, m).map(branch))
+            .or_else(|| op_named(&LOAD_OPS, m).map(load))
+            .or_else(|| op_named(&STORE_OPS, m).map(store));
+        if let Some(inst) = from_table {
+            out.push(inst?);
+            return Ok(());
+        }
+
         let inst = match m {
-            "addi" => alu_imm(AluOp::Add)?,
-            "slti" => alu_imm(AluOp::Slt)?,
-            "sltiu" => alu_imm(AluOp::Sltu)?,
-            "xori" => alu_imm(AluOp::Xor)?,
-            "ori" => alu_imm(AluOp::Or)?,
-            "andi" => alu_imm(AluOp::And)?,
-            "slli" => alu_imm(AluOp::Sll)?,
-            "srli" => alu_imm(AluOp::Srl)?,
-            "srai" => alu_imm(AluOp::Sra)?,
-            "add" => alu_reg(AluOp::Add)?,
-            "sub" => alu_reg(AluOp::Sub)?,
-            "sll" => alu_reg(AluOp::Sll)?,
-            "slt" => alu_reg(AluOp::Slt)?,
-            "sltu" => alu_reg(AluOp::Sltu)?,
-            "xor" => alu_reg(AluOp::Xor)?,
-            "srl" => alu_reg(AluOp::Srl)?,
-            "sra" => alu_reg(AluOp::Sra)?,
-            "or" => alu_reg(AluOp::Or)?,
-            "and" => alu_reg(AluOp::And)?,
-            "beq" => branch(BranchOp::Eq)?,
-            "bne" => branch(BranchOp::Ne)?,
-            "blt" => branch(BranchOp::Lt)?,
-            "bge" => branch(BranchOp::Ge)?,
-            "bltu" => branch(BranchOp::Ltu)?,
-            "bgeu" => branch(BranchOp::Geu)?,
             "beqz" => branch_zero(BranchOp::Eq)?,
             "bnez" => branch_zero(BranchOp::Ne)?,
-            "lb" => load(LoadOp::Byte)?,
-            "lh" => load(LoadOp::Half)?,
-            "lw" => load(LoadOp::Word)?,
-            "lbu" => load(LoadOp::ByteU)?,
-            "lhu" => load(LoadOp::HalfU)?,
-            "sb" => store(StoreOp::Byte)?,
-            "sh" => store(StoreOp::Half)?,
-            "sw" => store(StoreOp::Word)?,
             "lui" | "auipc" => {
                 self.expect_len(2)?;
-                let imm = self.imm_at(1)?;
-                let imm20 = u32::try_from(imm)
-                    .ok()
-                    .filter(|v| *v < (1 << 20))
-                    .ok_or_else(|| self.err(format!("immediate {imm} does not fit 20 bits")))?;
-                let rd = self.reg_at(0)?;
+                let (rd, imm20) = (self.reg_at(0)?, self.int_at(1)?);
                 if m == "lui" {
                     Inst::Lui { rd, imm20 }
                 } else {
@@ -531,15 +532,11 @@ impl Stmt {
                     rs1: self.reg_at(0)?,
                     offset: 0,
                 },
-                3 => {
-                    let imm = self.imm_at(2)?;
-                    Inst::Jalr {
-                        rd: self.reg_at(0)?,
-                        rs1: self.reg_at(1)?,
-                        offset: i32::try_from(imm)
-                            .map_err(|_| self.err(format!("offset {imm} out of range")))?,
-                    }
-                }
+                3 => Inst::Jalr {
+                    rd: self.reg_at(0)?,
+                    rs1: self.reg_at(1)?,
+                    offset: self.int_at(2)?,
+                },
                 n => return Err(self.err(format!("`jalr` expects 1 or 3 operands, found {n}"))),
             },
             "j" => {
@@ -610,12 +607,9 @@ impl Stmt {
             }
             "waiti" => {
                 self.expect_len(1)?;
-                let v = self.imm_at(0)?;
-                let cycles = u32::try_from(v)
-                    .ok()
-                    .filter(|v| *v <= MAX_WAITI_CYCLES)
-                    .ok_or_else(|| self.err(format!("`waiti` count {v} does not fit 22 bits")))?;
-                Inst::WaitI { cycles }
+                Inst::WaitI {
+                    cycles: self.int_at(0)?,
+                }
             }
             "waitr" => {
                 self.expect_len(1)?;
@@ -947,6 +941,33 @@ mod tests {
                 source: MAX_NODE_ADDR
             }
         );
+    }
+
+    #[test]
+    fn instructions_that_do_not_encode_are_rejected_at_their_line() {
+        for src in [
+            "addi x1, x0, 5000",
+            "cw.i.i 40, 1",
+            "cw.r.i x1, 5000",
+            "lw x1, 4096(x2)",
+            "beq x1, x2, 8192",
+            "waiti 4194304",
+            "lui t0, 1048576",
+            "auipc t0, -1",
+            "subi t0, t0, 1",
+            "slli t0, t0, 32",
+        ] {
+            let err = Assembler::new()
+                .assemble(&format!("nop\n{src}\n"))
+                .unwrap_err();
+            assert_eq!(err.line, 2, "{src}");
+            assert!(err.message.contains("out of range"), "{src}: {err}");
+        }
+        let err = Assembler::new().assemble("beq x1, x2, 6").unwrap_err();
+        assert!(err.message.contains("not 4-byte aligned"), "{err}");
+        // The widest encodable values still assemble.
+        let p = asm("waiti 4194303\nlui t0, 1048575\ncw.i.i 31, 131071\nbeq x1, x2, 4092");
+        assert_eq!(p.insts()[0], Inst::WaitI { cycles: 4_194_303 });
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Binary decoding of HISQ instructions (inverse of [`crate::encode`]).
 
 use crate::error::DecodeError;
-use crate::inst::{AluOp, BranchOp, CwOperand, Inst, LoadOp, StoreOp};
+use crate::inst::{CwOperand, Inst, OpRow, ALU_OPS, BRANCH_OPS, LOAD_OPS, STORE_OPS};
 use crate::reg::Reg;
 
 use crate::encode::{
-    OPC_AUIPC, OPC_BRANCH, OPC_HISQ, OPC_JAL, OPC_JALR, OPC_LOAD, OPC_LUI, OPC_MSG, OPC_OP,
-    OPC_OP_IMM, OPC_STORE,
+    F3_CW_II, F3_CW_IR, F3_CW_RI, F3_CW_RR, F3_JALR, F3_RECV, F3_SEND, F3_STOP, F3_SYNC, F3_WAITI,
+    F3_WAITR, OPC_AUIPC, OPC_BRANCH, OPC_HISQ, OPC_JAL, OPC_JALR, OPC_LOAD, OPC_LUI, OPC_MSG,
+    OPC_OP, OPC_OP_IMM, OPC_STORE,
 };
 
 fn field_rd(word: u32) -> Result<Reg, DecodeError> {
@@ -27,6 +28,15 @@ fn field_funct3(word: u32) -> u32 {
 
 fn field_funct7(word: u32) -> u32 {
     word >> 25
+}
+
+/// The op of `table`'s row with these function bits.
+fn op_with<Op: Copy>(table: &[OpRow<Op>], word: u32, f3: u32, f7: u32) -> Result<Op, DecodeError> {
+    table
+        .iter()
+        .find(|row| row.funct3 == f3 && row.funct7 == f7)
+        .map(|row| row.op)
+        .ok_or(DecodeError::UnknownFunction { word })
 }
 
 /// Sign-extends the low `bits` bits of `value`.
@@ -100,21 +110,18 @@ pub fn decode(word: u32) -> Result<Inst, DecodeError> {
                 offset,
             })
         }
-        OPC_JALR => Ok(Inst::Jalr {
-            rd: field_rd(word)?,
-            rs1: field_rs1(word)?,
-            offset: i_imm(word),
-        }),
+        OPC_JALR => {
+            if field_funct3(word) != F3_JALR {
+                return Err(DecodeError::UnknownFunction { word });
+            }
+            Ok(Inst::Jalr {
+                rd: field_rd(word)?,
+                rs1: field_rs1(word)?,
+                offset: i_imm(word),
+            })
+        }
         OPC_BRANCH => {
-            let op = match field_funct3(word) {
-                0b000 => BranchOp::Eq,
-                0b001 => BranchOp::Ne,
-                0b100 => BranchOp::Lt,
-                0b101 => BranchOp::Ge,
-                0b110 => BranchOp::Ltu,
-                0b111 => BranchOp::Geu,
-                _ => return Err(DecodeError::UnknownFunction { word }),
-            };
+            let op = op_with(&BRANCH_OPS, word, field_funct3(word), 0)?;
             let offset = b_imm(word);
             if offset % 4 != 0 {
                 return Err(DecodeError::MisalignedTarget { offset });
@@ -126,118 +133,78 @@ pub fn decode(word: u32) -> Result<Inst, DecodeError> {
                 offset,
             })
         }
-        OPC_LOAD => {
-            let op = match field_funct3(word) {
-                0b000 => LoadOp::Byte,
-                0b001 => LoadOp::Half,
-                0b010 => LoadOp::Word,
-                0b100 => LoadOp::ByteU,
-                0b101 => LoadOp::HalfU,
-                _ => return Err(DecodeError::UnknownFunction { word }),
-            };
-            Ok(Inst::Load {
-                op,
-                rd: field_rd(word)?,
-                rs1: field_rs1(word)?,
-                offset: i_imm(word),
-            })
-        }
-        OPC_STORE => {
-            let op = match field_funct3(word) {
-                0b000 => StoreOp::Byte,
-                0b001 => StoreOp::Half,
-                0b010 => StoreOp::Word,
-                _ => return Err(DecodeError::UnknownFunction { word }),
-            };
-            Ok(Inst::Store {
-                op,
-                rs1: field_rs1(word)?,
-                rs2: field_rs2(word)?,
-                offset: s_imm(word),
-            })
-        }
+        OPC_LOAD => Ok(Inst::Load {
+            op: op_with(&LOAD_OPS, word, field_funct3(word), 0)?,
+            rd: field_rd(word)?,
+            rs1: field_rs1(word)?,
+            offset: i_imm(word),
+        }),
+        OPC_STORE => Ok(Inst::Store {
+            op: op_with(&STORE_OPS, word, field_funct3(word), 0)?,
+            rs1: field_rs1(word)?,
+            rs2: field_rs2(word)?,
+            offset: s_imm(word),
+        }),
         OPC_OP_IMM => {
-            let rd = field_rd(word)?;
-            let rs1 = field_rs1(word)?;
-            let (op, imm) = match field_funct3(word) {
-                0b000 => (AluOp::Add, i_imm(word)),
-                0b010 => (AluOp::Slt, i_imm(word)),
-                0b011 => (AluOp::Sltu, i_imm(word)),
-                0b100 => (AluOp::Xor, i_imm(word)),
-                0b110 => (AluOp::Or, i_imm(word)),
-                0b111 => (AluOp::And, i_imm(word)),
-                0b001 => {
-                    if field_funct7(word) != 0 {
-                        return Err(DecodeError::UnknownFunction { word });
-                    }
-                    (AluOp::Sll, ((word >> 20) & 0x1f) as i32)
-                }
-                0b101 => match field_funct7(word) {
-                    0b000_0000 => (AluOp::Srl, ((word >> 20) & 0x1f) as i32),
-                    0b010_0000 => (AluOp::Sra, ((word >> 20) & 0x1f) as i32),
-                    _ => return Err(DecodeError::UnknownFunction { word }),
-                },
-                _ => unreachable!("funct3 is 3 bits"),
+            let f3 = field_funct3(word);
+            // Every funct3 names one op with funct7 zero. A shift's
+            // immediate holds its funct7 above a 5-bit amount.
+            let base = op_with(&ALU_OPS, word, f3, 0)?;
+            let (op, imm) = if base.is_shift() {
+                let op = op_with(&ALU_OPS, word, f3, field_funct7(word))?;
+                (op, ((word >> 20) & 0x1f) as i32)
+            } else {
+                (base, i_imm(word))
             };
-            Ok(Inst::OpImm { op, rd, rs1, imm })
-        }
-        OPC_OP => {
-            let op = match (field_funct3(word), field_funct7(word)) {
-                (0b000, 0b000_0000) => AluOp::Add,
-                (0b000, 0b010_0000) => AluOp::Sub,
-                (0b001, 0b000_0000) => AluOp::Sll,
-                (0b010, 0b000_0000) => AluOp::Slt,
-                (0b011, 0b000_0000) => AluOp::Sltu,
-                (0b100, 0b000_0000) => AluOp::Xor,
-                (0b101, 0b000_0000) => AluOp::Srl,
-                (0b101, 0b010_0000) => AluOp::Sra,
-                (0b110, 0b000_0000) => AluOp::Or,
-                (0b111, 0b000_0000) => AluOp::And,
-                _ => return Err(DecodeError::UnknownFunction { word }),
-            };
-            Ok(Inst::Op {
+            Ok(Inst::OpImm {
                 op,
                 rd: field_rd(word)?,
                 rs1: field_rs1(word)?,
-                rs2: field_rs2(word)?,
+                imm,
             })
         }
+        OPC_OP => Ok(Inst::Op {
+            op: op_with(&ALU_OPS, word, field_funct3(word), field_funct7(word))?,
+            rd: field_rd(word)?,
+            rs1: field_rs1(word)?,
+            rs2: field_rs2(word)?,
+        }),
         OPC_HISQ => match field_funct3(word) {
-            0b000 => Ok(Inst::WaitI {
+            F3_WAITI => Ok(Inst::WaitI {
                 cycles: ((word >> 7) & 0x1f) | ((word >> 15) << 5),
             }),
-            0b001 => Ok(Inst::WaitR {
+            F3_WAITR => Ok(Inst::WaitR {
                 rs1: field_rs1(word)?,
             }),
-            0b010 => Ok(Inst::Cw {
+            F3_CW_II => Ok(Inst::Cw {
                 port: CwOperand::Imm((word >> 7) & 0x1f),
                 codeword: CwOperand::Imm(word >> 15),
             }),
-            0b011 => Ok(Inst::Cw {
+            F3_CW_IR => Ok(Inst::Cw {
                 port: CwOperand::Imm((word >> 7) & 0x1f),
                 codeword: CwOperand::Reg(field_rs1(word)?),
             }),
-            0b100 => Ok(Inst::Cw {
+            F3_CW_RI => Ok(Inst::Cw {
                 port: CwOperand::Reg(field_rs1(word)?),
                 codeword: CwOperand::Imm(word >> 20),
             }),
-            0b101 => Ok(Inst::Cw {
+            F3_CW_RR => Ok(Inst::Cw {
                 port: CwOperand::Reg(field_rs1(word)?),
                 codeword: CwOperand::Reg(field_rs2(word)?),
             }),
-            0b110 => Ok(Inst::Sync {
+            F3_SYNC => Ok(Inst::Sync {
                 target: (word >> 20) as u16,
                 horizon: field_rs1(word)?,
             }),
-            0b111 => Ok(Inst::Stop),
-            _ => unreachable!("funct3 is 3 bits"),
+            F3_STOP => Ok(Inst::Stop),
+            _ => Err(DecodeError::UnknownFunction { word }),
         },
         OPC_MSG => match field_funct3(word) {
-            0b000 => Ok(Inst::Send {
+            F3_SEND => Ok(Inst::Send {
                 target: (word >> 20) as u16,
                 rs1: field_rs1(word)?,
             }),
-            0b001 => Ok(Inst::Recv {
+            F3_RECV => Ok(Inst::Recv {
                 rd: field_rd(word)?,
                 source: (word >> 20) as u16,
             }),
@@ -260,6 +227,7 @@ pub fn decode_all(words: &[u32]) -> Result<Vec<Inst>, DecodeError> {
 mod tests {
     use super::*;
     use crate::encode::encode;
+    use crate::inst::{AluOp, BranchOp, LoadOp, StoreOp};
 
     fn reg(i: u8) -> Reg {
         Reg::new(i).unwrap()
@@ -447,6 +415,11 @@ mod tests {
             decode(word),
             Err(DecodeError::UnknownFunction { .. })
         ));
+        // `jalr x1, x0, 0` with funct3 = 001, which RV32I reserves.
+        assert_eq!(
+            decode(0x0000_10e7),
+            Err(DecodeError::UnknownFunction { word: 0x0000_10e7 })
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! | `001` | `recv` | `src[11:0]` in `[31:20]`, `rd` in `[11:7]` |
 
 use crate::error::EncodeError;
-use crate::inst::{AluOp, BranchOp, CwOperand, Inst, LoadOp, StoreOp};
+use crate::inst::{CwOperand, Inst};
 use crate::reg::Reg;
 use crate::{MAX_NODE_ADDR, MAX_WAITI_CYCLES};
 
@@ -49,24 +49,19 @@ pub const OPC_HISQ: u32 = 0b000_1011;
 /// RISC-V custom-1 opcode, hosting the HISQ message-unit group.
 pub const OPC_MSG: u32 = 0b010_1011;
 
-fn imm_range(mnemonic: &'static str, value: i64, min: i64, max: i64) -> Result<(), EncodeError> {
-    if value < min || value > max {
-        return Err(EncodeError::ImmediateOutOfRange {
-            mnemonic,
-            value,
-            min,
-            max,
-        });
-    }
-    Ok(())
-}
-
-fn aligned(mnemonic: &'static str, offset: i32) -> Result<(), EncodeError> {
-    if offset % 4 != 0 {
-        return Err(EncodeError::MisalignedOffset { mnemonic, offset });
-    }
-    Ok(())
-}
+// The funct3 of `jalr` and of each HISQ instruction (tables above);
+// the ALU, branch, load and store ops keep theirs in their op tables.
+pub(crate) const F3_JALR: u32 = 0b000;
+pub(crate) const F3_WAITI: u32 = 0b000;
+pub(crate) const F3_WAITR: u32 = 0b001;
+pub(crate) const F3_CW_II: u32 = 0b010;
+pub(crate) const F3_CW_IR: u32 = 0b011;
+pub(crate) const F3_CW_RI: u32 = 0b100;
+pub(crate) const F3_CW_RR: u32 = 0b101;
+pub(crate) const F3_SYNC: u32 = 0b110;
+pub(crate) const F3_STOP: u32 = 0b111;
+pub(crate) const F3_SEND: u32 = 0b000;
+pub(crate) const F3_RECV: u32 = 0b001;
 
 fn rd(reg: Reg) -> u32 {
     reg.bits() << 7
@@ -125,11 +120,14 @@ fn j_type(dst: Reg, offset: i32) -> u32 {
 
 /// Encodes one instruction into its 32-bit word.
 ///
+/// This is the ISA's one field check: the assembler passes every
+/// instruction it emits through it.
+///
 /// # Errors
 ///
 /// Returns [`EncodeError`] if an immediate operand does not fit its field
 /// or a control-flow offset is not 4-byte aligned. `subi` (an
-/// [`Inst::OpImm`] with [`AluOp::Sub`]) is rejected as in RV32I.
+/// [`Inst::OpImm`] with [`crate::AluOp::Sub`]) is rejected as in RV32I.
 ///
 /// # Example
 ///
@@ -141,18 +139,41 @@ fn j_type(dst: Reg, offset: i32) -> u32 {
 /// # Ok::<(), hisq_isa::EncodeError>(())
 /// ```
 pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
+    let range = |value: i64, min: i64, max: i64| {
+        if (min..=max).contains(&value) {
+            Ok(())
+        } else {
+            Err(EncodeError::ImmediateOutOfRange {
+                mnemonic: inst.mnemonic(),
+                value,
+                min,
+                max,
+            })
+        }
+    };
+    let aligned = |offset: i32| {
+        if offset % 4 == 0 {
+            Ok(())
+        } else {
+            Err(EncodeError::MisalignedOffset {
+                mnemonic: inst.mnemonic(),
+                offset,
+            })
+        }
+    };
+    let node = |addr: u16| range(addr.into(), 0, MAX_NODE_ADDR.into());
     match *inst {
         Inst::Lui { rd: dst, imm20 } => {
-            imm_range("lui", i64::from(imm20), 0, (1 << 20) - 1)?;
+            range(imm20.into(), 0, (1 << 20) - 1)?;
             Ok(OPC_LUI | rd(dst) | (imm20 << 12))
         }
         Inst::Auipc { rd: dst, imm20 } => {
-            imm_range("auipc", i64::from(imm20), 0, (1 << 20) - 1)?;
+            range(imm20.into(), 0, (1 << 20) - 1)?;
             Ok(OPC_AUIPC | rd(dst) | (imm20 << 12))
         }
         Inst::Jal { rd: dst, offset } => {
-            imm_range("jal", i64::from(offset), -(1 << 20), (1 << 20) - 2)?;
-            aligned("jal", offset)?;
+            range(offset.into(), -(1 << 20), (1 << 20) - 2)?;
+            aligned(offset)?;
             Ok(j_type(dst, offset))
         }
         Inst::Jalr {
@@ -160,8 +181,8 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
             rs1: base,
             offset,
         } => {
-            imm_range("jalr", i64::from(offset), -2048, 2047)?;
-            Ok(i_type(OPC_JALR, 0b000, dst, base, offset))
+            range(offset.into(), -2048, 2047)?;
+            Ok(i_type(OPC_JALR, F3_JALR, dst, base, offset))
         }
         Inst::Branch {
             op,
@@ -169,17 +190,9 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
             rs2: right,
             offset,
         } => {
-            imm_range(op.mnemonic(), i64::from(offset), -4096, 4094)?;
-            aligned(op.mnemonic(), offset)?;
-            let f3 = match op {
-                BranchOp::Eq => 0b000,
-                BranchOp::Ne => 0b001,
-                BranchOp::Lt => 0b100,
-                BranchOp::Ge => 0b101,
-                BranchOp::Ltu => 0b110,
-                BranchOp::Geu => 0b111,
-            };
-            Ok(b_type(f3, left, right, offset))
+            range(offset.into(), -4096, 4094)?;
+            aligned(offset)?;
+            Ok(b_type(op.row().funct3, left, right, offset))
         }
         Inst::Load {
             op,
@@ -187,15 +200,8 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
             rs1: base,
             offset,
         } => {
-            imm_range(op.mnemonic(), i64::from(offset), -2048, 2047)?;
-            let f3 = match op {
-                LoadOp::Byte => 0b000,
-                LoadOp::Half => 0b001,
-                LoadOp::Word => 0b010,
-                LoadOp::ByteU => 0b100,
-                LoadOp::HalfU => 0b101,
-            };
-            Ok(i_type(OPC_LOAD, f3, dst, base, offset))
+            range(offset.into(), -2048, 2047)?;
+            Ok(i_type(OPC_LOAD, op.row().funct3, dst, base, offset))
         }
         Inst::Store {
             op,
@@ -203,13 +209,8 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
             rs2: src,
             offset,
         } => {
-            imm_range(op.mnemonic(), i64::from(offset), -2048, 2047)?;
-            let f3 = match op {
-                StoreOp::Byte => 0b000,
-                StoreOp::Half => 0b001,
-                StoreOp::Word => 0b010,
-            };
-            Ok(s_type(f3, base, src, offset))
+            range(offset.into(), -2048, 2047)?;
+            Ok(s_type(op.row().funct3, base, src, offset))
         }
         Inst::OpImm {
             op,
@@ -217,38 +218,15 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
             rs1: src,
             imm,
         } => {
-            let (f3, imm_field) = match op {
-                AluOp::Add => (0b000, imm),
-                AluOp::Slt => (0b010, imm),
-                AluOp::Sltu => (0b011, imm),
-                AluOp::Xor => (0b100, imm),
-                AluOp::Or => (0b110, imm),
-                AluOp::And => (0b111, imm),
-                AluOp::Sll => {
-                    imm_range("slli", i64::from(imm), 0, 31)?;
-                    (0b001, imm)
-                }
-                AluOp::Srl => {
-                    imm_range("srli", i64::from(imm), 0, 31)?;
-                    (0b101, imm)
-                }
-                AluOp::Sra => {
-                    imm_range("srai", i64::from(imm), 0, 31)?;
-                    (0b101, imm | (0b010_0000 << 5))
-                }
-                AluOp::Sub => {
-                    return Err(EncodeError::ImmediateOutOfRange {
-                        mnemonic: "subi",
-                        value: i64::from(imm),
-                        min: 0,
-                        max: -1, // empty range: no such instruction
-                    });
-                }
+            let row = op.row();
+            let (min, max, field) = match (op.is_shift(), row.funct7) {
+                (true, f7) => (0, 31, imm | (f7 << 5) as i32),
+                (false, 0) => (-2048, 2047, imm),
+                // No room for funct7: an empty range, so no `subi`.
+                (false, _) => (0, -1, imm),
             };
-            if !matches!(op, AluOp::Sll | AluOp::Srl | AluOp::Sra) {
-                imm_range(inst.mnemonic(), i64::from(imm), -2048, 2047)?;
-            }
-            Ok(i_type(OPC_OP_IMM, f3, dst, src, imm_field))
+            range(imm.into(), min, max)?;
+            Ok(i_type(OPC_OP_IMM, row.funct3, dst, src, field))
         }
         Inst::Op {
             op,
@@ -256,56 +234,45 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
             rs1: left,
             rs2: right,
         } => {
-            let (f3, f7) = match op {
-                AluOp::Add => (0b000, 0b000_0000),
-                AluOp::Sub => (0b000, 0b010_0000),
-                AluOp::Sll => (0b001, 0b000_0000),
-                AluOp::Slt => (0b010, 0b000_0000),
-                AluOp::Sltu => (0b011, 0b000_0000),
-                AluOp::Xor => (0b100, 0b000_0000),
-                AluOp::Srl => (0b101, 0b000_0000),
-                AluOp::Sra => (0b101, 0b010_0000),
-                AluOp::Or => (0b110, 0b000_0000),
-                AluOp::And => (0b111, 0b000_0000),
-            };
-            Ok(OPC_OP | rd(dst) | funct3(f3) | rs1(left) | rs2(right) | (f7 << 25))
+            let row = op.row();
+            Ok(OPC_OP | rd(dst) | funct3(row.funct3) | rs1(left) | rs2(right) | (row.funct7 << 25))
         }
 
         Inst::WaitI { cycles } => {
-            imm_range("waiti", i64::from(cycles), 0, i64::from(MAX_WAITI_CYCLES))?;
-            Ok(OPC_HISQ | funct3(0b000) | ((cycles & 0x1f) << 7) | ((cycles >> 5) << 15))
+            range(cycles.into(), 0, MAX_WAITI_CYCLES.into())?;
+            Ok(OPC_HISQ | funct3(F3_WAITI) | ((cycles & 0x1f) << 7) | ((cycles >> 5) << 15))
         }
-        Inst::WaitR { rs1: src } => Ok(OPC_HISQ | funct3(0b001) | rs1(src)),
+        Inst::WaitR { rs1: src } => Ok(OPC_HISQ | funct3(F3_WAITR) | rs1(src)),
         Inst::Cw { port, codeword } => match (port, codeword) {
             (CwOperand::Imm(p), CwOperand::Imm(cw)) => {
-                imm_range("cw.i.i", i64::from(p), 0, 31)?;
-                imm_range("cw.i.i", i64::from(cw), 0, (1 << 17) - 1)?;
-                Ok(OPC_HISQ | (p << 7) | funct3(0b010) | (cw << 15))
+                range(p.into(), 0, 31)?;
+                range(cw.into(), 0, (1 << 17) - 1)?;
+                Ok(OPC_HISQ | (p << 7) | funct3(F3_CW_II) | (cw << 15))
             }
             (CwOperand::Imm(p), CwOperand::Reg(r)) => {
-                imm_range("cw.i.r", i64::from(p), 0, 31)?;
-                Ok(OPC_HISQ | (p << 7) | funct3(0b011) | rs1(r))
+                range(p.into(), 0, 31)?;
+                Ok(OPC_HISQ | (p << 7) | funct3(F3_CW_IR) | rs1(r))
             }
             (CwOperand::Reg(r), CwOperand::Imm(cw)) => {
-                imm_range("cw.r.i", i64::from(cw), 0, (1 << 12) - 1)?;
-                Ok(OPC_HISQ | funct3(0b100) | rs1(r) | (cw << 20))
+                range(cw.into(), 0, (1 << 12) - 1)?;
+                Ok(OPC_HISQ | funct3(F3_CW_RI) | rs1(r) | (cw << 20))
             }
             (CwOperand::Reg(rp), CwOperand::Reg(rc)) => {
-                Ok(OPC_HISQ | funct3(0b101) | rs1(rp) | rs2(rc))
+                Ok(OPC_HISQ | funct3(F3_CW_RR) | rs1(rp) | rs2(rc))
             }
         },
         Inst::Sync { target, horizon } => {
-            imm_range("sync", i64::from(target), 0, i64::from(MAX_NODE_ADDR))?;
-            Ok(OPC_HISQ | funct3(0b110) | rs1(horizon) | (u32::from(target) << 20))
+            node(target)?;
+            Ok(OPC_HISQ | funct3(F3_SYNC) | rs1(horizon) | (u32::from(target) << 20))
         }
-        Inst::Stop => Ok(OPC_HISQ | funct3(0b111)),
+        Inst::Stop => Ok(OPC_HISQ | funct3(F3_STOP)),
         Inst::Send { target, rs1: src } => {
-            imm_range("send", i64::from(target), 0, i64::from(MAX_NODE_ADDR))?;
-            Ok(OPC_MSG | funct3(0b000) | rs1(src) | (u32::from(target) << 20))
+            node(target)?;
+            Ok(OPC_MSG | funct3(F3_SEND) | rs1(src) | (u32::from(target) << 20))
         }
         Inst::Recv { rd: dst, source } => {
-            imm_range("recv", i64::from(source), 0, i64::from(MAX_NODE_ADDR))?;
-            Ok(OPC_MSG | funct3(0b001) | rd(dst) | (u32::from(source) << 20))
+            node(source)?;
+            Ok(OPC_MSG | funct3(F3_RECV) | rd(dst) | (u32::from(source) << 20))
         }
     }
 }
@@ -322,6 +289,7 @@ pub fn encode_all(insts: &[Inst]) -> Result<Vec<u32>, EncodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inst::{AluOp, BranchOp};
 
     fn reg(i: u8) -> Reg {
         Reg::new(i).unwrap()

@@ -13,7 +13,7 @@
 //! | `send`/`recv` | classical messages between controllers (Message Unit) |
 //! | `stop` | halt the controller (simulation-friendly program end) |
 
-use std::fmt;
+use std::fmt::{self, Display};
 
 use crate::reg::Reg;
 
@@ -44,20 +44,19 @@ pub enum AluOp {
 }
 
 impl AluOp {
+    /// The op's row of [`ALU_OPS`].
+    pub(crate) fn row(self) -> &'static OpRow<AluOp> {
+        &ALU_OPS[self as usize]
+    }
+
     /// The mnemonic of the register-register form.
     pub fn mnemonic(self) -> &'static str {
-        match self {
-            AluOp::Add => "add",
-            AluOp::Sub => "sub",
-            AluOp::Sll => "sll",
-            AluOp::Slt => "slt",
-            AluOp::Sltu => "sltu",
-            AluOp::Xor => "xor",
-            AluOp::Srl => "srl",
-            AluOp::Sra => "sra",
-            AluOp::Or => "or",
-            AluOp::And => "and",
-        }
+        self.row().mnemonic
+    }
+
+    /// `true` for the shifts, whose immediate form takes a 5-bit amount.
+    pub(crate) fn is_shift(self) -> bool {
+        matches!(self, AluOp::Sll | AluOp::Srl | AluOp::Sra)
     }
 }
 
@@ -79,16 +78,14 @@ pub enum BranchOp {
 }
 
 impl BranchOp {
+    /// The op's row of [`BRANCH_OPS`].
+    pub(crate) fn row(self) -> &'static OpRow<BranchOp> {
+        &BRANCH_OPS[self as usize]
+    }
+
     /// The branch mnemonic, e.g. `"bne"`.
     pub fn mnemonic(self) -> &'static str {
-        match self {
-            BranchOp::Eq => "beq",
-            BranchOp::Ne => "bne",
-            BranchOp::Lt => "blt",
-            BranchOp::Ge => "bge",
-            BranchOp::Ltu => "bltu",
-            BranchOp::Geu => "bgeu",
-        }
+        self.row().mnemonic
     }
 
     /// Evaluates the comparison on two register values.
@@ -120,15 +117,14 @@ pub enum LoadOp {
 }
 
 impl LoadOp {
+    /// The op's row of [`LOAD_OPS`].
+    pub(crate) fn row(self) -> &'static OpRow<LoadOp> {
+        &LOAD_OPS[self as usize]
+    }
+
     /// The load mnemonic, e.g. `"lw"`.
     pub fn mnemonic(self) -> &'static str {
-        match self {
-            LoadOp::Byte => "lb",
-            LoadOp::Half => "lh",
-            LoadOp::Word => "lw",
-            LoadOp::ByteU => "lbu",
-            LoadOp::HalfU => "lhu",
-        }
+        self.row().mnemonic
     }
 }
 
@@ -144,15 +140,93 @@ pub enum StoreOp {
 }
 
 impl StoreOp {
+    /// The op's row of [`STORE_OPS`].
+    pub(crate) fn row(self) -> &'static OpRow<StoreOp> {
+        &STORE_OPS[self as usize]
+    }
+
     /// The store mnemonic, e.g. `"sw"`.
     pub fn mnemonic(self) -> &'static str {
-        match self {
-            StoreOp::Byte => "sb",
-            StoreOp::Half => "sh",
-            StoreOp::Word => "sw",
-        }
+        self.row().mnemonic
     }
 }
+
+/// One row of an op table: an op, its mnemonics and its function bits.
+/// Each table lists its kind's ops in declaration order, so `op as
+/// usize` indexes it. `mnemonic()`, `encode`, `decode` and the
+/// assembler all read an op's names and bits from its row.
+#[derive(Debug)]
+pub(crate) struct OpRow<Op> {
+    pub(crate) op: Op,
+    /// The mnemonic (of the register form, for an ALU op).
+    pub(crate) mnemonic: &'static str,
+    /// The immediate form's mnemonic (ALU ops only).
+    pub(crate) imm_mnemonic: &'static str,
+    pub(crate) funct3: u32,
+    /// funct7 (ALU ops only). A shift's immediate form carries it in
+    /// `imm[11:5]`; no other immediate form has room for it.
+    pub(crate) funct7: u32,
+}
+
+const fn alu(op: AluOp, reg: &'static str, imm: &'static str, f3: u32, f7: u32) -> OpRow<AluOp> {
+    OpRow {
+        imm_mnemonic: imm,
+        funct7: f7,
+        ..row(op, reg, f3)
+    }
+}
+
+const fn row<Op>(op: Op, mnemonic: &'static str, funct3: u32) -> OpRow<Op> {
+    OpRow {
+        op,
+        mnemonic,
+        imm_mnemonic: "",
+        funct3,
+        funct7: 0,
+    }
+}
+
+/// The ALU ops: register and immediate mnemonics, funct3, funct7.
+/// `sub`'s funct7 would sit in `subi`'s immediate, so `subi` has no
+/// encoding.
+pub(crate) static ALU_OPS: [OpRow<AluOp>; 10] = [
+    alu(AluOp::Add, "add", "addi", 0b000, 0b000_0000),
+    alu(AluOp::Sub, "sub", "subi", 0b000, 0b010_0000),
+    alu(AluOp::Sll, "sll", "slli", 0b001, 0b000_0000),
+    alu(AluOp::Slt, "slt", "slti", 0b010, 0b000_0000),
+    alu(AluOp::Sltu, "sltu", "sltiu", 0b011, 0b000_0000),
+    alu(AluOp::Xor, "xor", "xori", 0b100, 0b000_0000),
+    alu(AluOp::Srl, "srl", "srli", 0b101, 0b000_0000),
+    alu(AluOp::Sra, "sra", "srai", 0b101, 0b010_0000),
+    alu(AluOp::Or, "or", "ori", 0b110, 0b000_0000),
+    alu(AluOp::And, "and", "andi", 0b111, 0b000_0000),
+];
+
+/// The branches: mnemonic and funct3.
+pub(crate) static BRANCH_OPS: [OpRow<BranchOp>; 6] = [
+    row(BranchOp::Eq, "beq", 0b000),
+    row(BranchOp::Ne, "bne", 0b001),
+    row(BranchOp::Lt, "blt", 0b100),
+    row(BranchOp::Ge, "bge", 0b101),
+    row(BranchOp::Ltu, "bltu", 0b110),
+    row(BranchOp::Geu, "bgeu", 0b111),
+];
+
+/// The loads: mnemonic and funct3.
+pub(crate) static LOAD_OPS: [OpRow<LoadOp>; 5] = [
+    row(LoadOp::Byte, "lb", 0b000),
+    row(LoadOp::Half, "lh", 0b001),
+    row(LoadOp::Word, "lw", 0b010),
+    row(LoadOp::ByteU, "lbu", 0b100),
+    row(LoadOp::HalfU, "lhu", 0b101),
+];
+
+/// The stores: mnemonic and funct3.
+pub(crate) static STORE_OPS: [OpRow<StoreOp>; 3] = [
+    row(StoreOp::Byte, "sb", 0b000),
+    row(StoreOp::Half, "sh", 0b001),
+    row(StoreOp::Word, "sw", 0b010),
+];
 
 /// An operand of a `cw` instruction: either an immediate or a
 /// general-purpose register, mirroring the `cw.x.x` syntax of §3.1.2.
@@ -174,8 +248,8 @@ impl CwOperand {
 impl fmt::Display for CwOperand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CwOperand::Imm(v) => write!(f, "{v}"),
-            CwOperand::Reg(r) => write!(f, "{r}"),
+            CwOperand::Imm(v) => v.fmt(f),
+            CwOperand::Reg(r) => r.fmt(f),
         }
     }
 }
@@ -185,6 +259,23 @@ impl fmt::Display for CwOperand {
 /// Offsets on control-transfer instructions are **byte** offsets relative
 /// to the instruction's own address, matching both RISC-V convention and
 /// the paper's listings (e.g. `bne $1,$2,-28`).
+///
+/// # Example
+///
+/// `Display` prints assembler input: `x5`-style registers under `{}`,
+/// ABI names under `{:#}` (the compiler's listing style).
+///
+/// ```
+/// use hisq_isa::{Inst, Program, Reg};
+///
+/// let wait = Inst::WaitR { rs1: Reg::T0 };
+/// assert_eq!(wait.to_string(), "waitr x5");
+/// assert_eq!(format!("{wait:#}"), "waitr t0");
+///
+/// // A program prints one instruction per line.
+/// let program = Program::new(vec![Inst::WaitI { cycles: 57 }, Inst::Stop]);
+/// assert_eq!(program.to_string(), "waiti 57\nstop\n");
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Inst {
     // ---- RV32I base subset -------------------------------------------
@@ -352,18 +443,7 @@ impl Inst {
             Inst::Branch { op, .. } => op.mnemonic(),
             Inst::Load { op, .. } => op.mnemonic(),
             Inst::Store { op, .. } => op.mnemonic(),
-            Inst::OpImm { op, .. } => match op {
-                AluOp::Add => "addi",
-                AluOp::Sub => "subi", // rejected by the encoder
-                AluOp::Sll => "slli",
-                AluOp::Slt => "slti",
-                AluOp::Sltu => "sltiu",
-                AluOp::Xor => "xori",
-                AluOp::Srl => "srli",
-                AluOp::Sra => "srai",
-                AluOp::Or => "ori",
-                AluOp::And => "andi",
-            },
+            Inst::OpImm { op, .. } => op.row().imm_mnemonic,
             Inst::Op { op, .. } => op.mnemonic(),
             Inst::WaitI { .. } => "waiti",
             Inst::WaitR { .. } => "waitr",
@@ -408,53 +488,56 @@ impl Inst {
     }
 }
 
+/// Assembler syntax, which re-assembles to the same instruction:
+/// registers print as `x5`, or by ABI name (`t0`) under `{:#}`.
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Inst::Lui { rd, imm20 } => write!(f, "lui {rd}, {imm20}"),
-            Inst::Auipc { rd, imm20 } => write!(f, "auipc {rd}, {imm20}"),
-            Inst::Jal { rd, offset } => write!(f, "jal {rd}, {offset}"),
-            Inst::Jalr { rd, rs1, offset } => write!(f, "jalr {rd}, {rs1}, {offset}"),
+        // Each operand formats with `f` itself, so `{:#}` reaches the
+        // registers (an integer prints the same under either flag).
+        let operands: &[&dyn Display] = match self {
+            Inst::Lui { rd, imm20 } | Inst::Auipc { rd, imm20 } => &[rd, imm20],
+            Inst::Jal { rd, offset } => &[rd, offset],
+            Inst::Jalr { rd, rs1, offset } => &[rd, rs1, offset],
             Inst::Branch {
-                op,
-                rs1,
-                rs2,
-                offset,
-            } => write!(f, "{} {rs1}, {rs2}, {offset}", op.mnemonic()),
+                rs1, rs2, offset, ..
+            } => &[rs1, rs2, offset],
             Inst::Load {
-                op,
-                rd,
-                rs1,
-                offset,
-            } => write!(f, "{} {rd}, {offset}({rs1})", op.mnemonic()),
+                rd, rs1, offset, ..
+            } => &[rd, &Mem(*offset, *rs1)],
             Inst::Store {
-                op,
-                rs1,
-                rs2,
-                offset,
-            } => write!(f, "{} {rs2}, {offset}({rs1})", op.mnemonic()),
-            Inst::OpImm { rd, rs1, imm, .. } => {
-                write!(f, "{} {rd}, {rs1}, {imm}", self.mnemonic())
-            }
-            Inst::Op { op, rd, rs1, rs2 } => {
-                write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic())
-            }
-            Inst::WaitI { cycles } => write!(f, "waiti {cycles}"),
-            Inst::WaitR { rs1 } => write!(f, "waitr {rs1}"),
-            Inst::Cw { port, codeword } => {
-                write!(f, "{} {port}, {codeword}", self.mnemonic())
-            }
-            Inst::Sync { target, horizon } => {
-                if horizon == Reg::X0 {
-                    write!(f, "sync {target}")
-                } else {
-                    write!(f, "sync {target}, {horizon}")
-                }
-            }
-            Inst::Send { target, rs1 } => write!(f, "send {target}, {rs1}"),
-            Inst::Recv { rd, source } => write!(f, "recv {rd}, {source}"),
-            Inst::Stop => write!(f, "stop"),
+                rs1, rs2, offset, ..
+            } => &[rs2, &Mem(*offset, *rs1)],
+            Inst::OpImm { rd, rs1, imm, .. } => &[rd, rs1, imm],
+            Inst::Op { rd, rs1, rs2, .. } => &[rd, rs1, rs2],
+            Inst::WaitI { cycles } => &[cycles],
+            Inst::WaitR { rs1 } => &[rs1],
+            Inst::Cw { port, codeword } => &[port, codeword],
+            Inst::Sync {
+                target,
+                horizon: Reg::X0,
+            } => &[target],
+            Inst::Sync { target, horizon } => &[target, horizon],
+            Inst::Send { target, rs1 } => &[target, rs1],
+            Inst::Recv { rd, source } => &[rd, source],
+            Inst::Stop => &[],
+        };
+        f.write_str(self.mnemonic())?;
+        for (i, operand) in operands.iter().enumerate() {
+            f.write_str(if i == 0 { " " } else { ", " })?;
+            operand.fmt(f)?;
         }
+        Ok(())
+    }
+}
+
+/// A load or store's `offset(base)` operand.
+struct Mem(i32, Reg);
+
+impl fmt::Display for Mem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}(", self.0)?;
+        self.1.fmt(f)?;
+        f.write_str(")")
     }
 }
 
@@ -488,6 +571,94 @@ mod tests {
         for (port, codeword, expected) in cases {
             assert_eq!(Inst::Cw { port, codeword }.mnemonic(), expected);
         }
+    }
+
+    #[test]
+    fn alternate_display_names_registers_by_abi() {
+        let cases = [
+            (
+                Inst::Load {
+                    op: LoadOp::Word,
+                    rd: reg(10),
+                    rs1: reg(2),
+                    offset: -4,
+                },
+                "lw x10, -4(x2)",
+                "lw a0, -4(sp)",
+            ),
+            (
+                Inst::Store {
+                    op: StoreOp::Byte,
+                    rs1: reg(8),
+                    rs2: reg(10),
+                    offset: 8,
+                },
+                "sb x10, 8(x8)",
+                "sb a0, 8(s0)",
+            ),
+            (
+                Inst::OpImm {
+                    op: AluOp::Sra,
+                    rd: Reg::T0,
+                    rs1: Reg::X0,
+                    imm: 3,
+                },
+                "srai x5, x0, 3",
+                "srai t0, zero, 3",
+            ),
+            (
+                Inst::Cw {
+                    port: CwOperand::Reg(Reg::T0),
+                    codeword: CwOperand::Imm(9),
+                },
+                "cw.r.i x5, 9",
+                "cw.r.i t0, 9",
+            ),
+            (
+                Inst::Sync {
+                    target: 3,
+                    horizon: Reg::T6,
+                },
+                "sync 3, x31",
+                "sync 3, t6",
+            ),
+            (Inst::Stop, "stop", "stop"),
+        ];
+        for (inst, plain, abi) in cases {
+            assert_eq!(inst.to_string(), plain);
+            assert_eq!(format!("{inst:#}"), abi);
+        }
+    }
+
+    #[test]
+    fn op_tables_are_indexed_by_op_with_unique_names_and_bits() {
+        fn check<Op: Copy + fmt::Debug>(
+            table: &[OpRow<Op>],
+            index: fn(Op) -> usize,
+            names: &mut Vec<&'static str>,
+        ) {
+            for (i, row) in table.iter().enumerate() {
+                assert_eq!(index(row.op), i, "{:?} sits at its index", row.op);
+                let bits = |r: &OpRow<Op>| (r.funct3, r.funct7);
+                let clash = table[..i].iter().find(|r| bits(r) == bits(row));
+                assert!(clash.is_none(), "{:?} repeats {clash:?}'s bits", row.op);
+                names.extend(
+                    [row.mnemonic, row.imm_mnemonic]
+                        .iter()
+                        .filter(|n| !n.is_empty()),
+                );
+            }
+        }
+        let mut names = Vec::new();
+        check(&ALU_OPS, |op| op as usize, &mut names);
+        check(&BRANCH_OPS, |op| op as usize, &mut names);
+        check(&LOAD_OPS, |op| op as usize, &mut names);
+        check(&STORE_OPS, |op| op as usize, &mut names);
+        let count = names.len();
+        assert_eq!(count, 2 * 10 + 6 + 5 + 3);
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), count, "every mnemonic names one form");
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //!   extension living in the RISC-V *custom-0*/*custom-1* opcode space;
 //! - [`Assembler`] — a two-pass assembler accepting the syntax used in
 //!   the paper's listings (Figures 6 and 12), including `$n`-style
-//!   register names, labels, and pseudo-instructions;
-//! - [`disasm`] — a round-trippable disassembler;
-//! - [`Program`] — an assembled program with its symbol table.
+//!   register names, labels, and pseudo-instructions; [`encode`] checks
+//!   every instruction it emits;
+//! - [`Program`] — an assembled program with its symbol table. Its
+//!   `Display`, like [`Inst`]'s, prints assembler input: `x5`-style
+//!   register names under `{}`, ABI names (`t0`) under `{:#}`.
 //!
 //! # Example
 //!
@@ -57,10 +59,18 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod asm;
 pub mod decode;
-pub mod disasm;
 pub mod encode;
 pub mod inst;
 pub mod program;

@@ -1,7 +1,7 @@
 //! Assembled HISQ programs.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Display};
 
 use crate::decode::decode_all;
 use crate::encode::encode_all;
@@ -135,9 +135,16 @@ impl Extend<Inst> for Program {
     }
 }
 
+/// One instruction per line, in [`Inst`]'s syntax (ABI register names
+/// under `{:#}`): text the assembler turns back into this program's
+/// instructions. Branch and jump targets print as byte offsets.
 impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", crate::disasm::disassemble(&self.insts))
+        for inst in &self.insts {
+            Display::fmt(inst, f)?;
+            f.write_str("\n")?;
+        }
+        Ok(())
     }
 }
 
@@ -165,6 +172,33 @@ mod tests {
     #[test]
     fn ragged_byte_input_rejected() {
         assert!(Program::from_le_bytes(&[1, 2, 3]).is_err());
+    }
+
+    #[test]
+    fn printed_programs_reassemble_identically() {
+        let src = "
+            addi $2,$0,120
+            addi $1,$0,0
+            waiti 1
+            cw.i.i 21,2
+            cw.i.r 3, x4
+            cw.r.i x5, 9
+            cw.r.r x5, x6
+            waitr $1
+            sync 2
+            send 3, x7
+            recv x8, 3
+            lw x9, -4(x2)
+            sw x9, 4(x2)
+            bne $1,$2,-28
+            jal $0,-44
+            stop
+        ";
+        let p = crate::Assembler::new().assemble(src).unwrap();
+        for text in [p.to_string(), format!("{p:#}")] {
+            let p2 = crate::Assembler::new().assemble(&text).unwrap();
+            assert_eq!(p.insts(), p2.insts(), "{text}");
+        }
     }
 
     #[test]

@@ -94,9 +94,14 @@ impl Reg {
     }
 }
 
+/// `x5`, or the ABI name `t0` under `{:#}`.
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "x{}", self.0)
+        if f.alternate() {
+            f.write_str(self.abi_name())
+        } else {
+            write!(f, "x{}", self.0)
+        }
     }
 }
 
@@ -183,5 +188,6 @@ mod tests {
     #[test]
     fn display_uses_arch_name() {
         assert_eq!(Reg::new(17).unwrap().to_string(), "x17");
+        assert_eq!(format!("{:#}", Reg::new(17).unwrap()), "a7");
     }
 }

@@ -1,12 +1,15 @@
 //! Property-based tests for the HISQ ISA toolchain: arbitrary valid
-//! instructions must survive encode → decode and disassemble → assemble
-//! round trips unchanged.
+//! instructions must survive encode → decode and print → assemble
+//! round trips unchanged, in both register styles.
 
 use proptest::prelude::*;
 
+use hisq_isa::encode::{
+    OPC_AUIPC, OPC_BRANCH, OPC_JAL, OPC_JALR, OPC_LOAD, OPC_LUI, OPC_OP, OPC_OP_IMM, OPC_STORE,
+};
 use hisq_isa::{
-    decode::decode, disasm::disassemble, encode::encode, AluOp, Assembler, BranchOp, CwOperand,
-    Inst, LoadOp, Reg, StoreOp,
+    decode::decode, encode::encode, AluOp, Assembler, BranchOp, CwOperand, Inst, LoadOp, Program,
+    Reg, StoreOp,
 };
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
@@ -155,13 +158,17 @@ proptest! {
         prop_assert_eq!(inst, back);
     }
 
+    /// `{}` prints `x5`-style registers and `{:#}` ABI names; the
+    /// assembler reads both back.
     #[test]
     fn disassemble_assemble_round_trip(insts in proptest::collection::vec(arb_inst(), 1..40)) {
-        let text = disassemble(&insts);
-        let program = Assembler::new()
-            .assemble(&text)
-            .expect("disassembly must be valid assembly");
-        prop_assert_eq!(program.insts(), insts.as_slice());
+        let printed = Program::new(insts);
+        for text in [printed.to_string(), format!("{printed:#}")] {
+            let program = Assembler::new()
+                .assemble(&text)
+                .expect("a printed program must be valid assembly");
+            prop_assert_eq!(program.insts(), printed.insts());
+        }
     }
 
     #[test]
@@ -178,6 +185,25 @@ proptest! {
             let reencoded = encode(&inst).expect("decoded instruction must encode");
             let back = decode(reencoded).expect("re-encoded word must decode");
             prop_assert_eq!(inst, back);
+        }
+    }
+}
+
+/// The nine RV32I major opcodes HISQ keeps.
+const RV32I_OPCODES: [u32; 9] = [
+    OPC_LUI, OPC_AUIPC, OPC_JAL, OPC_JALR, OPC_BRANCH, OPC_LOAD, OPC_STORE, OPC_OP_IMM, OPC_OP,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// RV32I words have no don't-care bits: a word that decodes is the
+    /// encoding of what it decodes to.
+    #[test]
+    fn rv32i_words_reencode_to_themselves(opcode in 0usize..9, bits in any::<u32>()) {
+        let word = (bits & !0x7f) | RV32I_OPCODES[opcode];
+        if let Ok(inst) = decode(word) {
+            prop_assert_eq!(encode(&inst), Ok(word), "{:#010x} decodes to {}", word, inst);
         }
     }
 }

@@ -6,7 +6,8 @@
 //! This facade crate re-exports every subsystem of the reproduction:
 //!
 //! - [`isa`] — the HISQ hardware instruction set (RV32I extension with
-//!   `cw`/`wait`/`sync`/`send`/`recv`), assembler and disassembler.
+//!   `cw`/`wait`/`sync`/`send`/`recv`): binary encoding and decoding, an
+//!   assembler, and instructions that print as assembly text.
 //! - [`core`] — the single-node HISQ microarchitecture: classical pipeline,
 //!   Timing Control Unit (TCU), Synchronization Unit (SyncU) implementing the
 //!   BISP booking protocol, and Message Unit (MsgU).
